@@ -13,7 +13,7 @@ import sys
 from . import bisim, filtration, hilbert, model, properties
 from .decide import (NoCountermodelUpTo, Refuted, SearchBudget, SearchTimeout,
                      countermodel_search, verdict_to_json)
-from .formula import ParseError, d_closure, parse, pretty
+from .formula import ParseError, Var, d_closure, fold, parse, pretty
 
 LOGIC_NAMES = sorted(hilbert.LOGICS)
 
@@ -42,38 +42,37 @@ def _load_model(path: str, closure: bool):
     return m
 
 
-def _formula_to_json(f) -> dict:
-    from . import formula as fm
-    if isinstance(f, fm.Var):
-        return {"var": f.name}
-    if isinstance(f, fm.Bot):
-        return {"op": "bot"}
-    if isinstance(f, fm.Top):
-        return {"op": "top"}
-    if isinstance(f, (fm.Neg, fm.Box, fm.Dia)):
-        op = {"Neg": "~", "Box": "[]", "Dia": "<>"}[type(f).__name__]
-        return {"op": op, "arg": _formula_to_json(f.arg)}
-    op = {"And": "&", "Or": "|", "Impl": "->", "Rhd": "|>"}[type(f).__name__]
-    return {"op": op, "left": _formula_to_json(f.left), "right": _formula_to_json(f.right)}
+def _legal_model(args, gen_only: str | None = None):
+    """Load ``args.model`` and refuse an illegal model; ``gen_only`` is the
+    error for an ordinary model where only generalized ones apply."""
+    m = _load_model(args.model, args.closure)
+    if gen_only is not None and not isinstance(m, model.GenModel):
+        raise ValueError(gen_only)
+    violations = model.validate(m)
+    if violations:
+        raise ValueError(f"model is not legal: {violations[0]}")
+    return m
 
 
-def _ast_text(f, indent: int = 0) -> list[str]:
-    from . import formula as fm
-    pad = "  " * indent
-    if isinstance(f, fm.Var):
-        return [f"{pad}Var {f.name}"]
-    if isinstance(f, (fm.Bot, fm.Top)):
-        return [f"{pad}{type(f).__name__}"]
-    if isinstance(f, (fm.Neg, fm.Box, fm.Dia)):
-        return [f"{pad}{type(f).__name__}"] + _ast_text(f.arg, indent + 1)
-    return ([f"{pad}{type(f).__name__}"]
-            + _ast_text(f.left, indent + 1) + _ast_text(f.right, indent + 1))
+def _json_node(g, v: tuple) -> dict:
+    if isinstance(g, Var):
+        return {"var": g.name}
+    if not v:
+        return {"op": g.symbol}
+    if len(v) == 1:
+        return {"op": g.symbol, "arg": v[0]}
+    return {"op": g.symbol, "left": v[0], "right": v[1]}
+
+
+def _ast_node(g, v: tuple) -> list[str]:
+    head = f"Var {g.name}" if isinstance(g, Var) else type(g).__name__
+    return [head] + ["  " + line for lines in v for line in lines]
 
 
 def cmd_parse(args) -> int:
     f = parse(args.formula)
-    _emit({"formula": pretty(f), "ast": _formula_to_json(f)}, args.format,
-          _ast_text(f) + [pretty(f)])
+    _emit({"formula": pretty(f), "ast": fold(f, _json_node)}, args.format,
+          fold(f, _ast_node) + [pretty(f)])
     return 0
 
 
@@ -89,10 +88,7 @@ def cmd_check_model(args) -> int:
 
 
 def cmd_model_check(args) -> int:
-    m = _load_model(args.model, args.closure)
-    violations = model.validate(m)
-    if violations:
-        return _fail(f"model is not legal: {violations[0]}")
+    m = _legal_model(args)
     f = parse(args.formula)
     if args.world is not None:
         if args.world not in m.worlds:
@@ -108,12 +104,7 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_check_property(args) -> int:
-    m = _load_model(args.model, args.closure)
-    if not isinstance(m, model.GenModel):
-        return _fail("frame conditions are defined on generalized models")
-    violations = model.validate(m)
-    if violations:
-        return _fail(f"model is not legal: {violations[0]}")
+    m = _legal_model(args, "frame conditions are defined on generalized models")
     rep = properties.check_property(m.frame, args.property)
     payload = {"property": rep.property_id, "holds": rep.holds}
     lines = [f"{rep.property_id}: holds" if rep.holds else f"{rep.property_id}: fails"]
@@ -126,15 +117,10 @@ def cmd_check_property(args) -> int:
 
 
 def cmd_schema_valid(args) -> int:
-    m = _load_model(args.model, args.closure)
-    if not isinstance(m, model.GenModel):
-        return _fail("schema validity runs on generalized models")
-    violations = model.validate(m)
-    if violations:
-        return _fail(f"model is not legal: {violations[0]}")
+    m = _legal_model(args, "schema validity runs on generalized models")
     if args.schema not in hilbert.SCHEMATA:
         return _fail(f"unknown schema {args.schema!r}; choose from {sorted(hilbert.SCHEMATA)}")
-    result = properties.schema_frame_valid(m.frame, args.schema, cap=args.max_worlds or 5)
+    result = properties.schema_frame_valid(m.frame, args.schema, cap=args.max_worlds)
     if result is True:
         _emit({"schema": args.schema, "valid": True}, args.format,
               [f"{args.schema}: frame-valid"])
@@ -149,12 +135,7 @@ def cmd_schema_valid(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    m = _load_model(args.model, args.closure)
-    if not isinstance(m, model.GenModel):
-        return _fail("autobisimulation runs on generalized models")
-    violations = model.validate(m)
-    if violations:
-        return _fail(f"model is not legal: {violations[0]}")
+    m = _legal_model(args, "autobisimulation runs on generalized models")
     part = bisim.largest_autobisimulation(m)
     _emit({"classes": part.to_json()}, args.format,
           [f"{cid}: {' '.join(ws)}" for cid, ws in sorted(part.to_json().items())])
@@ -162,12 +143,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_filtrate(args) -> int:
-    m = _load_model(args.model, args.closure)
-    if not isinstance(m, model.GenModel):
-        return _fail("filtration runs on generalized models")
-    violations = model.validate(m)
-    if violations:
-        return _fail(f"model is not legal: {violations[0]}")
+    m = _legal_model(args, "filtration runs on generalized models")
     seeds = [parse(src) for src in args.formulas]
     result = filtration.filtrate(m, d_closure(seeds))
     payload = {"quotient": result.quotient.to_json(),
@@ -270,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schema-valid", help="sweep all valuations of a schema instance")
     p.add_argument("model")
     p.add_argument("--schema", required=True)
-    p.add_argument("--max-worlds", type=int, default=None,
+    p.add_argument("--max-worlds", type=int, default=5,
                    help="world cap for the sweep (default 5)")
     common(p, closure=True)
     p.set_defaults(func=cmd_schema_valid)

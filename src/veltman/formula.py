@@ -18,74 +18,155 @@ Concrete grammar (EBNF)::
 
 Binding, tightest first: ``~ [] <>``, then ``&``, ``|``, ``|>``, ``->``.
 Identifiers match ``[a-z][a-zA-Z0-9_]*``; ``bot`` and ``top`` are reserved.
+Nesting is bounded: past ``MAX_DEPTH`` nodes on a root-to-leaf path of the
+tree, or ``MAX_DEPTH`` open parentheses, the parser raises ParseError.
+
+Everything computed on formulas is structural recursion, written once as
+:func:`fold`.  :func:`evaluate` is the one semantics: it reads a formula in a
+Boolean algebra with operators (:class:`Algebra`), such as the truth sets of
+a model or bitmask arrays over a grid of valuations.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from operator import is_
+from typing import Any, Callable, Iterable, NamedTuple
+
+# Binding strength used by the printer; higher binds tighter.
+_ATOM, _UNARY, _AND, _OR, _RHD, _IMPL = 100, 90, 80, 70, 60, 50
 
 
 class Formula:
-    """Base class for AST nodes.  Nodes are immutable and compare structurally."""
+    """Base class for AST nodes.  Nodes are immutable and compare structurally.
+
+    Every node has ``children`` (its immediate subformulas, in order), a
+    printing ``symbol`` and a binding ``level`` (higher binds tighter).  The
+    hash is computed on first use and then kept on the node.
+    """
+
+    __slots__ = ("_hash",)
+    children: tuple = ()
+    level = _ATOM
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.children == other.children
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.symbol, self.children))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def rebuild(self, children) -> Formula:
+        """The same connective over ``children``; ``self`` when they are unchanged."""
+        if all(map(is_, children, self.children)):
+            return self
+        return type(self)(*children)
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+class _Unary(Formula):
+    __slots__ = ()
+    level = _UNARY
+
+    @property
+    def children(self) -> tuple:
+        return (self.arg,)
+
+
+class _Binary(Formula):
+    __slots__ = ()
+
+    @property
+    def children(self) -> tuple:
+        return (self.left, self.right)
+
+
+# eq=False: equality and the cached hash come from Formula
+_node = dataclass(frozen=True, eq=False, slots=True)
+
+
+@_node
 class Var(Formula):
     name: str
 
+    @property
+    def symbol(self) -> str:
+        return self.name
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if type(other) is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+
+@_node
 class Bot(Formula):
-    pass
+    symbol = "bot"
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
-    pass
+    symbol = "top"
 
 
-@dataclass(frozen=True)
-class Neg(Formula):
+@_node
+class Neg(_Unary):
     arg: Formula
+    symbol = "~"
 
 
-@dataclass(frozen=True)
-class Box(Formula):
+@_node
+class Box(_Unary):
     arg: Formula
+    symbol = "[]"
 
 
-@dataclass(frozen=True)
-class Dia(Formula):
+@_node
+class Dia(_Unary):
     arg: Formula
+    symbol = "<>"
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@_node
+class And(_Binary):
     left: Formula
     right: Formula
+    symbol, level = "&", _AND
 
 
-@dataclass(frozen=True)
-class Or(Formula):
+@_node
+class Or(_Binary):
     left: Formula
     right: Formula
+    symbol, level = "|", _OR
 
 
-@dataclass(frozen=True)
-class Impl(Formula):
+@_node
+class Impl(_Binary):
     left: Formula
     right: Formula
+    symbol, level = "->", _IMPL
 
 
-@dataclass(frozen=True)
-class Rhd(Formula):
+@_node
+class Rhd(_Binary):
     left: Formula
     right: Formula
+    symbol, level = "|>", _RHD
 
 
 BOT = Bot()
@@ -122,158 +203,213 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+MAX_DEPTH = 64
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+_PREFIX = {"~": Neg, "[]": Box, "<>": Dia}
+# left-associative connectives; each class's ``level`` is its binding strength
+_INFIX = {"&": And, "|": Or, "|>": Rhd}
+_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
+
+class _Parser:
+    """Recursive descent that recurses only into parentheses and, for the
+    left-associative levels, by precedence climbing.  Each parse method
+    returns a (node, depth) pair, so the nesting bound is checked as the
+    tree is built, before any deep recursion can start."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text) + [(None, len(text))]
+        self.i = 0
+        self.tok = self.tokens[0][0]  # current token, None at the end
+        self.parens = 0
 
     def pos(self) -> int:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i][1]
-        return len(self.text)
+        return self.tokens[self.i][1]
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
+    def take(self) -> int:
+        """Consume the current token; returns its position."""
+        pos = self.tokens[self.i][1]
+        if self.tok is None:
+            raise ParseError("unexpected end of input", pos)
         self.i += 1
-        return tok
+        self.tok = self.tokens[self.i][0]
+        return pos
 
     def expect(self, tok: str) -> None:
-        got = self.peek()
+        got = self.tok
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}" if got else f"expected {tok!r}, got end of input",
                              self.pos())
-        self.i += 1
+        self.take()
 
-    def parse_form(self) -> Formula:
-        return self.parse_imp()
+    @staticmethod
+    def nest(depth: int, pos: int) -> int:
+        """Depth of a new node whose deepest child has ``depth``."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nesting exceeds {MAX_DEPTH}", pos)
+        return depth + 1
 
-    def parse_imp(self) -> Formula:
-        left = self.parse_rhd()
-        if self.peek() == "->":
-            self.take()
-            return Impl(left, self.parse_imp())
-        return left
+    def parse_imp(self):
+        """Right-associative: collect the chain, then nest from the right."""
+        parts = [self.parse_infix(_RHD)]
+        ops = []
+        while self.tok == "->":
+            ops.append(self.take())
+            parts.append(self.parse_infix(_RHD))
+        out, d = parts.pop()
+        while ops:
+            left, e = parts.pop()
+            out, d = Impl(left, out), self.nest(max(d, e), ops.pop())
+        return out, d
 
-    def parse_rhd(self) -> Formula:
-        node = self.parse_or()
-        while self.peek() == "|>":
-            self.take()
-            node = Rhd(node, self.parse_or())
-        return node
+    def parse_infix(self, min_level: int):
+        out, d = self.parse_unary()
+        while self.tok in _INFIX and _INFIX[self.tok].level >= min_level:
+            cls = _INFIX[self.tok]
+            pos = self.take()
+            right, e = self.parse_infix(cls.level + 1)
+            out, d = cls(out, right), self.nest(max(d, e), pos)
+        return out, d
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
+    def parse_unary(self):
+        prefixes = []
+        while self.tok in _PREFIX:
+            prefixes.append((_PREFIX[self.tok], self.take()))
+        out, d = self.parse_atom()
+        while prefixes:
+            cls, pos = prefixes.pop()
+            out, d = cls(out), self.nest(d, pos)
+        return out, d
 
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "~":
-            self.take()
-            return Neg(self.parse_unary())
-        if tok == "[]":
-            self.take()
-            return Box(self.parse_unary())
-        if tok == "<>":
-            self.take()
-            return Dia(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
+    def parse_atom(self):
+        tok = self.tok
         if tok is None:
             raise ParseError("unexpected end of input", self.pos())
         if tok == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise ParseError(f"parenthesis nesting exceeds {MAX_DEPTH}", self.pos())
             self.take()
-            node = self.parse_form()
+            out = self.parse_imp()
             self.expect(")")
-            return node
+            self.parens -= 1
+            return out
         if tok == "bot":
             self.take()
-            return BOT
+            return BOT, 1
         if tok == "top":
             self.take()
-            return TOP
-        if re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok):
+            return TOP, 1
+        if _IDENT.fullmatch(tok):
             self.take()
-            return Var(tok)
+            return Var(tok), 1
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a Formula; raises ParseError with a position on bad input."""
     p = _Parser(text)
-    node = p.parse_form()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()!r}", p.pos())
+    node, _ = p.parse_imp()
+    if p.tok is not None:
+        raise ParseError(f"trailing input {p.tok!r}", p.pos())
     return node
 
 
-# Binding strength used by the printer; higher binds tighter.
-_ATOM, _UNARY, _AND, _OR, _RHD, _IMPL = 100, 90, 80, 70, 60, 50
+_MISSING = object()
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, (Var, Bot, Top)):
-        return _ATOM
-    if isinstance(f, (Neg, Box, Dia)):
-        return _UNARY
-    if isinstance(f, And):
-        return _AND
-    if isinstance(f, Or):
-        return _OR
-    if isinstance(f, Rhd):
-        return _RHD
-    if isinstance(f, Impl):
-        return _IMPL
-    raise TypeError(f"not a formula: {f!r}")
+def fold(f: Formula, visit: Callable[[Formula, tuple], Any], memo: dict | None = None):
+    """Structural recursion, bottom-up: ``visit(g, values)`` gets a node and
+    the values of its children, in order.
+
+    Without ``memo`` each child's value is dropped once its parent's is
+    computed.  With ``memo`` every distinct subformula is visited once and its
+    value kept there; an entry already in ``memo`` stands for its subtree,
+    which is not entered.
+    """
+    if memo is None:
+        return visit(f, tuple([fold(c, visit) for c in f.children]))
+    out = memo.get(f, _MISSING)
+    if out is _MISSING:
+        out = memo[f] = visit(f, tuple([fold(c, visit, memo) for c in f.children]))
+    return out
+
+
+class Algebra(NamedTuple):
+    """A Boolean algebra with operators, as :func:`evaluate` reads it.
+
+    ``full`` is the top element; ``x ^ full``, ``x & y`` and ``x | y`` must
+    be complement, meet and join, as they are on frozensets, Python ints and
+    numpy int64 arrays alike.  ``atom`` values a variable by name; ``box`` and
+    ``rhd`` interpret ``[]`` and ``|>``.
+    """
+    full: Any
+    atom: Callable[[str], Any]
+    box: Callable[[Any], Any]
+    rhd: Callable[[Any, Any], Any]
+
+
+def evaluate(f: Formula, algebra: Algebra, memo: dict | None = None):
+    """The value of ``f`` in ``algebra``; ``<>`` is the dual of ``[]``.
+
+    ``memo`` is passed to :func:`fold`: it caches values, and seeded entries
+    override the value of their subformula.
+    """
+    full, atom, box, rhd = algebra
+
+    def visit(g, v):
+        t = type(g)
+        if t is Var:
+            return atom(g.name)
+        if t is Neg:
+            return v[0] ^ full
+        if t is And:
+            return v[0] & v[1]
+        if t is Or:
+            return v[0] | v[1]
+        if t is Impl:
+            return (v[0] ^ full) | v[1]
+        if t is Rhd:
+            return rhd(v[0], v[1])
+        if t is Box:
+            return box(v[0])
+        if t is Dia:
+            return box(v[0] ^ full) ^ full
+        if t is Top:
+            return full
+        if t is Bot:
+            return full ^ full
+        raise TypeError(f"not a formula: {g!r}")
+
+    return fold(f, visit, memo)
+
+
+def _wrap(child: Formula, text: str, strict_below: int) -> str:
+    return f"({text})" if child.level < strict_below else text
+
+
+def _show(g: Formula, texts: tuple) -> str:
+    if not texts:
+        return g.symbol
+    if len(texts) == 1:
+        return g.symbol + _wrap(g.arg, texts[0], _UNARY)
+    # -> is right-associative, the other binary connectives left-associative
+    lo, ro = (g.level + 1, g.level) if type(g) is Impl else (g.level, g.level + 1)
+    return f"{_wrap(g.left, texts[0], lo)} {g.symbol} {_wrap(g.right, texts[1], ro)}"
 
 
 def pretty(f: Formula) -> str:
     """Render ``f`` with minimal parentheses; `parse(pretty(f)) == f`."""
+    return fold(f, _show)
 
-    def wrap(child: Formula, strict_below: int) -> str:
-        s = pretty(child)
-        return f"({s})" if _level(child) < strict_below else s
 
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, Neg):
-        return "~" + wrap(f.arg, _UNARY)
-    if isinstance(f, Box):
-        return "[]" + wrap(f.arg, _UNARY)
-    if isinstance(f, Dia):
-        return "<>" + wrap(f.arg, _UNARY)
-    if isinstance(f, And):
-        # left-associative: the right child needs parens when it is itself an &
-        return f"{wrap(f.left, _AND)} & {wrap(f.right, _AND + 1)}"
-    if isinstance(f, Or):
-        return f"{wrap(f.left, _OR)} | {wrap(f.right, _OR + 1)}"
-    if isinstance(f, Rhd):
-        return f"{wrap(f.left, _RHD)} |> {wrap(f.right, _RHD + 1)}"
-    if isinstance(f, Impl):
-        # right-associative
-        return f"{wrap(f.left, _IMPL + 1)} -> {wrap(f.right, _IMPL)}"
-    raise TypeError(f"not a formula: {f!r}")
+def _expand(g: Formula, v: tuple) -> Formula:
+    t = type(g)
+    if t is Box:
+        return Rhd(Neg(v[0]), BOT)
+    if t is Dia:
+        return Neg(Rhd(v[0], BOT))
+    return g.rebuild(v)
 
 
 def normalize(f: Formula) -> Formula:
@@ -281,41 +417,15 @@ def normalize(f: Formula) -> Formula:
 
     Idempotent; leaves every other connective untouched.
     """
-    if isinstance(f, (Var, Bot, Top)):
-        return f
-    if isinstance(f, Neg):
-        return Neg(normalize(f.arg))
-    if isinstance(f, Box):
-        return Rhd(Neg(normalize(f.arg)), BOT)
-    if isinstance(f, Dia):
-        return Neg(Rhd(normalize(f.arg), BOT))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
-    if isinstance(f, Or):
-        return Or(normalize(f.left), normalize(f.right))
-    if isinstance(f, Impl):
-        return Impl(normalize(f.left), normalize(f.right))
-    if isinstance(f, Rhd):
-        return Rhd(normalize(f.left), normalize(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _expand)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of ``f`` including ``f``.  [] and <> nodes contribute
     themselves and their arguments, not their normalized expansions."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, (Neg, Box, Dia)):
-            stack.append(g.arg)
-        elif isinstance(g, (And, Or, Impl, Rhd)):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    seen: dict = {}
+    fold(f, lambda g, v: None, seen)
+    return frozenset(seen)
 
 
 def single_negation(f: Formula) -> Formula:
@@ -337,7 +447,7 @@ def d_closure(seeds: Iterable[Formula]) -> frozenset[Formula]:
         if g in closed:
             continue
         closed.add(g)
-        todo.extend(subformulas(g))
+        todo.extend(g.children)
         todo.append(single_negation(g))
     return frozenset(closed)
 
@@ -349,8 +459,7 @@ def _pool(gamma: Iterable[Formula]) -> frozenset[Formula]:
     for g in gamma:
         n = normalize(g)
         if isinstance(n, Rhd):
-            out.add(n.left)
-            out.add(n.right)
+            out.update(n.children)
     return frozenset(out)
 
 
@@ -358,29 +467,29 @@ def adequate_set(d: Iterable[Formula]) -> frozenset[Formula]:
     """Least superset of ``d`` closed under the five structure conditions:
     subformulas, single negation, membership of ``bot |> bot``, pairing of
     |>-components, and ``[]~A`` for every A in ``d``.
+
+    A worklist: each new member is normalized once, and a component new to
+    the pool is paired with every component already there.
     """
     d = frozenset(d)
-    gamma: set[Formula] = set(d)
-    gamma.add(Rhd(BOT, BOT))
-    gamma.update(Box(Neg(a)) for a in d)
-    while True:
-        new: set[Formula] = set()
-        for g in gamma:
-            for s in subformulas(g):
-                if s not in gamma:
-                    new.add(s)
-            sn = single_negation(g)
-            if sn not in gamma:
-                new.add(sn)
-        pool = _pool(gamma)
-        for a in pool:
-            for b in pool:
-                g = Rhd(a, b)
-                if g not in gamma:
-                    new.add(g)
-        if not new:
-            return frozenset(gamma)
-        gamma.update(new)
+    gamma: set[Formula] = set()
+    pool: set[Formula] = set()
+    todo = [*d, Rhd(BOT, BOT), *(Box(Neg(a)) for a in d)]
+    while todo:
+        g = todo.pop()
+        if g in gamma:
+            continue
+        gamma.add(g)
+        todo.extend(g.children)
+        todo.append(single_negation(g))
+        n = normalize(g)
+        if isinstance(n, Rhd):
+            for c in n.children:
+                if c not in pool:
+                    pool.add(c)
+                    todo.extend(Rhd(c, e) for e in pool)
+                    todo.extend(Rhd(e, c) for e in pool)
+    return frozenset(gamma)
 
 
 def is_adequate(gamma: Iterable[Formula], d: Iterable[Formula]) -> bool:

@@ -21,12 +21,12 @@ comment.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
-from .formula import (And, Bot, BOT, Box, Dia, Formula, Impl, Neg, Or,
-                      ParseError, Rhd, Top, Var, normalize, parse)
+from .formula import (And, BOT, Algebra, Box, Dia, Formula, Impl, Neg, Or,
+                      ParseError, Rhd, Var, evaluate, fold, normalize, parse,
+                      variables)
 
 METAVARS = ("A", "B", "C")
 
@@ -83,61 +83,24 @@ def get_logic(name: str) -> Logic:
 
 def schema_metavars(schema_id: str) -> tuple[str, ...]:
     """Metavariables occurring in the schema, in A, B, C order."""
-    pattern = SCHEMATA[schema_id]
-    names = {v.name for v in _vars_of(pattern)}
+    names = variables(SCHEMATA[schema_id])
     return tuple(m for m in METAVARS if m in names)
-
-
-def _vars_of(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Var):
-            yield g
-        elif isinstance(g, (Neg, Box, Dia)):
-            stack.append(g.arg)
-        elif isinstance(g, (And, Or, Impl, Rhd)):
-            stack.extend((g.left, g.right))
 
 
 def instantiate(schema_id: str, subst: dict[str, Formula]) -> Formula:
     """Replace the schema's metavariables by the given formulas."""
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Var):
-            if g.name in METAVARS:
-                return subst[g.name]
-            return g
-        if isinstance(g, (Bot, Top)):
-            return g
-        if isinstance(g, Neg):
-            return Neg(walk(g.arg))
-        if isinstance(g, Box):
-            return Box(walk(g.arg))
-        if isinstance(g, Dia):
-            return Dia(walk(g.arg))
-        return type(g)(walk(g.left), walk(g.right))
-
-    return walk(SCHEMATA[schema_id])
+    memo = {Var(m): subst[m] for m in schema_metavars(schema_id)}
+    return fold(SCHEMATA[schema_id], Formula.rebuild, memo)
 
 
 def _match(pattern: Formula, term: Formula, subst: dict[str, Formula]) -> bool:
     if isinstance(pattern, Var) and pattern.name in METAVARS:
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = term
-            return True
-        return bound == term
+        return subst.setdefault(pattern.name, term) == term
     if type(pattern) is not type(term):
         return False
-    if isinstance(pattern, Var):
-        return pattern.name == term.name
-    if isinstance(pattern, (Bot, Top)):
-        return True
-    if isinstance(pattern, (Neg, Box, Dia)):
-        return _match(pattern.arg, term.arg, subst)
-    return (_match(pattern.left, term.left, subst)
-            and _match(pattern.right, term.right, subst))
+    if not pattern.children:
+        return pattern == term
+    return all(_match(p, t, subst) for p, t in zip(pattern.children, term.children))
 
 
 def match_schema(schema_id: str, f: Formula) -> dict[str, Formula] | None:
@@ -157,54 +120,40 @@ def match_schema(schema_id: str, f: Formula) -> dict[str, Formula] | None:
 MAX_TAUT_ATOMS = 20
 
 
+def _skeleton_atoms(g: Formula, values: tuple) -> frozenset[Formula]:
+    if isinstance(g, (Var, Rhd)):
+        return frozenset((g,))
+    return frozenset().union(*values)
+
+
+def _column(i: int, rows: int) -> int:
+    """Bitmask of the rows (0 .. rows-1) whose bit i is set."""
+    half = 1 << i
+    out, width = ((1 << half) - 1) << half, 2 * half
+    while width < rows:
+        out |= out << width
+        width *= 2
+    return out
+
+
 def is_classical_tautology(f: Formula, max_atoms: int = MAX_TAUT_ATOMS) -> bool:
     """Truth-table validity of the propositional skeleton of ``f``.
 
     The skeleton replaces each maximal |>-subformula of the normalized form
     with a fresh atom; identical subformulas share an atom.  Raises
-    ValueError past ``max_atoms`` distinct atoms.
+    ValueError past ``max_atoms`` distinct atoms.  All 2^n rows are evaluated
+    at once: a value is the bitmask of the rows where it is true, atom i is
+    true in the rows whose bit i is set.
     """
-    atoms: dict[Formula, int] = {}
-
-    def skeleton(g: Formula):
-        if isinstance(g, Rhd) or isinstance(g, Var):
-            if g not in atoms:
-                atoms[g] = len(atoms)
-            return ("atom", atoms[g])
-        if isinstance(g, Bot):
-            return ("const", False)
-        if isinstance(g, Top):
-            return ("const", True)
-        if isinstance(g, Neg):
-            return ("~", skeleton(g.arg))
-        if isinstance(g, And):
-            return ("&", skeleton(g.left), skeleton(g.right))
-        if isinstance(g, Or):
-            return ("|", skeleton(g.left), skeleton(g.right))
-        if isinstance(g, Impl):
-            return ("->", skeleton(g.left), skeleton(g.right))
-        raise TypeError(f"not a formula: {g!r}")
-
-    sk = skeleton(normalize(f))
+    g = normalize(f)
+    atoms = fold(g, _skeleton_atoms)
     n = len(atoms)
     if n > max_atoms:
         raise ValueError(f"propositional skeleton has {n} atoms, limit is {max_atoms}")
-
-    def ev(node, row) -> bool:
-        tag = node[0]
-        if tag == "atom":
-            return row[node[1]]
-        if tag == "const":
-            return node[1]
-        if tag == "~":
-            return not ev(node[1], row)
-        if tag == "&":
-            return ev(node[1], row) and ev(node[2], row)
-        if tag == "|":
-            return ev(node[1], row) or ev(node[2], row)
-        return (not ev(node[1], row)) or ev(node[2], row)
-
-    return all(ev(sk, row) for row in itertools.product((False, True), repeat=n))
+    rows = 1 << n
+    full = (1 << rows) - 1
+    columns = {a: _column(i, rows) for i, a in enumerate(atoms)}
+    return evaluate(g, Algebra(full, None, None, None), columns) == full
 
 
 @dataclass(frozen=True)

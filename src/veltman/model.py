@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .formula import (And, Bot, Box, Dia, Formula, Impl, Neg, Or, Rhd, Top,
-                      Var)
+from .formula import Algebra, Formula, evaluate
 
 World = str
 
@@ -299,60 +298,54 @@ def close_s(frame: GenFrame) -> GenFrame:
     return GenFrame(frame.worlds, frame.pairs, fam)
 
 
+def _valuation(worlds: Iterable[World],
+               valuation: Mapping[str, Iterable[World]]) -> dict[str, frozenset[World]]:
+    wset = set(worlds)
+    out: dict[str, frozenset[World]] = {}
+    for p, ws in valuation.items():
+        ws = frozenset(ws)
+        if not ws <= wset:
+            raise FrameError(f"valuation of {p} mentions an unknown world")
+        out[p] = ws
+    return out
+
+
 class GenModel:
-    """Generalized frame plus valuation; forcing is memoized per formula."""
+    """Generalized frame plus valuation; forcing is memoized per formula.
+
+    Truth sets are read in the complex algebra of the frame: subsets of the
+    worlds, with ``[]`` and ``|>`` as operators.
+    """
 
     def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
         self.frame = frame
-        wset = set(frame.worlds)
-        self.valuation: dict[str, frozenset[World]] = {}
-        for p, ws in valuation.items():
-            ws = frozenset(ws)
-            if not ws <= wset:
-                raise FrameError(f"valuation of {p} mentions an unknown world")
-            self.valuation[p] = ws
+        self.valuation = _valuation(frame.worlds, valuation)
         self._truth: dict[Formula, frozenset[World]] = {}
 
     @property
     def worlds(self) -> tuple[World, ...]:
         return self.frame.worlds
 
+    def _atom(self, name: str) -> frozenset[World]:
+        return self.valuation.get(name, frozenset())
+
+    def _box(self, body: frozenset[World]) -> frozenset[World]:
+        frame = self.frame
+        return frozenset(w for w in frame.worlds if frame.successors(w) <= body)
+
+    def _rhd(self, a: frozenset[World], b: frozenset[World]) -> frozenset[World]:
+        frame = self.frame
+        return frozenset(
+            w for w in frame.worlds
+            if all(any(g <= b for g in frame.gens(w, u))
+                   for u in frame.successors(w) & a))
+
     def truth_set(self, f: Formula) -> frozenset[World]:
         cached = self._truth.get(f)
         if cached is not None:
             return cached
-        frame = self.frame
-        if isinstance(f, Var):
-            out = self.valuation.get(f.name, frozenset())
-        elif isinstance(f, Bot):
-            out = frozenset()
-        elif isinstance(f, Top):
-            out = frozenset(frame.worlds)
-        elif isinstance(f, Neg):
-            out = frozenset(frame.worlds) - self.truth_set(f.arg)
-        elif isinstance(f, And):
-            out = self.truth_set(f.left) & self.truth_set(f.right)
-        elif isinstance(f, Or):
-            out = self.truth_set(f.left) | self.truth_set(f.right)
-        elif isinstance(f, Impl):
-            out = (frozenset(frame.worlds) - self.truth_set(f.left)) | self.truth_set(f.right)
-        elif isinstance(f, Box):
-            body = self.truth_set(f.arg)
-            out = frozenset(w for w in frame.worlds if frame.successors(w) <= body)
-        elif isinstance(f, Dia):
-            body = self.truth_set(f.arg)
-            out = frozenset(w for w in frame.worlds if frame.successors(w) & body)
-        elif isinstance(f, Rhd):
-            a = self.truth_set(f.left)
-            b = self.truth_set(f.right)
-            out = frozenset(
-                w for w in frame.worlds
-                if all(any(g <= b for g in frame.gens(w, u))
-                       for u in frame.successors(w) & a))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._truth[f] = out
-        return out
+        algebra = Algebra(frozenset(self.frame.worlds), self._atom, self._box, self._rhd)
+        return evaluate(f, algebra, self._truth)
 
     def forces(self, w: World, f: Formula) -> bool:
         return w in self.truth_set(f)
@@ -364,59 +357,22 @@ class GenModel:
 
 
 class OrdModel:
-    """Ordinary frame plus valuation."""
+    """Ordinary frame plus valuation.  Forcing goes through the embedding
+    into a generalized model (:func:`gen_of_ordinary`), built on first use."""
 
     def __init__(self, frame: OrdFrame, valuation: Mapping[str, Iterable[World]]):
         self.frame = frame
-        wset = set(frame.worlds)
-        self.valuation: dict[str, frozenset[World]] = {}
-        for p, ws in valuation.items():
-            ws = frozenset(ws)
-            if not ws <= wset:
-                raise FrameError(f"valuation of {p} mentions an unknown world")
-            self.valuation[p] = ws
-        self._truth: dict[Formula, frozenset[World]] = {}
+        self.valuation = _valuation(frame.worlds, valuation)
+        self._gen: GenModel | None = None
 
     @property
     def worlds(self) -> tuple[World, ...]:
         return self.frame.worlds
 
     def truth_set(self, f: Formula) -> frozenset[World]:
-        cached = self._truth.get(f)
-        if cached is not None:
-            return cached
-        frame = self.frame
-        if isinstance(f, Var):
-            out = self.valuation.get(f.name, frozenset())
-        elif isinstance(f, Bot):
-            out = frozenset()
-        elif isinstance(f, Top):
-            out = frozenset(frame.worlds)
-        elif isinstance(f, Neg):
-            out = frozenset(frame.worlds) - self.truth_set(f.arg)
-        elif isinstance(f, And):
-            out = self.truth_set(f.left) & self.truth_set(f.right)
-        elif isinstance(f, Or):
-            out = self.truth_set(f.left) | self.truth_set(f.right)
-        elif isinstance(f, Impl):
-            out = (frozenset(frame.worlds) - self.truth_set(f.left)) | self.truth_set(f.right)
-        elif isinstance(f, Box):
-            body = self.truth_set(f.arg)
-            out = frozenset(w for w in frame.worlds if frame.successors(w) <= body)
-        elif isinstance(f, Dia):
-            body = self.truth_set(f.arg)
-            out = frozenset(w for w in frame.worlds if frame.successors(w) & body)
-        elif isinstance(f, Rhd):
-            a = self.truth_set(f.left)
-            b = self.truth_set(f.right)
-            out = frozenset(
-                w for w in frame.worlds
-                if all(any(v in b for x, v in frame.s_pairs(w) if x == u)
-                       for u in frame.successors(w) & a))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._truth[f] = out
-        return out
+        if self._gen is None:
+            self._gen = gen_of_ordinary(self)
+        return self._gen.truth_set(f)
 
     def forces(self, w: World, f: Formula) -> bool:
         return w in self.truth_set(f)
@@ -438,6 +394,19 @@ def gen_of_ordinary(m: OrdModel) -> GenModel:
     return GenModel(frame, m.valuation)
 
 
+def _array(x, what: str, *args) -> list:
+    """``x`` where the interchange format wants a JSON array; a string is
+    refused rather than read as a sequence of one-character names.  The
+    message is ``what.format(*args)``, built only on failure."""
+    if not isinstance(x, list):
+        raise FrameError(f"{what.format(*args)} must be a JSON array, got {type(x).__name__}")
+    return x
+
+
+def _pairs(x, what: str) -> list[tuple[World, World]]:
+    return [(str(a), str(b)) for a, b in (_array(e, "{} pair", what) for e in _array(x, what))]
+
+
 def model_from_json(obj: dict) -> GenModel | OrdModel:
     """Build a model from the interchange dict; structural errors raise FrameError."""
     if not isinstance(obj, dict):
@@ -446,21 +415,22 @@ def model_from_json(obj: dict) -> GenModel | OrdModel:
     if kind not in ("gen", "ord"):
         raise FrameError(f"unknown model kind {kind!r}")
     try:
-        worlds = [str(w) for w in obj["worlds"]]
-        pairs = [(str(a), str(b)) for a, b in obj["R"]]
-        valuation = {str(p): [str(w) for w in ws]
+        worlds = [str(w) for w in _array(obj["worlds"], "worlds")]
+        pairs = _pairs(obj["R"], "R")
+        valuation = {str(p): [str(w) for w in _array(ws, "valuation of {}", p)]
                      for p, ws in obj.get("valuation", {}).items()}
         raw_s = obj["S"]
         if kind == "gen":
-            families = {str(w): {str(u): [[str(v) for v in g] for g in gens]
+            families = {str(w): {str(u): [[str(v) for v in _array(g, "S_{} image of {}", w, u)]
+                                          for g in _array(gens, "S_{} images of {}", w, u)]
                                  for u, gens in per_u.items()}
                         for w, per_u in raw_s.items()}
             return GenModel(GenFrame(worlds, pairs, families), valuation)
-        s = {str(w): [(str(a), str(b)) for a, b in rel] for w, rel in raw_s.items()}
+        s = {str(w): _pairs(rel, "S_" + str(w)) for w, rel in raw_s.items()}
         return OrdModel(OrdFrame(worlds, pairs, s), valuation)
     except FrameError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FrameError(f"malformed model document: {exc}") from exc
 
 

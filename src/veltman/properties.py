@@ -38,8 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .formula import (And, Bot, Box, Dia, Formula, Impl, Neg, Or, Rhd, Top,
-                      Var, variables)
+from .formula import Algebra, Formula, Var, evaluate, variables
 from .hilbert import SCHEMATA, instantiate, schema_metavars
 from .model import GenFrame, World
 
@@ -199,7 +198,9 @@ class TruthTables:
     """Bitmask evaluation of formulas on one frame.
 
     Bit i of a mask is worlds[i].  ``evaluate`` maps numpy arrays of variable
-    masks to the array of truth-set masks, one entry per valuation.
+    masks to the array of truth-set masks, one entry per valuation.  The top
+    element and unassigned variables are one-entry arrays that broadcast, so
+    a formula without assigned variables yields a one-entry array.
     """
 
     def __init__(self, frame: GenFrame):
@@ -219,39 +220,10 @@ class TruthTables:
         return out
 
     def evaluate(self, f: Formula, assignment: dict[str, np.ndarray]) -> np.ndarray:
-        size = None
-        for arr in assignment.values():
-            size = arr.shape
-            break
-        if size is None:
-            size = (1,)
-
-        def ev(g: Formula) -> np.ndarray:
-            if isinstance(g, Var):
-                if g.name in assignment:
-                    return assignment[g.name]
-                return np.zeros(size, dtype=np.int64)
-            if isinstance(g, Bot):
-                return np.zeros(size, dtype=np.int64)
-            if isinstance(g, Top):
-                return np.full(size, self.full, dtype=np.int64)
-            if isinstance(g, Neg):
-                return ev(g.arg) ^ self.full
-            if isinstance(g, And):
-                return ev(g.left) & ev(g.right)
-            if isinstance(g, Or):
-                return ev(g.left) | ev(g.right)
-            if isinstance(g, Impl):
-                return (ev(g.left) ^ self.full) | ev(g.right)
-            if isinstance(g, Box):
-                return self._box(ev(g.arg))
-            if isinstance(g, Dia):
-                return self._box(ev(g.arg) ^ self.full) ^ self.full
-            if isinstance(g, Rhd):
-                return self._rhd(ev(g.left), ev(g.right))
-            raise TypeError(f"not a formula: {g!r}")
-
-        return ev(f)
+        full = np.full(1, self.full, dtype=np.int64)
+        zero = np.zeros(1, dtype=np.int64)
+        return evaluate(f, Algebra(full, lambda name: assignment.get(name, zero),
+                                   self._box, self._rhd))
 
     def _box(self, body: np.ndarray) -> np.ndarray:
         out = np.zeros(body.shape, dtype=np.int64)
@@ -261,13 +233,14 @@ class TruthTables:
         return out
 
     def _rhd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.full(a.shape, self.full, dtype=np.int64)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        out = np.full(shape, self.full, dtype=np.int64)
         for i, w in enumerate(self.frame.worlds):
-            bad = np.zeros(a.shape, dtype=bool)
+            bad = np.zeros(shape, dtype=bool)
             for u in self.frame.successors(w):
                 ui = self.index[u]
                 u_in_a = (a >> ui) & 1 == 1
-                ok = np.zeros(a.shape, dtype=bool)
+                ok = np.zeros(shape, dtype=bool)
                 for g in self.gen_masks.get((w, u), ()):
                     ok |= (b & g) == g
                 bad |= u_in_a & ~ok

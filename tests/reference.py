@@ -4,12 +4,18 @@ The checkers here quantify over full monotone closures, every subset,
 every choice set, and every hitting set, with no generator shortcuts.
 They are deliberately slow and simple so they can serve as oracles for
 the optimized module code.
+
+The forcing relations (generalized and ordinary) and the tautology check
+are written out connective by connective, world by world and row by row.
+They use nothing of veltman but its node classes and frame accessors, so
+they stay independent of ``formula.fold``/``formula.evaluate``.
 """
 
 import itertools
 import random
 
-from veltman.formula import BOT, TOP, And, Box, Dia, Impl, Neg, Or, Rhd, Var
+from veltman.formula import (BOT, TOP, And, Bot, Box, Dia, Impl, Neg, Or, Rhd,
+                             Top, Var)
 from veltman.model import GenFrame, GenModel, OrdFrame, OrdModel, close_s
 
 
@@ -205,3 +211,105 @@ def duplicated_model(m: GenModel, suffix="_c") -> GenModel:
                      for u in fr.successors(w)} for w in fr.worlds}})
     return GenModel(merged, {p: sorted(ws) + sorted(ren[w] for w in ws)
                              for p, ws in m.valuation.items()})
+
+
+def _forces(worlds, succ, val, rhd_at, f):
+    """Truth set of ``f``; ``rhd_at(w, a, b)`` decides w |= A |> B from the
+    truth sets of A and B."""
+    def ts(g):
+        if isinstance(g, Var):
+            return frozenset(val.get(g.name, ()))
+        if isinstance(g, Bot):
+            return frozenset()
+        if isinstance(g, Top):
+            return frozenset(worlds)
+        if isinstance(g, Neg):
+            return frozenset(worlds) - ts(g.arg)
+        if isinstance(g, And):
+            return ts(g.left) & ts(g.right)
+        if isinstance(g, Or):
+            return ts(g.left) | ts(g.right)
+        if isinstance(g, Impl):
+            return (frozenset(worlds) - ts(g.left)) | ts(g.right)
+        if isinstance(g, Box):
+            body = ts(g.arg)
+            return frozenset(w for w in worlds if succ(w) <= body)
+        if isinstance(g, Dia):
+            body = ts(g.arg)
+            return frozenset(w for w in worlds if succ(w) & body)
+        if isinstance(g, Rhd):
+            a, b = ts(g.left), ts(g.right)
+            return frozenset(w for w in worlds if rhd_at(w, a, b))
+        raise TypeError(f"not a formula: {g!r}")
+    return ts(f)
+
+
+def gen_truth_set(m, f):
+    """Generalized forcing: w |= A |> B iff every R-successor u of w in [A]
+    has some S_w-image of u inside [B]."""
+    fr = m.frame
+
+    def rhd_at(w, a, b):
+        return all(any(g <= b for g in fr.gens(w, u)) for u in fr.successors(w) & a)
+    return _forces(fr.worlds, fr.successors, m.valuation, rhd_at, f)
+
+
+def ord_truth_set(m, f):
+    """Ordinary forcing: w |= A |> B iff every R-successor u of w in [A]
+    has some v in [B] with u S_w v."""
+    fr = m.frame
+
+    def rhd_at(w, a, b):
+        return all(any(v in b for x, v in fr.s_pairs(w) if x == u)
+                   for u in fr.successors(w) & a)
+    return _forces(fr.worlds, fr.successors, m.valuation, rhd_at, f)
+
+
+def _normalize(f):
+    """[]A to ~A |> bot and <>A to ~(A |> bot), bottom-up."""
+    if isinstance(f, (Var, Bot, Top)):
+        return f
+    if isinstance(f, Box):
+        return Rhd(Neg(_normalize(f.arg)), BOT)
+    if isinstance(f, Dia):
+        return Neg(Rhd(_normalize(f.arg), BOT))
+    if isinstance(f, Neg):
+        return Neg(_normalize(f.arg))
+    return type(f)(_normalize(f.left), _normalize(f.right))
+
+
+def classical_tautology(f, max_atoms=20):
+    """Row-by-row truth table of the propositional skeleton of ``f``: the
+    maximal |>-subformulas of the normalized form and the variables outside
+    them are the atoms."""
+    atoms = {}
+
+    def skeleton(g):
+        if isinstance(g, (Var, Rhd)):
+            return ("atom", atoms.setdefault(g, len(atoms)))
+        if isinstance(g, (Bot, Top)):
+            return ("const", isinstance(g, Top))
+        if isinstance(g, Neg):
+            return ("~", skeleton(g.arg))
+        return (type(g).__name__, skeleton(g.left), skeleton(g.right))
+
+    sk = skeleton(_normalize(f))
+    n = len(atoms)
+    if n > max_atoms:
+        raise ValueError(f"propositional skeleton has {n} atoms, limit is {max_atoms}")
+
+    def ev(node, row):
+        tag = node[0]
+        if tag == "atom":
+            return row[node[1]]
+        if tag == "const":
+            return node[1]
+        if tag == "~":
+            return not ev(node[1], row)
+        if tag == "And":
+            return ev(node[1], row) and ev(node[2], row)
+        if tag == "Or":
+            return ev(node[1], row) or ev(node[2], row)
+        return (not ev(node[1], row)) or ev(node[2], row)
+
+    return all(ev(sk, row) for row in itertools.product((False, True), repeat=n))

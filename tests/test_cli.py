@@ -126,6 +126,12 @@ class TestSchemaValid:
         assert main(["schema-valid", legal_model_file, "--schema", "ZZ"]) == 2
 
 
+    def test_zero_world_cap_exit_2(self, legal_model_file, capsys):
+        assert main(["schema-valid", legal_model_file, "--schema", "J5",
+                     "--max-worlds", "0"]) == 2
+        assert "cap is 0" in capsys.readouterr().err
+
+
 class TestBisim:
     def test_partition_output(self, legal_model_file, capsys):
         assert main(["bisim", legal_model_file, "--format", "json"]) == 0
@@ -216,6 +222,71 @@ class TestBench:
         doc = json.loads(capsys.readouterr().out)
         assert doc["agree"] is True
         assert [row["n"] for row in doc["sizes"]] == [1, 2]
+
+
+class TestStrictModelJson:
+    """A string where the model format wants a list is bad input, not a
+    sequence of one-character world names."""
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"kind": "gen", "worlds": ["w"], "R": [], "S": {},
+          "valuation": {"p": "w"}}, "valuation of p"),
+        ({"kind": "gen", "worlds": ["w", "u"], "R": [["w", "u"]],
+          "S": {"w": {"u": "u"}}}, "S_w images of u"),
+        ({"kind": "gen", "worlds": ["w", "u"], "R": [["w", "u"]],
+          "S": {"w": {"u": ["u1"]}}}, "S_w image of u"),
+    ])
+    def test_string_for_list_exit_2(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{where} must be a JSON array" in err
+        assert "unknown world" not in err
+
+
+DEEP = {
+    "negations": "~" * 3000 + "p",
+    "parentheses": "(" * 1500 + "p" + ")" * 1500,
+    "conjunction chain": " & ".join(["p"] * 3000),
+    "implication chain": " -> ".join(["p"] * 3000),
+}
+
+
+class TestNestingBound:
+    """Past the parser's nesting bound every subcommand reports bad input."""
+
+    @pytest.mark.parametrize("kind", sorted(DEEP))
+    def test_parse_exit_2(self, capsys, kind):
+        assert main(["parse", DEEP[kind]]) == 2
+        err = capsys.readouterr().err
+        assert "syntax error" in err and "exceeds 64" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--max-worlds", "1"], ["model-check", "MODEL"],
+        ["filtrate", "MODEL"]])
+    def test_formula_subcommands_exit_2(self, legal_model_file, capsys, argv):
+        argv = [legal_model_file if a == "MODEL" else a for a in argv]
+        assert main(argv + [DEEP["negations"]]) == 2
+        assert "syntax error" in capsys.readouterr().err
+
+    def test_taut_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "proof.ilp"
+        path.write_text("1. " + " | ".join(f"p{i}" for i in range(2000)) + " ; taut\n")
+        assert main(["check-proof", str(path)]) == 2
+        assert "bad proof file: line 1" in capsys.readouterr().err
+
+    def test_formula_at_the_bound(self, legal_model_file, tmp_path, capsys):
+        # 62 negations over p -> p: 64 nodes on the longest path
+        src = "~" * 62 + "(p -> p)"
+        assert main(["parse", src]) == 0
+        assert main(["model-check", legal_model_file, src]) == 0
+        assert main(["search", "--max-worlds", "2", src]) == 0
+        path = tmp_path / "proof.ilp"
+        path.write_text(f"1. {src} ; taut\n")
+        assert main(["check-proof", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["parse", "~" + src]) == 2
 
 
 def test_console_script_installed():

@@ -15,6 +15,7 @@ from veltman.formula import (
     Impl,
     Neg,
     Or,
+    MAX_DEPTH,
     ParseError,
     Rhd,
     Top,
@@ -79,6 +80,39 @@ class TestParse:
         assert parse("x_12aB") == Var("x_12aB")
         with pytest.raises(ParseError):
             parse("P")  # identifiers start lowercase
+
+
+class TestNestingBound:
+    # each shape exactly at the bound: MAX_DEPTH nodes on the longest path,
+    # or MAX_DEPTH open parentheses
+    AT_BOUND = {
+        "negations": "~" * (MAX_DEPTH - 1) + "p",
+        "boxes": "[]" * (MAX_DEPTH - 2) + "(p & q)",
+        "conjunction chain": " & ".join(["p"] * MAX_DEPTH),
+        "implication chain": " -> ".join(["p"] * MAX_DEPTH),
+        "parentheses": "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+    }
+    PAST_BOUND = {
+        "negations": "~" + AT_BOUND["negations"],
+        "boxes": "[]" + AT_BOUND["boxes"],
+        "conjunction chain": AT_BOUND["conjunction chain"] + " & p",
+        "implication chain": "p -> " + AT_BOUND["implication chain"],
+        "parentheses": "(" + AT_BOUND["parentheses"] + ")",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(AT_BOUND))
+    def test_at_bound_round_trips(self, kind):
+        f = parse(self.AT_BOUND[kind])
+        assert parse(pretty(f)) == f
+        # normalizing may pass the bound ([]A grows by two levels); the
+        # walkers still handle the result
+        n = normalize(f)
+        assert normalize(n) == n and pretty(n)
+
+    @pytest.mark.parametrize("kind", sorted(PAST_BOUND))
+    def test_past_bound_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError, match=rf"exceeds {MAX_DEPTH} \(at position \d+\)"):
+            parse(self.PAST_BOUND[kind])
 
 
 class TestPretty:

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from reference import classical_tautology
 
-from veltman.formula import And, Impl, Neg, Rhd, Var, normalize, parse, pretty
+from veltman.formula import And, Impl, Neg, Or, Rhd, Var, normalize, parse, pretty
 from veltman.hilbert import (
     LOGICS,
     SCHEMATA,
@@ -119,6 +120,33 @@ class TestTautology:
     def test_box_participates_via_normal_form(self):
         assert is_classical_tautology(parse("[]p -> []p"))
         assert not is_classical_tautology(parse("[]p -> p"))
+
+    def test_matches_row_by_row_oracle(self):
+        rng = random.Random(4242)
+
+        def over(leaves):
+            """A random formula using every leaf once."""
+            if len(leaves) == 1:
+                return Neg(leaves[0]) if rng.random() < 0.3 else leaves[0]
+            cut = rng.randrange(1, len(leaves))
+            out = rng.choice((And, Or, Impl))(over(leaves[:cut]), over(leaves[cut:]))
+            return Neg(out) if rng.random() < 0.2 else out
+
+        for k in range(1, 13):
+            # k skeleton atoms: variables and opaque |>-formulas
+            leaves = [Var(f"a{i}") if i % 3 else Rhd(Var(f"a{i}"), Var("z"))
+                      for i in range(k)]
+            for _ in range(3):
+                rng.shuffle(leaves)
+                f, g = over(leaves), over(leaves)
+                for h in (f, Impl(f, f), Or(f, Neg(f)), Impl(And(f, g), f), Impl(f, g)):
+                    assert is_classical_tautology(h) == classical_tautology(h), pretty(h)
+
+    def test_atom_limit(self):
+        conj = " & ".join(f"a{i}" for i in range(20))
+        assert is_classical_tautology(parse(f"{conj} -> a19"))
+        with pytest.raises(ValueError, match="propositional skeleton has 21 atoms, limit is 20"):
+            is_classical_tautology(parse(f"{conj} & a20 -> a0"))
 
 
 GOOD_PROOF = """\

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from reference import (gen_truth_set, ord_truth_set, random_formula,
+                       random_gen_model, random_ord_model)
 
 from veltman.formula import Box, Neg, Var, normalize, parse
 from veltman.model import (
@@ -335,7 +337,8 @@ def _random_ord_model(rng: random.Random, max_worlds=4):
 
 
 def _rhd_tables_agree(om, gm):
-    """The |>-clause agrees on every pair of world subsets used as [A], [B]."""
+    """The embedding's |>-clause agrees with the reference ordinary forcing
+    on every pair of world subsets used as [A], [B]."""
     worlds = sorted(om.worlds)
     subsets = [frozenset(c) for k in range(len(worlds) + 1)
                for c in itertools.combinations(worlds, k)]
@@ -345,11 +348,9 @@ def _rhd_tables_agree(om, gm):
     for ta in subsets:
         for tb in subsets:
             val = {"p": sorted(ta), "q": sorted(tb)}
-            m1 = OrdModel(om.frame, val)
-            m2 = GenModel(gm.frame, val)
-            for w in worlds:
-                if m1.forces(w, probe) != m2.forces(w, probe):
-                    return False
+            if (ord_truth_set(OrdModel(om.frame, val), probe)
+                    != GenModel(gm.frame, val).truth_set(probe)):
+                return False
     return True
 
 
@@ -363,8 +364,20 @@ def test_embedding_preserves_forcing():
         assert _rhd_tables_agree(om, gm)
         for _ in range(20):
             f = _random_formula(rng, 3)
-            for w in om.worlds:
-                assert om.forces(w, f) == gm.forces(w, f)
+            assert ord_truth_set(om, f) == gm.truth_set(f)
+
+
+def test_forcing_matches_reference_oracles():
+    """The one evaluator, on generalized models and through the embedding on
+    ordinary ones, against the connective-by-connective reference forcing."""
+    rng = random.Random(2718)
+    for _ in range(60):
+        gm = random_gen_model(rng, max_worlds=5)
+        om = random_ord_model(rng, max_worlds=4, variables=("p", "q", "r"))
+        for _ in range(30):
+            f = random_formula(rng, 4, ("p", "q", "r"))
+            assert gm.truth_set(f) == gen_truth_set(gm, f), str(f)
+            assert om.truth_set(f) == ord_truth_set(om, f), str(f)
 
 
 class TestJson:
