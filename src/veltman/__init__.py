@@ -14,7 +14,7 @@ from .bisim import (BisimViolation, Partition, bisimulation_violation,
 from .decide import (FRAME_CONDITIONS, CheckedTheorem, NoCountermodelUpTo,
                      Refuted, SearchBudget, SearchTimeout, Verdict,
                      countermodel_search, decide, enumerate_frames,
-                     sample_frames, verdict_to_json)
+                     verdict_to_json)
 from .filtration import FiltrationResult, box_like, filtrate, verify_filtration
 from .formula import (MAX_DEPTH, Algebra, And, Bot, BOT, Box, Dia, Formula,
                       Impl, Neg, Or, ParseError, Rhd, Top, TOP, Var,

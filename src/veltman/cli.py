@@ -191,9 +191,7 @@ def cmd_search(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = range(1, args.max_worlds + 1)
-    reports = [properties.correspondence_bench(n, args.property,
-                                               samples=args.samples, seed=args.seed)
-               for n in sizes]
+    reports = [properties.correspondence_bench(n, args.property) for n in sizes]
     rows = []
     payload = {"property": args.property, "sizes": []}
     disagreements = 0
@@ -201,9 +199,8 @@ def cmd_bench(args) -> int:
         bad = len(rep.disagreements)
         disagreements += bad
         payload["sizes"].append({"n": rep.n, "frames": len(rep.rows),
-                                 "sampled": rep.sampled, "disagreements": bad})
-        mode = "sampled" if rep.sampled else "exhaustive"
-        rows.append(f"n={rep.n} ({mode}): {len(rep.rows)} frames, {bad} disagreements")
+                                 "disagreements": bad})
+        rows.append(f"n={rep.n}: {len(rep.rows)} frames, {bad} disagreements")
     payload["agree"] = disagreements == 0
     _emit(payload, args.format, rows)
     return 0 if disagreements == 0 else 1
@@ -279,18 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="frame condition vs schema validity, frame by frame")
     p.add_argument("--property", required=True, choices=properties.PROPERTY_IDS)
     p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--samples", type=int, default=500,
-                   help="sample size for 4-world frames")
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_bench)
 
     return top
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

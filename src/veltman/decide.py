@@ -17,14 +17,13 @@ of the formula is supplied and verifies.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
 from .hilbert import Logic, ProofObject, check_proof, get_logic
-from .model import GenFrame, GenModel, World, _quasi_transitivity_violation, close_s
+from .model import GenFrame, GenModel, World, _quasi_transitivity_violation
 from .properties import check_property, frame_validates
 
 MAX_ENUM_WORLDS = 4
@@ -44,14 +43,11 @@ FRAME_CONDITIONS: dict[str, tuple[str, ...]] = {
 @dataclass(frozen=True)
 class SearchBudget:
     max_worlds: int = 3
-    max_generators: int | None = None  # bound on len(S_w(u)) during enumeration
     time_limit: float | None = None  # seconds
 
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be positive")
-        if self.max_generators is not None and self.max_generators < 1:
-            raise ValueError("max_generators must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
 
@@ -124,8 +120,7 @@ def _passes(frame: GenFrame, conditions: tuple[str, ...]) -> bool:
     return all(check_property(frame, pid).holds for pid in conditions)
 
 
-def enumerate_frames(n: int, logic: Logic | str = "IL",
-                     max_generators: int | None = None):
+def enumerate_frames(n: int, logic: Logic | str = "IL"):
     """Yield the legal generalized frames for ``logic`` on n canonical worlds."""
     if not 1 <= n <= MAX_ENUM_WORLDS:
         raise ValueError(f"frame enumeration supports 1..{MAX_ENUM_WORLDS} worlds, got {n}")
@@ -146,69 +141,14 @@ def enumerate_frames(n: int, logic: Logic | str = "IL",
                                [[(len(g), sorted(g)) for g in c] for c in combo]))
         for combo in combos:
             families: dict[World, dict[World, set[frozenset[World]]]] = {}
-            oversize = False
             for (w, u), extras in zip(keyed, combo):
-                gens = mandatory[(w, u)] | set(extras)
-                if max_generators is not None and len(gens) > max_generators:
-                    oversize = True
-                    break
-                families.setdefault(w, {})[u] = gens
-            if oversize:
-                continue
+                families.setdefault(w, {})[u] = mandatory[(w, u)] | set(extras)
             frame = GenFrame(worlds, pairs, families)
             if _quasi_transitivity_violation(frame) is not None:
                 continue
             if conditions and not _passes(frame, conditions):
                 continue
             yield frame
-
-
-def sample_frames(n: int, count: int, logic: Logic | str = "IL", seed: int = 0,
-                  max_attempts: int = 200000) -> list[GenFrame]:
-    """Deterministically sample ``count`` legal frames for ``logic`` on n worlds.
-
-    Random strict orders are drawn, closed S families built from random extra
-    generators, and frames failing the logic's conditions rejected.
-    """
-    conditions = FRAME_CONDITIONS[_logic(logic).name]
-    rng = random.Random(seed)
-    worlds = tuple(f"w{i}" for i in range(n))
-    out: list[GenFrame] = []
-    for _ in range(max_attempts):
-        if len(out) >= count:
-            return out
-        order = list(range(n))
-        rng.shuffle(order)
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.45:
-                    edges.add((order[i], order[j]))
-        closed = set(edges)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closed):
-                for c, d in list(closed):
-                    if b == c and (a, d) not in closed:
-                        closed.add((a, d))
-                        changed = True
-        pairs = {(worlds[a], worlds[b]) for a, b in closed}
-        succ = {w: frozenset(b for a, b in pairs if a == w) for w in worlds}
-        families: dict[World, dict[World, list[frozenset[World]]]] = {}
-        for w in worlds:
-            for u in succ[w]:
-                pool = sorted(succ[w] - {u} - succ[u])
-                if pool and rng.random() < 0.4:
-                    size = rng.randint(1, len(pool))
-                    extra = frozenset(rng.sample(pool, size))
-                    families.setdefault(w, {})[u] = [extra]
-        frame = close_s(GenFrame(worlds, pairs, families))
-        if conditions and not _passes(frame, conditions):
-            continue
-        out.append(frame)
-    raise RuntimeError(f"could not sample {count} {_logic(logic).name} frames "
-                       f"on {n} worlds within {max_attempts} attempts")
 
 
 def countermodel_search(f: Formula, logic: Logic | str,
@@ -223,7 +163,7 @@ def countermodel_search(f: Formula, logic: Logic | str,
         raise ValueError(f"search is bounded at {MAX_ENUM_WORLDS} worlds")
     started = time.monotonic()
     for n in range(1, budget.max_worlds + 1):
-        for frame in enumerate_frames(n, logic, budget.max_generators):
+        for frame in enumerate_frames(n, logic):
             if budget.time_limit is not None and time.monotonic() - started > budget.time_limit:
                 raise SearchTimeout(n - 1)
             fals = frame_validates(frame, f, cap=MAX_ENUM_WORLDS)

@@ -111,9 +111,6 @@ class GenFrame:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def validate(self) -> list[Violation]:
-        return validate(self)
-
     def to_json(self) -> dict:
         return {
             "kind": "gen",
@@ -155,9 +152,6 @@ class OrdFrame:
 
     def s_pairs(self, w: World) -> frozenset[tuple[World, World]]:
         return self.s.get(w, frozenset())
-
-    def validate(self) -> list[Violation]:
-        return validate(self)
 
     def _key(self):
         return (self.worlds, tuple(sorted(self.pairs)),
@@ -403,8 +397,19 @@ def _array(x, what: str, *args) -> list:
     return x
 
 
+def _names(x, what: str, *args) -> list[World]:
+    """``_array`` of world names, each a JSON string; any other value is
+    refused rather than turned into a name by ``str``."""
+    names = _array(x, what, *args)
+    for v in names:
+        if not isinstance(v, str):
+            raise FrameError(f"{what.format(*args)} must hold world names as JSON strings, "
+                             f"got {type(v).__name__}")
+    return names
+
+
 def _pairs(x, what: str) -> list[tuple[World, World]]:
-    return [(str(a), str(b)) for a, b in (_array(e, "{} pair", what) for e in _array(x, what))]
+    return [(a, b) for a, b in (_names(e, "{} pair", what) for e in _array(x, what))]
 
 
 def model_from_json(obj: dict) -> GenModel | OrdModel:
@@ -415,18 +420,18 @@ def model_from_json(obj: dict) -> GenModel | OrdModel:
     if kind not in ("gen", "ord"):
         raise FrameError(f"unknown model kind {kind!r}")
     try:
-        worlds = [str(w) for w in _array(obj["worlds"], "worlds")]
+        worlds = _names(obj["worlds"], "worlds")
         pairs = _pairs(obj["R"], "R")
-        valuation = {str(p): [str(w) for w in _array(ws, "valuation of {}", p)]
+        valuation = {p: _names(ws, "valuation of {}", p)
                      for p, ws in obj.get("valuation", {}).items()}
         raw_s = obj["S"]
         if kind == "gen":
-            families = {str(w): {str(u): [[str(v) for v in _array(g, "S_{} image of {}", w, u)]
-                                          for g in _array(gens, "S_{} images of {}", w, u)]
-                                 for u, gens in per_u.items()}
+            families = {w: {u: [_names(g, "S_{} image of {}", w, u)
+                                for g in _array(gens, "S_{} images of {}", w, u)]
+                            for u, gens in per_u.items()}
                         for w, per_u in raw_s.items()}
             return GenModel(GenFrame(worlds, pairs, families), valuation)
-        s = {str(w): _pairs(rel, "S_" + str(w)) for w, rel in raw_s.items()}
+        s = {w: _pairs(rel, "S_" + w) for w, rel in raw_s.items()}
         return OrdModel(OrdFrame(worlds, pairs, s), valuation)
     except FrameError:
         raise

@@ -311,37 +311,24 @@ class BenchReport:
     property_id: str
     n: int
     rows: tuple[BenchRow, ...]
-    sampled: bool
 
     @property
     def disagreements(self) -> tuple[BenchRow, ...]:
         return tuple(r for r in self.rows if not r.agree)
 
 
-def correspondence_bench(n: int, property_id: str, samples: int = 500,
-                         seed: int = 0) -> BenchReport:
-    """Compare ``check_property`` with ``schema_frame_valid`` frame by frame.
-
-    Exhaustive over the enumerated frames for n <= 3; for n == 4 the frames
-    are sampled (``samples`` of them, seeded).
-    """
+def correspondence_bench(n: int, property_id: str) -> BenchReport:
+    """Compare ``check_property`` with ``schema_frame_valid`` on every
+    enumerated IL frame with n worlds."""
     # local import; decide uses this module for its frame filters
-    from .decide import enumerate_frames, sample_frames
+    from .decide import enumerate_frames
 
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"unknown property {property_id!r}")
-    if n <= 3:
-        frames = list(enumerate_frames(n, "IL"))
-        sampled = False
-    elif n == 4:
-        frames = sample_frames(n, samples, seed=seed)
-        sampled = True
-    else:
-        raise ValueError("bench sizes run up to 4 worlds")
     schema = SCHEMA_OF_PROPERTY[property_id]
     rows = []
-    for i, frame in enumerate(frames):
+    for i, frame in enumerate(enumerate_frames(n, "IL")):
         holds = check_property(frame, property_id).holds
         valid = schema_frame_valid(frame, schema) is True
         rows.append(BenchRow(i, holds, valid))
-    return BenchReport(property_id, n, tuple(rows), sampled)
+    return BenchReport(property_id, n, tuple(rows))

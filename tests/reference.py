@@ -133,9 +133,9 @@ def random_r(rng: random.Random, worlds):
     return pairs
 
 
-def random_gen_model(rng: random.Random, max_worlds=6, variables=("p", "q", "r")):
-    """Random legal generalized model, legality via close_s."""
-    n = rng.randrange(1, max_worlds + 1)
+def random_gen_frame(rng: random.Random, n: int) -> GenFrame:
+    """Random legal generalized frame on worlds w0..w(n-1): a random R,
+    random extra generators, then close_s."""
     worlds = [f"w{i}" for i in range(n)]
     pairs = random_r(rng, worlds)
     succ = {w: [v for (a, v) in pairs if a == w] for w in worlds}
@@ -146,9 +146,31 @@ def random_gen_model(rng: random.Random, max_worlds=6, variables=("p", "q", "r")
                 size = rng.randrange(1, len(succ[w]) + 1)
                 fams.setdefault(w, {}).setdefault(u, []).append(
                     rng.sample(succ[w], size))
-    fr = close_s(GenFrame(worlds, pairs, fams))
-    val = {v: [w for w in worlds if rng.random() < 0.5] for v in variables}
+    return close_s(GenFrame(worlds, pairs, fams))
+
+
+def random_gen_model(rng: random.Random, max_worlds=6, variables=("p", "q", "r")):
+    """Random legal generalized model, legality via close_s."""
+    fr = random_gen_frame(rng, rng.randrange(1, max_worlds + 1))
+    val = {v: [w for w in fr.worlds if rng.random() < 0.5] for v in variables}
     return GenModel(fr, val)
+
+
+def canonical_form(fr):
+    """Isomorphism invariant of a generalized frame: the least relabeling,
+    over every permutation of the worlds, of R and of the full S relation
+    (every (w, u, V) with u S_w V, not just the stored generators)."""
+    s_rel = [(w, u, v) for w in fr.worlds for u in fr.successors(w)
+             for v in images(fr, w, u)]
+    best = None
+    for perm in itertools.permutations(range(len(fr.worlds))):
+        ren = dict(zip(fr.worlds, perm))
+        key = (tuple(sorted((ren[a], ren[b]) for a, b in fr.pairs)),
+               tuple(sorted((ren[w], ren[u], tuple(sorted(ren[x] for x in v)))
+                            for w, u, v in s_rel)))
+        if best is None or key < best:
+            best = key
+    return len(fr.worlds), best
 
 
 def random_ord_model(rng: random.Random, max_worlds=4, variables=("p", "q")):

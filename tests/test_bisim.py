@@ -8,7 +8,7 @@ from veltman.bisim import (
     is_bisimulation,
     largest_autobisimulation,
 )
-from veltman.decide import enumerate_frames, sample_frames
+from veltman.decide import enumerate_frames
 from veltman.formula import Var
 from veltman.model import GenFrame, GenModel, close_s
 
@@ -84,7 +84,7 @@ class TestLargestAutobisimulation:
 
     def test_output_is_a_bisimulation(self):
         rng = random.Random(13)
-        for fr in sample_frames(4, 30, seed=3):
+        for fr in enumerate_frames(4, "IL"):
             m = GenModel(fr, {"p": [w for w in fr.worlds if rng.random() < 0.5]})
             part = largest_autobisimulation(m)
             z = {(a, b) for ws in part.to_json().values()
@@ -125,7 +125,7 @@ def _equivalences(worlds):
 def test_maximality_brute_force():
     # no strictly coarser equivalence is a bisimulation
     rng = random.Random(29)
-    frames = list(enumerate_frames(3, "IL")) + sample_frames(4, 10, seed=7)
+    frames = list(enumerate_frames(3, "IL")) + list(enumerate_frames(4, "IL"))
     for fr in frames:
         m = GenModel(fr, {"p": [w for w in fr.worlds if rng.random() < 0.5]})
         part = largest_autobisimulation(m)
@@ -169,7 +169,7 @@ def test_bisimilar_worlds_agree_on_forces():
                                  for p, ws in val.items()})
 
     pool = []
-    for fr in sample_frames(3, 12, seed=19) + sample_frames(4, 12, seed=20):
+    for fr in itertools.chain(enumerate_frames(3, "IL"), enumerate_frames(4, "IL")):
         val = {"p": [w for w in fr.worlds if rng.random() < 0.5],
                "q": [w for w in fr.worlds if rng.random() < 0.5]}
         m = duplicated(fr, val)
@@ -188,7 +188,7 @@ def test_bisimilar_worlds_agree_on_forces():
 
 def test_refinement_rounds_bounded_by_world_count():
     # the gfp loop must stabilize within |W| iterations; emulate it here
-    for fr in sample_frames(4, 15, seed=31):
+    for fr in enumerate_frames(4, "IL"):
         m = GenModel(fr, {"p": [fr.worlds[0]]})
         part = largest_autobisimulation(m)
         z = {(a, b) for ws in part.to_json().values() for a in ws for b in ws}

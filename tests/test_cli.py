@@ -223,6 +223,18 @@ class TestBench:
         assert doc["agree"] is True
         assert [row["n"] for row in doc["sizes"]] == [1, 2]
 
+    def test_every_il_frame_at_4_worlds(self, capsys):
+        assert main(["bench", "--property", "Wgen", "--max-worlds", "4",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sizes"][3] == {"n": 4, "frames": 140, "disagreements": 0}
+
+    @pytest.mark.parametrize("option", [["--samples", "5"], ["--seed", "0"]])
+    def test_sampling_options_are_gone(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--property", "Mgen"] + option)
+        assert exc.value.code == 2
+
 
 class TestStrictModelJson:
     """A string where the model format wants a list is bad input, not a
@@ -243,6 +255,26 @@ class TestStrictModelJson:
         err = capsys.readouterr().err
         assert f"{where} must be a JSON array" in err
         assert "unknown world" not in err
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"kind": "gen", "worlds": [["a"], 1, None], "R": [], "S": {}},
+         "worlds"),
+        ({"kind": "gen", "worlds": ["w", "u"], "R": [["w", 1]], "S": {}},
+         "R pair"),
+        ({"kind": "ord", "worlds": ["w", "u"], "R": [["w", "u"]],
+          "S": {"w": [["u", None]]}}, "S_w pair"),
+        ({"kind": "gen", "worlds": ["w", "u"], "R": [["w", "u"]],
+          "S": {"w": {"u": [[["u"]]]}}}, "S_w image of u"),
+        ({"kind": "gen", "worlds": ["w"], "R": [], "S": {},
+          "valuation": {"p": [0]}}, "valuation of p"),
+    ])
+    def test_non_string_world_name_exit_2(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["check-model", str(path)], ["model-check", str(path), "p"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{where} must hold world names as JSON strings" in err
 
 
 DEEP = {

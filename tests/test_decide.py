@@ -1,8 +1,10 @@
 """Frame enumeration and bounded countermodel search."""
 
 import itertools
+import random
 
 import pytest
+from reference import canonical_form, random_gen_model
 
 from veltman.decide import (
     FRAME_CONDITIONS,
@@ -14,12 +16,11 @@ from veltman.decide import (
     countermodel_search,
     decide,
     enumerate_frames,
-    sample_frames,
     verdict_to_json,
 )
 from veltman.formula import parse
 from veltman.hilbert import ProofLine, ProofObject, Axiom, get_logic, parse_proof
-from veltman.model import GenFrame, close_s, validate
+from veltman.model import GenFrame, validate
 from veltman.properties import check_property
 
 
@@ -62,15 +63,16 @@ class TestEnumerateFrames:
         assert sum(1 for _ in enumerate_frames(4, "IL")) == 140
 
     def test_all_outputs_legal(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for fr in enumerate_frames(n, "IL"):
                 assert validate(fr) == []
 
     def test_logic_filter(self):
         for logic, props in FRAME_CONDITIONS.items():
-            for fr in enumerate_frames(3, logic):
-                for pid in props:
-                    assert check_property(fr, pid).holds, (logic, pid)
+            for n in (3, 4):
+                for fr in enumerate_frames(n, logic):
+                    for pid in props:
+                        assert check_property(fr, pid).holds, (logic, n, pid)
 
     def test_filtered_counts_bounded_by_il(self):
         base = sum(1 for _ in enumerate_frames(3, "IL"))
@@ -154,6 +156,16 @@ def test_n3_count_against_naive_generator():
     from collections import Counter
     got = Counter(tuple(sorted(fr.pairs)) for fr in enumerate_frames(3, "IL"))
     assert dict(got) == {rel: n for rel, n in per_rel.items() if n}
+
+
+def test_enumeration_misses_no_frame_up_to_4_worlds():
+    # every random legal frame is isomorphic to some enumerated frame
+    enumerated = {canonical_form(fr) for n in (1, 2, 3, 4)
+                  for fr in enumerate_frames(n, "IL")}
+    rng = random.Random(4)
+    for trial in range(1000):
+        fr = random_gen_model(rng, max_worlds=4).frame
+        assert canonical_form(fr) in enumerated, (trial, fr.to_json())
 
 
 class TestCountermodelSearch:
@@ -264,23 +276,3 @@ class TestVerdictJson:
         doc = verdict_to_json(v)
         assert doc["verdict"] == "theorem"
         assert doc["proof_lines"] == 1
-
-
-class TestSampleFrames:
-    def test_count_and_legality(self):
-        frames = sample_frames(4, 25, seed=1)
-        assert len(frames) == 25
-        for fr in frames:
-            assert len(fr.worlds) == 4
-            assert validate(fr) == []
-
-    def test_deterministic_per_seed(self):
-        a = [f.to_json() for f in sample_frames(4, 10, seed=5)]
-        b = [f.to_json() for f in sample_frames(4, 10, seed=5)]
-        c = [f.to_json() for f in sample_frames(4, 10, seed=6)]
-        assert a == b
-        assert a != c
-
-    def test_respects_logic_filter(self):
-        for fr in sample_frames(4, 15, logic="ILM", seed=2):
-            assert check_property(fr, "Mgen").holds

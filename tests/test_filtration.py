@@ -3,8 +3,9 @@
 import dataclasses
 import random
 
+from reference import random_gen_frame
+
 from veltman.bisim import largest_autobisimulation
-from veltman.decide import sample_frames
 from veltman.filtration import box_like, filtrate, verify_filtration
 from veltman.formula import (
     Box,
@@ -117,8 +118,7 @@ def test_corrupted_quotient_detected():
 
 
 def _random_model(rng, n_worlds):
-    frames = sample_frames(n_worlds, 1, seed=rng.randrange(10 ** 6))
-    fr = frames[0]
+    fr = random_gen_frame(rng, n_worlds)
     val = {v: [w for w in fr.worlds if rng.random() < 0.5]
            for v in ("p", "q")}
     return GenModel(fr, val)

@@ -12,7 +12,7 @@ import random
 import pytest
 from reference import gen_truth_set
 
-from veltman.decide import enumerate_frames, sample_frames
+from veltman.decide import enumerate_frames
 from veltman.formula import Var, parse
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
@@ -240,18 +240,11 @@ class TestCheckProperty:
 
 
 def test_restricted_checkers_match_brute_force_exhaustive():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for fr in enumerate_frames(n, "IL"):
             for pid in PROPERTY_IDS:
                 assert check_property(fr, pid).holds == BRUTE[pid](fr), \
                     (n, pid, fr.to_json())
-
-
-def test_restricted_checkers_match_brute_force_sampled_4():
-    for i, fr in enumerate(sample_frames(4, 40, seed=11)):
-        for pid in PROPERTY_IDS:
-            assert check_property(fr, pid).holds == BRUTE[pid](fr), \
-                (i, pid, fr.to_json())
 
 
 def test_wgen_generator_restriction_agrees_empirically():
@@ -269,11 +262,9 @@ def test_wgen_generator_restriction_agrees_empirically():
                         return False
         return True
 
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for fr in enumerate_frames(n, "IL"):
             assert check_property(fr, "Wgen").holds == wgen_generators_only(fr)
-    for fr in sample_frames(4, 40, seed=23):
-        assert check_property(fr, "Wgen").holds == wgen_generators_only(fr)
 
 
 def test_s_preimage_matches_direct_enumeration():
@@ -394,7 +385,6 @@ class TestCorrespondenceBench:
 
     def test_n2_mgen(self):
         rep = correspondence_bench(2, "Mgen")
-        assert not rep.sampled
         assert len(rep.rows) == 2
         assert not rep.disagreements
 
@@ -402,6 +392,10 @@ class TestCorrespondenceBench:
         rep = correspondence_bench(3, "Wgen")
         assert len(rep.rows) == 9
         assert not rep.disagreements
+
+    def test_n4_every_il_frame(self):
+        for pid in PROPERTY_IDS:
+            assert len(correspondence_bench(4, pid).rows) == 140
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
