@@ -240,11 +240,19 @@ class TestCheckProperty:
 
 
 def test_restricted_checkers_match_brute_force_exhaustive():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3):
         for fr in enumerate_frames(n, "IL"):
             for pid in PROPERTY_IDS:
                 assert check_property(fr, pid).holds == BRUTE[pid](fr), \
                     (n, pid, fr.to_json())
+
+
+def test_restricted_checkers_match_brute_force_sampled_4():
+    # every 4-world IL frame; the name is kept from when they were sampled
+    for i, fr in enumerate(enumerate_frames(4, "IL")):
+        for pid in PROPERTY_IDS:
+            assert check_property(fr, pid).holds == BRUTE[pid](fr), \
+                (i, pid, fr.to_json())
 
 
 def test_wgen_generator_restriction_agrees_empirically():
