@@ -10,11 +10,21 @@ The transfer clauses only need the stored generator sets: the inner
 "every member has a partner in V'" condition is monotone in V', and an
 S-image witness V can always be shrunk to a generator, so checking
 generators on both sides decides the clause for the full monotone closure.
+``_forth_ok`` is the one encoding of the clause; Z enters it as a
+predicate ``related(a, b)``.
 
-``largest_autobisimulation`` iterates Z -> Z & ok(Z) starting from atomic
-agreement.  Each iterate stays an equivalence, so the loop refines a
-partition at most |W| times before reaching the greatest fixpoint, which is
-the union of all autobisimulations.
+``largest_autobisimulation`` refines a partition, starting from atomic
+agreement.  Each round splits every block: a world joins the first earlier
+representative of its old block that passes the transfer clause both ways
+under "same old block", and otherwise becomes a representative itself.
+Comparing with one representative per block is enough because, when Z is
+an equivalence, "forth both ways under Z" is an equivalence too: it holds
+exactly when two worlds have the same inclusion-minimal pairs (class of u,
+upward closure of the class images of S_w(u)) over their R-successors u.
+So each round computes Z & ok(Z), the next iterate of the greatest
+fixpoint iteration, and the loop stops after at most |W| rounds, when the
+number of blocks stays the same.  Worlds are visited in order, so every
+class id is the least member of its class.
 """
 
 from __future__ import annotations
@@ -40,34 +50,23 @@ class Partition:
         return {cid: sorted(ws) for cid, ws in sorted(self.classes.items())}
 
 
-def _partition_from_blocks(blocks) -> Partition:
-    class_of: dict[World, str] = {}
-    classes: dict[str, frozenset[World]] = {}
-    for block in blocks:
-        cid = min(block)
-        classes[cid] = frozenset(block)
-        for w in block:
-            class_of[w] = cid
-    return Partition(class_of, classes)
-
-
 def _atoms(m: GenModel, w: World, names) -> frozenset[str]:
     return frozenset(p for p in names if w in m.valuation.get(p, ()))
 
 
-def _forth_ok(m1: GenModel, m2: GenModel, x: World, y: World, z: set) -> bool:
+def _forth_ok(m1: GenModel, m2: GenModel, x: World, y: World, related) -> bool:
     """Every R-step from x is matched from y, with S-image refinement."""
     for u in m1.frame.successors(x):
-        if not any((u, u2) in z and _images_refine(m1, m2, x, u, y, u2, z)
+        if not any(related(u, u2) and _images_refine(m1, m2, x, u, y, u2, related)
                    for u2 in m2.frame.successors(y)):
             return False
     return True
 
 
 def _images_refine(m1: GenModel, m2: GenModel, x: World, u: World,
-                   y: World, u2: World, z: set) -> bool:
+                   y: World, u2: World, related) -> bool:
     for g2 in m2.frame.gens(y, u2):
-        if not any(all(any((v, v2) in z for v2 in g2) for v in g1)
+        if not any(all(any(related(v, v2) for v2 in g2) for v in g1)
                    for g1 in m1.frame.gens(x, u)):
             return False
     return True
@@ -77,13 +76,12 @@ def bisimulation_violation(m1: GenModel, m2: GenModel,
                            z: set[tuple[World, World]]) -> BisimViolation | None:
     """First clause broken by Z, or None when Z is a bisimulation."""
     names = set(m1.valuation) | set(m2.valuation)
-    inverse = {(b, a) for a, b in z}
     for w, w2 in sorted(z):
         if _atoms(m1, w, names) != _atoms(m2, w2, names):
             return BisimViolation("at", (w, w2), "variable sets differ")
-        if not _forth_ok(m1, m2, w, w2, z):
+        if not _forth_ok(m1, m2, w, w2, lambda a, b: (a, b) in z):
             return BisimViolation("forth", (w, w2), "unmatched R-successor")
-        if not _forth_ok(m2, m1, w2, w, inverse):
+        if not _forth_ok(m2, m1, w2, w, lambda a, b: (b, a) in z):
             return BisimViolation("back", (w, w2), "unmatched R-successor")
     return None
 
@@ -95,22 +93,25 @@ def is_bisimulation(m1: GenModel, m2: GenModel, z: set[tuple[World, World]]) -> 
 def largest_autobisimulation(m: GenModel) -> Partition:
     """Greatest autobisimulation of ``m`` as a partition of its worlds."""
     names = sorted(m.valuation)
-    sig = {w: _atoms(m, w, names) for w in m.worlds}
-    z = {(a, b) for a in m.worlds for b in m.worlds if sig[a] == sig[b]}
+    first: dict[frozenset[str], World] = {}
+    class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
     while True:
-        keep = {(a, b) for a, b in z
-                if _forth_ok(m, m, a, b, z) and _forth_ok(m, m, b, a, z)}
-        if keep == z:
+        old = class_of
+
+        def same(a: World, b: World) -> bool:
+            return old[a] == old[b]
+
+        reps: dict[World, list[World]] = {}
+        class_of = {}
+        for w in m.worlds:
+            block = reps.setdefault(old[w], [])
+            class_of[w] = next((r for r in block if _forth_ok(m, m, w, r, same)
+                                and _forth_ok(m, m, r, w, same)), w)
+            if class_of[w] == w:
+                block.append(w)
+        if sum(map(len, reps.values())) == len(reps):
             break
-        z = keep
-    blocks: dict[World, set[World]] = {}
-    for a, b in z:
-        blocks.setdefault(a, set()).add(b)
-    seen = set()
-    unique = []
-    for w in m.worlds:
-        block = frozenset(blocks.get(w, {w}))
-        if block not in seen:
-            seen.add(block)
-            unique.append(block)
-    return _partition_from_blocks(unique)
+    classes: dict[World, set[World]] = {}
+    for w, cid in class_of.items():
+        classes.setdefault(cid, set()).add(w)
+    return Partition(class_of, {cid: frozenset(ws) for cid, ws in classes.items()})

@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import bisim, filtration, hilbert, model, properties
-from .decide import (NoCountermodelUpTo, Refuted, SearchBudget, SearchTimeout,
-                     countermodel_search, verdict_to_json)
+from .decide import (MAX_ENUM_WORLDS, NoCountermodelUpTo, Refuted, SearchBudget,
+                     SearchTimeout, countermodel_search, verdict_to_json)
 from .formula import ParseError, Var, d_closure, fold, parse, pretty
 
 LOGIC_NAMES = sorted(hilbert.LOGICS)
@@ -190,6 +190,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not 1 <= args.max_worlds <= MAX_ENUM_WORLDS:
+        raise ValueError(f"frame enumeration supports 1..{MAX_ENUM_WORLDS} worlds, "
+                         f"got {args.max_worlds}")
     sizes = range(1, args.max_worlds + 1)
     reports = [properties.correspondence_bench(n, args.property) for n in sizes]
     rows = []

@@ -22,22 +22,16 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
-from .hilbert import Logic, ProofObject, check_proof, get_logic
+from .hilbert import LOGICS, Logic, ProofObject, check_proof, get_logic
 from .model import GenFrame, GenModel, World, _quasi_transitivity_violation
-from .properties import check_property, frame_validates
+from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, check_property,
+                         frame_validates)
 
 MAX_ENUM_WORLDS = 4
 
 FRAME_CONDITIONS: dict[str, tuple[str, ...]] = {
-    "IL": (),
-    "ILM": ("Mgen",),
-    "ILM0": ("M0gen",),
-    "ILP": ("Pgen",),
-    "ILP0": ("P0gen",),
-    "ILR": ("Rgen",),
-    "ILW": ("Wgen",),
-    "ILWstar": ("M0gen", "Wgen"),
-}
+    name: tuple(p for p in PROPERTY_IDS if SCHEMA_OF_PROPERTY[p] in logic.schemata)
+    for name, logic in LOGICS.items()}
 
 
 @dataclass(frozen=True)

@@ -55,20 +55,13 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     boxes = sorted((f for f in gamma if box_like(f)), key=str)
 
     class_ids = sorted(partition.classes)
-    members = {cid: sorted(partition.classes[cid]) for cid in class_ids}
-
-    r_pairs: set[tuple[World, World]] = set()
     r_witness_pairs: dict[tuple[World, World], list[tuple[World, World]]] = {}
-    for cw in class_ids:
-        for cu in class_ids:
-            pairs = [(w, u) for w in members[cw] for u in members[cu]
-                     if (w, u) in m.frame.pairs]
-            if not pairs:
-                continue
-            r_witness_pairs[(cw, cu)] = pairs
-            if any(not m.forces(w, f) and m.forces(u, f)
-                   for f in boxes for (w, u) in pairs):
-                r_pairs.add((cw, cu))
+    for w, u in sorted(m.frame.pairs):
+        key = (partition.class_of[w], partition.class_of[u])
+        r_witness_pairs.setdefault(key, []).append((w, u))
+    r_pairs = {key for key, pairs in r_witness_pairs.items()
+               if any(not m.forces(w, f) and m.forces(u, f)
+                      for f in boxes for (w, u) in pairs)}
 
     succ_of = {cw: sorted(cu for (a, cu) in r_pairs if a == cw) for cw in class_ids}
     families: dict[World, dict[World, list[frozenset[World]]]] = {}
@@ -84,7 +77,7 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
 
     frame = GenFrame(class_ids, r_pairs, families)
     valuation = {
-        p: [cid for cid in class_ids if m.forces(members[cid][0], Var(p))]
+        p: [cid for cid in class_ids if m.forces(cid, Var(p))]
         for p in sorted({f.name for f in gamma if isinstance(f, Var)})}
     quotient = GenModel(frame, valuation)
     return FiltrationResult(quotient, partition, gamma, m,

@@ -185,21 +185,27 @@ def _r_violations(frame) -> list[Violation]:
     return out
 
 
+def _a_violations(frame: GenFrame) -> list[Violation]:
+    out = []
+    for w in frame.worlds:
+        ru = frame.successors(w)
+        for u, gens in sorted(frame.families.get(w, {}).items()):
+            if u not in ru:
+                out.append(Violation("a", (w, u), f"S_{w} keyed by {u} outside R[{w}]"))
+            for g in gens:
+                if not g <= ru:
+                    out.append(Violation("a", (w, u, tuple(sorted(g))),
+                                         f"S_{w} image of {u} leaves R[{w}]"))
+    return out
+
+
 def validate(frame) -> list[Violation]:
     """Every violated frame clause, each with a concrete witness tuple."""
     if isinstance(frame, (GenModel, OrdModel)):
         return validate(frame.frame)
     out = _r_violations(frame)
     if isinstance(frame, GenFrame):
-        for w in frame.worlds:
-            ru = frame.successors(w)
-            for u, gens in sorted(frame.families.get(w, {}).items()):
-                if u not in ru:
-                    out.append(Violation("a", (w, u), f"S_{w} keyed by {u} outside R[{w}]"))
-                for g in gens:
-                    if not g <= ru:
-                        out.append(Violation("a", (w, u, tuple(sorted(g))),
-                                             f"S_{w} image of {u} leaves R[{w}]"))
+        out += _a_violations(frame)
         for w, u in sorted(frame.pairs):
             if not frame.s_holds(w, u, {u}):
                 out.append(Violation("b", (w, u), f"missing {u} S_{w} {{{u}}}"))
@@ -257,39 +263,27 @@ def _quasi_transitivity_violation(frame: GenFrame):
 def close_s(frame: GenFrame) -> GenFrame:
     """Least extension of the S families satisfying quasi-reflexivity, the
     successor-step clause and quasi-transitivity.  R must already be
-    transitive and irreflexive, and all input generators inside R[w]."""
-    bad = _r_violations(frame)
+    transitive and irreflexive, and all input generators inside R[w]; a
+    frame that breaks this raises ``FrameError``, as chaining could never
+    repair it."""
+    bad = _r_violations(frame) or _a_violations(frame)
     if bad:
         raise FrameError(f"cannot close S over an illegal R: {bad[0]}")
     fam: dict[World, dict[World, set[frozenset[World]]]] = {
         w: {u: set(gens) for u, gens in per_u.items()}
         for w, per_u in frame.families.items()}
     for w in frame.worlds:
-        ru = frame.successors(w)
-        for u in ru:
+        for u in frame.successors(w):
             gens = fam.setdefault(w, {}).setdefault(u, set())
             gens.add(frozenset({u}))
             for v in frame.successors(u):
                 gens.add(frozenset({v}))
-
-    def holds(w: World, u: World, v: frozenset[World]) -> bool:
-        return any(g <= v for g in fam[w].get(u, ()))
-
-    changed = True
-    while changed:
-        changed = False
-        for w in frame.worlds:
-            for u in sorted(fam.get(w, {})):
-                for g in list(fam[w][u]):
-                    options = [sorted(fam[w].get(v, ())) for v in sorted(g)]
-                    if any(not opt for opt in options):
-                        continue
-                    for pick in product(*options):
-                        union = frozenset().union(*pick)
-                        if not holds(w, u, union):
-                            fam[w][u].add(union)
-                            changed = True
-    return GenFrame(frame.worlds, frame.pairs, fam)
+    closed = GenFrame(frame.worlds, frame.pairs, fam)
+    while (qt := _quasi_transitivity_violation(closed)) is not None:
+        w, u, _, union = qt
+        fam[w][u].add(union)
+        closed = GenFrame(frame.worlds, frame.pairs, fam)
+    return closed
 
 
 def _valuation(worlds: Iterable[World],

@@ -8,7 +8,9 @@ the optimized module code.
 The forcing relations (generalized and ordinary) and the tautology check
 are written out connective by connective, world by world and row by row.
 They use nothing of veltman but its node classes and frame accessors, so
-they stay independent of ``formula.fold``/``formula.evaluate``.
+they stay independent of ``formula.fold``/``formula.evaluate``.  The
+largest autobisimulation is the greatest fixpoint over world pairs, with
+its own copy of the transfer clause, independent of ``veltman.bisim``.
 """
 
 import itertools
@@ -233,6 +235,36 @@ def duplicated_model(m: GenModel, suffix="_c") -> GenModel:
                      for u in fr.successors(w)} for w in fr.worlds}})
     return GenModel(merged, {p: sorted(ws) + sorted(ren[w] for w in ws)
                              for p, ws in m.valuation.items()})
+
+
+def pair_set_autobisimulation(m: GenModel):
+    """Greatest autobisimulation of ``m`` as the greatest fixpoint over the
+    set of world pairs: start from atomic agreement and drop every pair that
+    fails a transfer clause until no pair is dropped.  Returns ``class_of``
+    and ``classes``, each class named by its least member.  The transfer
+    clause is written out here, on stored generators, and nothing of
+    ``veltman.bisim`` is used."""
+    fr = m.frame
+
+    def forth(x, y, z):
+        return all(any((u, u2) in z and all(
+            any(all(any((v, v2) in z for v2 in g2) for v in g1)
+                for g1 in fr.gens(x, u))
+            for g2 in fr.gens(y, u2))
+            for u2 in fr.successors(y))
+            for u in fr.successors(x))
+
+    atoms = {w: {p for p, ws in m.valuation.items() if w in ws} for w in fr.worlds}
+    z = {(a, b) for a in fr.worlds for b in fr.worlds if atoms[a] == atoms[b]}
+    while True:
+        keep = {(a, b) for a, b in z if forth(a, b, z) and forth(b, a, z)}
+        if keep == z:
+            break
+        z = keep
+    class_of = {a: min(b for b in fr.worlds if (a, b) in z) for a in fr.worlds}
+    classes = {cid: frozenset(w for w in fr.worlds if class_of[w] == cid)
+               for cid in set(class_of.values())}
+    return class_of, classes
 
 
 def _forces(worlds, succ, val, rhd_at, f):

@@ -3,6 +3,9 @@
 import itertools
 import random
 
+from reference import (duplicated_model, pair_set_autobisimulation, random_gen_frame,
+                       random_gen_model)
+
 from veltman.bisim import (
     bisimulation_violation,
     is_bisimulation,
@@ -102,6 +105,41 @@ class TestLargestAutobisimulation:
         m = GenModel(GenFrame(["b", "a", "d", "c"], [], {}), {})
         part = largest_autobisimulation(m)
         assert set(part.to_json()) == {"a"}
+
+
+class TestMatchesPairSetReference:
+    """The refinement equals the greatest fixpoint over world pairs, class
+    for class and id for id."""
+
+    @staticmethod
+    def assert_same(m):
+        part = largest_autobisimulation(m)
+        class_of, classes = pair_set_autobisimulation(m)
+        assert part.class_of == class_of, m.to_json()
+        assert part.classes == classes, m.to_json()
+
+    def test_every_enumerated_frame(self):
+        rng = random.Random(3)
+        for fr in itertools.chain(enumerate_frames(3, "IL"), enumerate_frames(4, "IL")):
+            self.assert_same(GenModel(fr, {
+                p: [w for w in fr.worlds if rng.random() < 0.5] for p in ("p", "q")}))
+
+    def test_random_and_duplicated_models(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            m = random_gen_model(rng, max_worlds=6, variables=("p", "q"))
+            self.assert_same(m)
+            self.assert_same(duplicated_model(m))
+
+    def test_sixty_four_worlds_of_eight_copies(self):
+        rng = random.Random(8)
+        fr = random_gen_frame(rng, 8)
+        m = GenModel(fr, {p: [w for w in fr.worlds if rng.random() < 0.5]
+                          for p in ("p", "q")})
+        for suffix in ("_a", "_b", "_c"):
+            m = duplicated_model(m, suffix)
+        assert len(m.worlds) == 64
+        self.assert_same(m)
 
 
 def _partitions(items):

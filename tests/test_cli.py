@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from veltman import properties
 from veltman.cli import main
 
 
@@ -228,6 +229,18 @@ class TestBench:
                      "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["sizes"][3] == {"n": 4, "frames": 140, "disagreements": 0}
+
+    @pytest.mark.parametrize("n", ["0", "-1", "5"])
+    def test_sizes_outside_enumeration_exit_2(self, n, capsys, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("bench enumerated frames before checking its bound")
+
+        monkeypatch.setattr(properties, "correspondence_bench", enumerated)
+        assert main(["bench", "--property", "Mgen", "--max-worlds", n,
+                     "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"supports 1..4 worlds, got {n}" in err
 
     @pytest.mark.parametrize("option", [["--samples", "5"], ["--seed", "0"]])
     def test_sampling_options_are_gone(self, option):

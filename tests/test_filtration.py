@@ -3,7 +3,7 @@
 import dataclasses
 import random
 
-from reference import random_gen_frame
+from reference import duplicated_model, random_gen_frame
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
@@ -83,6 +83,13 @@ class TestFiltrateSmall:
         assert len(res.quotient.worlds) == 2
         assert res.violations == ()
         assert verify_filtration(m, res) is None
+        # a model and its disjoint union with a copy have the same quotient
+        rng = random.Random(31)
+        for _ in range(100):
+            m = _random_model(rng, rng.randrange(2, 6))
+            d = d_closure([parse(s) for s in rng.sample(SEED_POOL, rng.randrange(1, 4))])
+            assert (filtrate(duplicated_model(m), d).quotient.to_json()
+                    == filtrate(m, d).quotient.to_json()), m.to_json()
 
     def test_valuation_restricted_to_gamma_variables(self):
         fr = close_s(GenFrame(["w", "u"], [("w", "u")], {}))

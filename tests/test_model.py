@@ -123,6 +123,14 @@ class TestCloseS:
         with pytest.raises(FrameError):
             close_s(GenFrame(["w", "u", "v"], [("w", "u"), ("u", "v")], {}))
 
+    def test_s_outside_r_rejected(self):
+        # chaining could never repair these, so closing must refuse them
+        with pytest.raises(FrameError, match="outside R"):
+            close_s(GenFrame(["w", "u", "v"], [("w", "u")], {"w": {"v": [["u"]]}}))
+        with pytest.raises(FrameError, match="leaves R"):
+            close_s(GenFrame(["w", "u", "v"], [("w", "u"), ("u", "v"), ("w", "v")],
+                             {"u": {"v": [["w"]]}}))
+
 
 def _random_r(rng: random.Random, worlds):
     # random strict order fragment, transitively closed
