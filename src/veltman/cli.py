@@ -33,7 +33,10 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 
 def _load_model(path: str, closure: bool):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("bad JSON: arrays or objects nested too deeply") from None
     m = model.model_from_json(doc)
     if closure:
         if not isinstance(m, model.GenModel):
@@ -300,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"bad model: {exc}")
     except SearchTimeout as exc:
         return _fail(f"search budget exhausted: {exc}")
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc))
     except json.JSONDecodeError as exc:
         return _fail(f"bad JSON: {exc}")

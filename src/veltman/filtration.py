@@ -96,8 +96,10 @@ def _s_clause(m: GenModel, partition: Partition,
 
 def verify_filtration(m: GenModel, result: FiltrationResult) -> tuple[World, Formula] | None:
     """First (world, formula) where model and quotient disagree, else None."""
+    class_of = result.partition.class_of
     for f in sorted(result.gamma, key=str):
+        here, there = m.truth_set(f), result.quotient.truth_set(f)
         for w in m.worlds:
-            if m.forces(w, f) != result.quotient.forces(result.partition.class_of[w], f):
+            if (w in here) != (class_of[w] in there):
                 return (w, f)
     return None

@@ -23,8 +23,8 @@ tree, or ``MAX_DEPTH`` open parentheses, the parser raises ParseError.
 
 Everything computed on formulas is structural recursion, written once as
 :func:`fold`.  :func:`evaluate` is the one semantics: it reads a formula in a
-Boolean algebra with operators (:class:`Algebra`), such as the truth sets of
-a model or bitmask arrays over a grid of valuations.
+Boolean algebra with operators (:class:`Algebra`), such as a frame's complex
+algebra on world bitmasks, or truth-table columns.
 """
 
 from __future__ import annotations
@@ -339,9 +339,9 @@ class Algebra(NamedTuple):
     """A Boolean algebra with operators, as :func:`evaluate` reads it.
 
     ``full`` is the top element; ``x ^ full``, ``x & y`` and ``x | y`` must
-    be complement, meet and join, as they are on frozensets, Python ints and
-    numpy int64 arrays alike.  ``atom`` values a variable by name; ``box`` and
-    ``rhd`` interpret ``[]`` and ``|>``.
+    be complement, meet and join, as they are on Python ints and numpy int64
+    arrays alike.  ``atom`` values a variable by name; ``box`` and ``rhd``
+    interpret ``[]`` and ``|>``: on a frame, ``GenFrame.box``/``rhd``.
     """
     full: Any
     atom: Callable[[str], Any]

@@ -8,6 +8,9 @@ Monotonicity is not stored: S_w(u) is kept as an antichain of minimal
 generator sets, and ``s_holds(w, u, V)`` means some generator is contained in
 V.  An ordinary frame keeps S_w as a set of world pairs instead.
 
+Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
+bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``.
+
 JSON interchange format::
 
     {"kind": "gen" | "ord",
@@ -23,6 +26,7 @@ Empty generator sets are not representable: the constructor rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -52,11 +56,10 @@ def _antichain(gens: Iterable[frozenset[World]]) -> tuple[frozenset[World], ...]
     return tuple(sorted(minimal, key=lambda g: (len(g), sorted(g))))
 
 
-class GenFrame:
-    """Generalized Veltman frame with antichain-represented S families."""
+class _Frame:
+    """Worlds (sorted) and the relation R, shared by both kinds of frame."""
 
-    def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
-                 families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
+    def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]]):
         self.worlds: tuple[World, ...] = tuple(sorted(set(worlds)))
         if not self.worlds:
             raise FrameError("empty world set")
@@ -67,6 +70,29 @@ class GenFrame:
                 raise FrameError(f"R edge ({a}, {b}) mentions an unknown world")
         self._succ: dict[World, frozenset[World]] = {
             w: frozenset(b for a, b in self.pairs if a == w) for w in self.worlds}
+
+    def successors(self, w: World) -> frozenset[World]:
+        return self._succ[w]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class GenFrame(_Frame):
+    """Generalized Veltman frame with antichain-represented S families.
+
+    ``box`` and ``rhd`` read world bitmasks (bit i is ``worlds[i]``) with
+    only ``&``, ``|``, ``==`` and ``*``: a Python int is one truth set of any
+    width, a numpy int64 array a grid of them.
+    """
+
+    def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
+                 families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
+        super().__init__(worlds, pairs)
+        wset = set(self.worlds)
         fam: dict[World, dict[World, tuple[frozenset[World], ...]]] = {}
         for w, per_u in families.items():
             if w not in wset:
@@ -84,9 +110,6 @@ class GenFrame:
                     fam.setdefault(w, {})[u] = _antichain(sets)
         self.families = fam
 
-    def successors(self, w: World) -> frozenset[World]:
-        return self._succ[w]
-
     def gens(self, w: World, u: World) -> tuple[frozenset[World], ...]:
         return self.families.get(w, {}).get(u, ())
 
@@ -98,18 +121,51 @@ class GenFrame:
             return False
         return any(g <= v for g in self.gens(w, u))
 
+    @cached_property
+    def bit(self) -> dict[World, int]:
+        return {w: 1 << i for i, w in enumerate(self.worlds)}
+
+    def mask(self, ws: Iterable[World]) -> int:
+        return sum(self.bit[w] for w in set(ws))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Per world w: its bit, the mask of R[w], and for each u in R[w]
+        the bit of u with the masks of the generators of S_w(u)."""
+        bit, mask = self.bit, self.mask
+        return tuple(
+            (bit[w], mask(self._succ[w]),
+             tuple((bit[u], tuple(mask(g) for g in self.gens(w, u)))
+                   for u in sorted(self._succ[w])))
+            for w in self.worlds)
+
+    def box(self, x):
+        """Worlds all of whose R-successors lie in ``x``."""
+        out = x & 0
+        for bw, succ, _ in self._rows:
+            out = out | ((x & succ) == succ) * bw
+        return out
+
+    def rhd(self, a, b):
+        """Worlds w such that every R-successor of w in ``a`` has some
+        S_w-image inside ``b``."""
+        out = a & b & 0
+        for bw, _, images in self._rows:
+            good = True
+            for bu, gens in images:
+                ok = (a & bu) == 0
+                for g in gens:
+                    ok = ok | ((b & g) == g)
+                good = good & ok
+            out = out | good * bw
+        return out
+
     def _key(self):
         fam = tuple(sorted(
             (w, tuple(sorted((u, tuple(sorted(tuple(sorted(g)) for g in gens)))
                              for u, gens in per_u.items())))
             for w, per_u in self.families.items()))
         return (self.worlds, tuple(sorted(self.pairs)), fam)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GenFrame) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -122,20 +178,13 @@ class GenFrame:
         }
 
 
-class OrdFrame:
+class OrdFrame(_Frame):
     """Ordinary Veltman frame: S_w is a set of world pairs over R[w]."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  s: Mapping[World, Iterable[tuple[World, World]]]):
-        self.worlds: tuple[World, ...] = tuple(sorted(set(worlds)))
-        if not self.worlds:
-            raise FrameError("empty world set")
+        super().__init__(worlds, pairs)
         wset = set(self.worlds)
-        self.pairs = frozenset((a, b) for a, b in pairs)
-        for a, b in self.pairs:
-            if a not in wset or b not in wset:
-                raise FrameError(f"R edge ({a}, {b}) mentions an unknown world")
-        self._succ = {w: frozenset(b for a, b in self.pairs if a == w) for w in self.worlds}
         self.s: dict[World, frozenset[tuple[World, World]]] = {}
         for w, rel in s.items():
             if w not in wset:
@@ -147,21 +196,12 @@ class OrdFrame:
             if rel:
                 self.s[w] = rel
 
-    def successors(self, w: World) -> frozenset[World]:
-        return self._succ[w]
-
     def s_pairs(self, w: World) -> frozenset[tuple[World, World]]:
         return self.s.get(w, frozenset())
 
     def _key(self):
         return (self.worlds, tuple(sorted(self.pairs)),
                 tuple(sorted((w, tuple(sorted(rel))) for w, rel in self.s.items())))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OrdFrame) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -298,77 +338,62 @@ def _valuation(worlds: Iterable[World],
     return out
 
 
-class GenModel:
-    """Generalized frame plus valuation; forcing is memoized per formula.
+class _Model:
+    """A frame with a valuation, shared by both kinds of model."""
 
-    Truth sets are read in the complex algebra of the frame: subsets of the
-    worlds, with ``[]`` and ``|>`` as operators.
-    """
-
-    def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
+    def __init__(self, frame, valuation: Mapping[str, Iterable[World]]):
         self.frame = frame
         self.valuation = _valuation(frame.worlds, valuation)
-        self._truth: dict[Formula, frozenset[World]] = {}
 
     @property
     def worlds(self) -> tuple[World, ...]:
         return self.frame.worlds
 
-    def _atom(self, name: str) -> frozenset[World]:
-        return self.valuation.get(name, frozenset())
+    def to_json(self) -> dict:
+        out = self.frame.to_json()
+        out["valuation"] = {p: sorted(ws) for p, ws in sorted(self.valuation.items())}
+        return out
 
-    def _box(self, body: frozenset[World]) -> frozenset[World]:
-        frame = self.frame
-        return frozenset(w for w in frame.worlds if frame.successors(w) <= body)
 
-    def _rhd(self, a: frozenset[World], b: frozenset[World]) -> frozenset[World]:
-        frame = self.frame
-        return frozenset(
-            w for w in frame.worlds
-            if all(any(g <= b for g in frame.gens(w, u))
-                   for u in frame.successors(w) & a))
+class GenModel(_Model):
+    """Generalized frame plus valuation; forcing is memoized per formula as
+    a world bitmask in the frame's complex algebra."""
 
-    def truth_set(self, f: Formula) -> frozenset[World]:
+    def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
+        super().__init__(frame, valuation)
+        self._truth: dict[Formula, int] = {}
+
+    def _truth_mask(self, f: Formula) -> int:
         cached = self._truth.get(f)
         if cached is not None:
             return cached
-        algebra = Algebra(frozenset(self.frame.worlds), self._atom, self._box, self._rhd)
+        frame = self.frame
+        algebra = Algebra((1 << len(frame.worlds)) - 1,
+                          lambda name: frame.mask(self.valuation.get(name, ())),
+                          frame.box, frame.rhd)
         return evaluate(f, algebra, self._truth)
 
+    def truth_set(self, f: Formula) -> frozenset[World]:
+        mask = self._truth_mask(f)
+        return frozenset(w for w, b in self.frame.bit.items() if mask & b)
+
     def forces(self, w: World, f: Formula) -> bool:
-        return w in self.truth_set(f)
-
-    def to_json(self) -> dict:
-        out = self.frame.to_json()
-        out["valuation"] = {p: sorted(ws) for p, ws in sorted(self.valuation.items())}
-        return out
+        return bool(self._truth_mask(f) & self.frame.bit.get(w, 0))
 
 
-class OrdModel:
+class OrdModel(_Model):
     """Ordinary frame plus valuation.  Forcing goes through the embedding
     into a generalized model (:func:`gen_of_ordinary`), built on first use."""
 
-    def __init__(self, frame: OrdFrame, valuation: Mapping[str, Iterable[World]]):
-        self.frame = frame
-        self.valuation = _valuation(frame.worlds, valuation)
-        self._gen: GenModel | None = None
-
-    @property
-    def worlds(self) -> tuple[World, ...]:
-        return self.frame.worlds
+    @cached_property
+    def _gen(self) -> GenModel:
+        return gen_of_ordinary(self)
 
     def truth_set(self, f: Formula) -> frozenset[World]:
-        if self._gen is None:
-            self._gen = gen_of_ordinary(self)
         return self._gen.truth_set(f)
 
     def forces(self, w: World, f: Formula) -> bool:
-        return w in self.truth_set(f)
-
-    def to_json(self) -> dict:
-        out = self.frame.to_json()
-        out["valuation"] = {p: sorted(ws) for p, ws in sorted(self.valuation.items())}
-        return out
+        return self._gen.forces(w, f)
 
 
 def gen_of_ordinary(m: OrdModel) -> GenModel:

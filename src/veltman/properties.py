@@ -25,9 +25,9 @@ over every set in the monotone closure.  Z for P0gen ranges over minimal
 transversals of {R[v] : v in V} and C for Rgen over minimal choice sets;
 both conditions are antitone there, which makes the minimal elements enough.
 
-``frame_validates`` sweeps every valuation of a formula's variables using
-truth sets encoded as bitmasks over the (sorted) world list, vectorized with
-numpy across the whole valuation grid.
+``frame_validates`` sweeps every valuation of a formula's variables, with
+``GenFrame.box``/``rhd`` on numpy int64 arrays of world bitmasks, one entry
+per valuation, in chunks of at most ``SWEEP_ROWS`` valuations.
 """
 
 from __future__ import annotations
@@ -195,9 +195,8 @@ class Falsification:
 
 
 class TruthTables:
-    """Bitmask evaluation of formulas on one frame.
-
-    Bit i of a mask is worlds[i].  ``evaluate`` maps numpy arrays of variable
+    """Bitmask evaluation of formulas on one frame, in the frame's own
+    ``box`` and ``rhd``.  ``evaluate`` maps numpy int64 arrays of variable
     masks to the array of truth-set masks, one entry per valuation.  The top
     element and unassigned variables are one-entry arrays that broadcast, so
     a formula without assigned variables yields a one-entry array.
@@ -205,47 +204,18 @@ class TruthTables:
 
     def __init__(self, frame: GenFrame):
         self.frame = frame
-        self.n = len(frame.worlds)
-        self.full = (1 << self.n) - 1
-        self.index = {w: i for i, w in enumerate(frame.worlds)}
-        self.succ_masks = [self._mask(frame.successors(w)) for w in frame.worlds]
-        self.gen_masks = {
-            (w, u): [self._mask(g) for g in frame.gens(w, u)]
-            for w in frame.worlds for u in frame.families.get(w, {})}
-
-    def _mask(self, ws: Iterable[World]) -> int:
-        out = 0
-        for w in ws:
-            out |= 1 << self.index[w]
-        return out
+        self.full = (1 << len(frame.worlds)) - 1
 
     def evaluate(self, f: Formula, assignment: dict[str, np.ndarray]) -> np.ndarray:
         full = np.full(1, self.full, dtype=np.int64)
         zero = np.zeros(1, dtype=np.int64)
         return evaluate(f, Algebra(full, lambda name: assignment.get(name, zero),
-                                   self._box, self._rhd))
+                                   self.frame.box, self.frame.rhd))
 
-    def _box(self, body: np.ndarray) -> np.ndarray:
-        out = np.zeros(body.shape, dtype=np.int64)
-        for i in range(self.n):
-            sm = self.succ_masks[i]
-            out |= ((body & sm) == sm).astype(np.int64) << i
-        return out
 
-    def _rhd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        out = np.full(shape, self.full, dtype=np.int64)
-        for i, w in enumerate(self.frame.worlds):
-            bad = np.zeros(shape, dtype=bool)
-            for u in self.frame.successors(w):
-                ui = self.index[u]
-                u_in_a = (a >> ui) & 1 == 1
-                ok = np.zeros(shape, dtype=bool)
-                for g in self.gen_masks.get((w, u), ()):
-                    ok |= (b & g) == g
-                bad |= u_in_a & ~ok
-            out &= ~(bad.astype(np.int64) << i)
-        return out
+# Valuations per array pass: bounds the sweep's memory for any number of
+# variables; up to four variables on four worlds is one pass.
+SWEEP_ROWS = 1 << 16
 
 
 def frame_validates(frame: GenFrame, f: Formula, cap: int = 5):
@@ -253,32 +223,31 @@ def frame_validates(frame: GenFrame, f: Formula, cap: int = 5):
 
     Returns True on validity, otherwise the lexicographically first failing
     valuation (variables sorted, each ranging over world subsets in bitmask
-    order) together with the first failing world.
+    order) together with the first failing world.  Valuations are swept in
+    ascending chunks of ``SWEEP_ROWS``, stopping at the first chunk with a
+    failure.
     """
     n = len(frame.worlds)
     if n > cap:
         raise FrameSizeError(f"frame has {n} worlds, cap is {cap}")
     tables = TruthTables(frame)
     vs = sorted(variables(f))
-    total = (1 << n) ** len(vs)
-    idx = np.arange(total, dtype=np.int64)
-    assignment: dict[str, np.ndarray] = {}
-    shift = total
-    for name in vs:
-        shift //= (1 << n)
-        assignment[name] = (idx // shift) % (1 << n)
-    truth = tables.evaluate(f, assignment)
-    failing = truth != tables.full
-    if not failing.any():
-        return True
-    at = int(np.argmax(failing))
-    valuation = {
-        name: frozenset(frame.worlds[i] for i in range(n)
-                        if (int(assignment[name][at]) >> i) & 1)
-        for name in vs}
-    missing = int(truth[at])
-    world = next(frame.worlds[i] for i in range(n) if not (missing >> i) & 1)
-    return Falsification(valuation, world)
+    size = 1 << n
+    total = size ** len(vs)
+    for start in range(0, total, SWEEP_ROWS):
+        idx = np.arange(start, min(start + SWEEP_ROWS, total), dtype=np.int64)
+        assignment = {name: (idx // size ** (len(vs) - 1 - j)) % size
+                      for j, name in enumerate(vs)}
+        truth = tables.evaluate(f, assignment)
+        failing = truth != tables.full
+        if failing.any():
+            at = int(np.argmax(failing))
+            valuation = {name: frozenset(w for w in frame.worlds
+                                         if int(assignment[name][at]) & frame.bit[w])
+                         for name in vs}
+            world = next(w for w in frame.worlds if not int(truth[at]) & frame.bit[w])
+            return Falsification(valuation, world)
+    return True
 
 
 _FRESH = {"A": Var("a0"), "B": Var("b0"), "C": Var("c0")}

@@ -140,7 +140,7 @@ def random_gen_frame(rng: random.Random, n: int) -> GenFrame:
     random extra generators, then close_s."""
     worlds = [f"w{i}" for i in range(n)]
     pairs = random_r(rng, worlds)
-    succ = {w: [v for (a, v) in pairs if a == w] for w in worlds}
+    succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
     fams = {}
     for w in worlds:
         for u in succ[w]:

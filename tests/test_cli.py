@@ -1,10 +1,16 @@
 """Command line interface: exit codes, output determinism, error paths."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from veltman import properties
 from veltman.cli import main
@@ -68,6 +74,18 @@ class TestCheckModel:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         assert main(["check-model", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv", [["check-model", "DIR"], ["model-check", "DIR", "p"],
+                                      ["check-proof", "DIR"]])
+    def test_directory_exit_2(self, tmp_path, capsys, argv):
+        assert main([str(tmp_path) if a == "DIR" else a for a in argv]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["check-model", str(path)]) == 2
+        assert "bad JSON" in capsys.readouterr().err
 
     def test_json_report(self, gen_model_file, capsys):
         main(["check-model", gen_model_file, "--format", "json"])
@@ -344,3 +362,52 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+_TOKENS = ["p", "q", "r", "a", "top", "bot", "~", "&", "|", "->", "|>", "[]", "<>",
+           "(", ")", " ", "-", "#", "1."]
+_FORMULA_TEXT = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+                          st.text(max_size=16))
+_NAMES = st.sampled_from(["a", "b", "c"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _NAMES | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=12)
+_MODEL_DOC = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["gen", "ord"]) | _JSON,
+        "worlds": st.lists(_NAMES, max_size=3) | _JSON,
+        "R": st.lists(st.lists(_NAMES, min_size=2, max_size=2), max_size=3) | _JSON,
+        "S": st.dictionaries(_NAMES, st.dictionaries(_NAMES, st.lists(st.lists(_NAMES))),
+                             max_size=2) | _JSON,
+        "valuation": st.dictionaries(st.sampled_from(["p", "q"]), st.lists(_NAMES)) | _JSON}))
+_MODEL_BYTES = st.one_of(_MODEL_DOC.map(lambda d: json.dumps(d).encode()), st.binary(max_size=24))
+_PROOF_TEXT = st.lists(st.one_of(_FORMULA_TEXT.map(lambda t: f"1. {t} ; taut"), st.text(max_size=20)),
+                       max_size=3).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(model=_MODEL_BYTES, proof=_PROOF_TEXT, text=_FORMULA_TEXT,
+       fmt=st.sampled_from(["text", "json"]))
+def test_fuzzed_inputs_exit_0_1_or_2(model, proof, text, fmt):
+    """Random formula text and random JSON in every model slot, through every
+    subcommand: each run returns 0, 1 or 2 and raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, proof_path = Path(tmp) / "model.json", Path(tmp) / "proof.ilp"
+        model_path.write_bytes(model)
+        proof_path.write_text(proof, encoding="utf-8", errors="surrogatepass")
+        m, f = str(model_path), ["--", text]
+        runs = [["parse"] + f, ["check-model", m], ["check-model", m, "--closure"],
+                ["model-check", m] + f, ["model-check", m, "--world", "a"] + f,
+                ["check-property", m, "--property", "Wgen"],
+                ["schema-valid", m, "--schema", "M"], ["bisim", m], ["filtrate", m] + f,
+                ["check-proof", str(proof_path)], ["search", "--max-worlds", "2"] + f,
+                ["bench", "--property", "Mgen", "--max-worlds", "1"]]
+        for argv in runs:
+            argv = argv[:1] + ["--format", fmt] + argv[1:]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv

@@ -1,11 +1,15 @@
 """Frames, models, validation, closure, forcing, and the JSON format."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from reference import (gen_truth_set, ord_truth_set, random_formula,
-                       random_gen_model, random_ord_model)
+from reference import (duplicated_model, gen_truth_set, ord_truth_set, random_formula,
+                       random_gen_frame, random_gen_model, random_ord_model)
 
 from veltman.formula import Box, Neg, Var, normalize, parse
 from veltman.model import (
@@ -158,7 +162,7 @@ def test_close_s_always_legal_1000_random_candidates():
         n = rng.randrange(1, 6)
         worlds = [f"w{i}" for i in range(n)]
         pairs = _random_r(rng, worlds)
-        succ = {w: [v for (a, v) in pairs if a == w] for w in worlds}
+        succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
         fams = {}
         for w in worlds:
             for u in succ[w]:
@@ -239,7 +243,7 @@ def _random_model(rng: random.Random, max_worlds=4):
     n = rng.randrange(1, max_worlds + 1)
     worlds = [f"w{i}" for i in range(n)]
     pairs = _random_r(rng, worlds)
-    succ = {w: [v for (a, v) in pairs if a == w] for w in worlds}
+    succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
     fams = {}
     for w in worlds:
         for u in succ[w]:
@@ -386,6 +390,43 @@ def test_forcing_matches_reference_oracles():
             f = random_formula(rng, 4, ("p", "q", "r"))
             assert gm.truth_set(f) == gen_truth_set(gm, f), str(f)
             assert om.truth_set(f) == ord_truth_set(om, f), str(f)
+
+
+def test_truth_sets_past_64_worlds():
+    """Truth masks are Python ints, so a model of eight copies of a 9-world
+    model (72 worlds) reads the same as the reference forcing."""
+    rng = random.Random(64)
+    for _ in range(4):
+        fr = random_gen_frame(rng, 9)
+        m = GenModel(fr, {v: [w for w in fr.worlds if rng.random() < 0.5]
+                          for v in ("p", "q", "r")})
+        for suffix in ("_a", "_b", "_c"):
+            m = duplicated_model(m, suffix)
+        assert len(m.worlds) == 72
+        for _ in range(25):
+            f = random_formula(rng, 4, ("p", "q", "r"))
+            truth = gen_truth_set(m, f)
+            assert m.truth_set(f) == truth, str(f)
+            assert [m.forces(w, f) for w in m.worlds] == [w in truth for w in m.worlds]
+
+
+def test_seeded_models_do_not_depend_on_the_hash_seed():
+    """The random models drawn from one seed are the same in every process."""
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    script = ("import hashlib, json, random\n"
+              "from reference import random_gen_model\n"
+              "rng = random.Random(7)\n"
+              "docs = [random_gen_model(rng).to_json() for _ in range(50)]\n"
+              "print(hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest())\n")
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 class TestJson:

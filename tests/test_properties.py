@@ -8,18 +8,23 @@ cross-checks pin the equivalence at small sizes.
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
-from reference import gen_truth_set
+from reference import gen_truth_set, random_formula, random_gen_frame
 
+from veltman import properties
 from veltman.decide import enumerate_frames
-from veltman.formula import Var, parse
+from veltman.formula import Var, parse, variables
+from veltman.hilbert import SCHEMATA
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
     PROPERTY_IDS,
     SCHEMA_OF_PROPERTY,
     Falsification,
     FrameSizeError,
+    TruthTables,
     check_property,
     choice_sets,
     correspondence_bench,
@@ -360,6 +365,59 @@ class TestFrameValidates:
                 m = GenModel(fr, {v: sorted(ws)
                                   for v, ws in verdict.valuation.items()})
                 assert verdict.world not in gen_truth_set(m, f)
+
+
+def test_truth_table_rows_match_model_truth_masks():
+    """Each row of the valuation grid reads the same as the model's own
+    truth mask under that row's valuation: one algebra, two carriers."""
+    rng = random.Random(505)
+    for _ in range(60):
+        fr = random_gen_frame(rng, rng.randrange(1, 5))
+        f = random_formula(rng, 3, ("p", "q"))
+        grid = list(itertools.product(range(1 << len(fr.worlds)), repeat=2))
+        assignment = {"p": np.array([p for p, _ in grid], dtype=np.int64),
+                      "q": np.array([q for _, q in grid], dtype=np.int64)}
+        rows = np.broadcast_to(TruthTables(fr).evaluate(f, assignment), (len(grid),))
+        for (p, q), row in zip(grid, rows):
+            m = GenModel(fr, {"p": [w for w in fr.worlds if p & fr.bit[w]],
+                              "q": [w for w in fr.worlds if q & fr.bit[w]]})
+            assert int(row) == m._truth_mask(f), (str(f), p, q)
+
+
+class TestChunkedSweep:
+    def test_small_chunks_give_the_same_answers(self, monkeypatch):
+        """Chunks of 7 valuations find the same first failing valuation and
+        world as one pass over the whole grid."""
+        rng = random.Random(606)
+        names = ("p", "q", "r", "s")
+        cases = []
+        for _ in range(120):
+            n = rng.randrange(1, 5)
+            k = rng.randrange(1, min(4, 12 // n) + 1)
+            cases.append((random_gen_frame(rng, n), random_formula(rng, 3, names[:k])))
+        late = [parse(src) for src in ("~(p & q & r)", "~(p & q & r & s)",
+                                         "(p & q) |> r -> <>s", "(p |> q) -> (p & r) |> (q & r)")]
+        for fr in enumerate_frames(3, "IL"):
+            cases += [(fr, SCHEMATA[s]) for s in ("M", "P", "W")] + [(fr, f) for f in late]
+        cases = [(fr, f) for fr, f in cases if variables(f)]
+        whole = [frame_validates(fr, f) for fr, f in cases]
+        monkeypatch.setattr(properties, "SWEEP_ROWS", 7)
+        assert [frame_validates(fr, f) for fr, f in cases] == whole
+        assert any(r is True for r in whole) and any(r is not True for r in whole)
+
+    @pytest.mark.parametrize("src", ["a | b | c | d | e", "a | b | c | d | e | ~e"])
+    def test_five_variables_on_four_worlds_stay_small(self, src):
+        """16^5 valuations: the whole grid is 8 MiB per int64 array, one
+        chunk 512 KiB."""
+        fr = next(iter(enumerate_frames(4, "IL")))
+        tracemalloc.start()
+        try:
+            result = frame_validates(fr, parse(src))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result is True) == src.endswith("~e")
+        assert peak < 16 * 2 ** 20, peak
 
 
 class TestSchemaFrameValid:
