@@ -10,8 +10,10 @@ The transfer clauses only need the stored generator sets: the inner
 "every member has a partner in V'" condition is monotone in V', and an
 S-image witness V can always be shrunk to a generator, so checking
 generators on both sides decides the clause for the full monotone closure.
-``_forth_ok`` is the one encoding of the clause; Z enters it as a
-predicate ``related(a, b)``.
+``_forth_ok`` is the one encoding of the clause.  Z enters it as a mask of
+partners per world: ``partners[a]`` has the bits of the worlds of the other
+model that Z relates to a, so "v has a Z-partner in the generator g" is
+``partners[v] & g``.
 
 ``largest_autobisimulation`` refines a partition, starting from atomic
 agreement.  Each round splits every block: a world joins the first earlier
@@ -54,34 +56,46 @@ def _atoms(m: GenModel, w: World, names) -> frozenset[str]:
     return frozenset(p for p in names if w in m.valuation.get(p, ()))
 
 
-def _forth_ok(m1: GenModel, m2: GenModel, x: World, y: World, related) -> bool:
+def _forth_ok(m1: GenModel, m2: GenModel, x: World, y: World,
+              partners: dict[World, int]) -> bool:
     """Every R-step from x is matched from y, with S-image refinement."""
     for u in m1.frame.successors(x):
-        if not any(related(u, u2) and _images_refine(m1, m2, x, u, y, u2, related)
+        if not any(partners[u] & m2.frame.bit[u2] and _images_refine(m1, m2, x, u, y, u2, partners)
                    for u2 in m2.frame.successors(y)):
             return False
     return True
 
 
 def _images_refine(m1: GenModel, m2: GenModel, x: World, u: World,
-                   y: World, u2: World, related) -> bool:
-    for g2 in m2.frame.gens(y, u2):
-        if not any(all(any(related(v, v2) for v2 in g2) for v in g1)
-                   for g1 in m1.frame.gens(x, u)):
+                   y: World, u2: World, partners: dict[World, int]) -> bool:
+    f1 = m1.frame
+    for g2 in m2.frame.gen_masks(y, u2):
+        if not any(all(partners[v] & g2 for v in f1.names(g1))
+                   for g1 in f1.gen_masks(x, u)):
             return False
     return True
+
+
+def _partners(pairs, bit: dict[World, int], keys=()) -> dict[World, int]:
+    """For each a, the mask of the b with (a, b) in ``pairs``, 0 for other ``keys``."""
+    out = dict.fromkeys(keys, 0)
+    for a, b in pairs:
+        out[a] = out.get(a, 0) | bit.get(b, 0)
+    return out
 
 
 def bisimulation_violation(m1: GenModel, m2: GenModel,
                            z: set[tuple[World, World]]) -> BisimViolation | None:
     """First clause broken by Z, or None when Z is a bisimulation."""
     names = set(m1.valuation) | set(m2.valuation)
+    forth = _partners(z, m2.frame.bit, m1.worlds)
+    back = _partners(((b, a) for a, b in z), m1.frame.bit, m2.worlds)
     for w, w2 in sorted(z):
         if _atoms(m1, w, names) != _atoms(m2, w2, names):
             return BisimViolation("at", (w, w2), "variable sets differ")
-        if not _forth_ok(m1, m2, w, w2, lambda a, b: (a, b) in z):
+        if not _forth_ok(m1, m2, w, w2, forth):
             return BisimViolation("forth", (w, w2), "unmatched R-successor")
-        if not _forth_ok(m2, m1, w2, w, lambda a, b: (b, a) in z):
+        if not _forth_ok(m2, m1, w2, w, back):
             return BisimViolation("back", (w, w2), "unmatched R-successor")
     return None
 
@@ -97,10 +111,8 @@ def largest_autobisimulation(m: GenModel) -> Partition:
     class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
     while True:
         old = class_of
-
-        def same(a: World, b: World) -> bool:
-            return old[a] == old[b]
-
+        blocks = _partners(((cid, w) for w, cid in old.items()), m.frame.bit)
+        same = {w: blocks[cid] for w, cid in old.items()}
         reps: dict[World, list[World]] = {}
         class_of = {}
         for w in m.worlds:
@@ -111,7 +123,5 @@ def largest_autobisimulation(m: GenModel) -> Partition:
                 block.append(w)
         if sum(map(len, reps.values())) == len(reps):
             break
-    classes: dict[World, set[World]] = {}
-    for w, cid in class_of.items():
-        classes.setdefault(cid, set()).add(w)
-    return Partition(class_of, {cid: frozenset(ws) for cid, ws in classes.items()})
+    blocks = _partners(((cid, w) for w, cid in class_of.items()), m.frame.bit)
+    return Partition(class_of, {cid: frozenset(m.frame.names(b)) for cid, b in blocks.items()})

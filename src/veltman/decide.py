@@ -4,7 +4,7 @@
 worlds (w0, w1, ...), with the accessibility relation deduplicated up to
 relabeling (lexicographically least orbit representative); the S families on
 a fixed R are enumerated exactly, as the mandatory singleton generators plus
-an antichain of extra generators per (w, u), kept only when
+an antichain of extra generator masks per (w, u), kept only when
 quasi-transitivity survives.  Frames for a logic beyond IL are filtered by
 the corresponding frame conditions.
 
@@ -23,7 +23,8 @@ from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
 from .hilbert import LOGICS, Logic, ProofObject, check_proof, get_logic
-from .model import GenFrame, GenModel, World, _quasi_transitivity_violation
+from .model import (GenFrame, GenModel, World, _quasi_transitivity_violation, bits,
+                    mask_order)
 from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, check_property,
                          frame_validates)
 
@@ -42,7 +43,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
 
 
@@ -98,20 +99,13 @@ def _canonical_relations(n: int) -> list[frozenset[tuple[int, int]]]:
     return out
 
 
-def _antichains(pool: tuple[World, ...]) -> list[tuple[frozenset[World], ...]]:
-    """All antichains of nonempty subsets of ``pool`` (the empty antichain first)."""
-    subsets = [frozenset(c) for r in range(1, len(pool) + 1)
-               for c in combinations(pool, r)]
-    out = []
-    for r in range(len(subsets) + 1):
-        for combo in combinations(subsets, r):
-            if all(not (a < b or b < a) for a, b in combinations(combo, 2)):
-                out.append(tuple(sorted(combo, key=lambda g: (len(g), sorted(g)))))
-    return sorted(out, key=lambda c: (len(c), [(len(g), sorted(g)) for g in c]))
-
-
-def _passes(frame: GenFrame, conditions: tuple[str, ...]) -> bool:
-    return all(check_property(frame, pid).holds for pid in conditions)
+def _antichains(pool: int) -> list[tuple[int, ...]]:
+    """All antichains of nonempty submasks of ``pool``, by size, then
+    lexicographically in ``mask_order`` (the empty antichain first)."""
+    members = bits(pool)
+    subsets = [sum(c) for r in range(1, len(members) + 1) for c in combinations(members, r)]
+    return [combo for r in range(len(subsets) + 1) for combo in combinations(subsets, r)
+            if all(a & b not in (a, b) for a, b in combinations(combo, 2))]
 
 
 def enumerate_frames(n: int, logic: Logic | str = "IL"):
@@ -122,25 +116,22 @@ def enumerate_frames(n: int, logic: Logic | str = "IL"):
     worlds = tuple(f"w{i}" for i in range(n))
     for edges in _canonical_relations(n):
         pairs = frozenset((worlds[a], worlds[b]) for a, b in edges)
-        succ = {w: frozenset(b for a, b in pairs if a == w) for w in worlds}
-        keyed = sorted((w, u) for w in worlds for u in succ[w])
-        mandatory = {
-            (w, u): {frozenset({u})} | {frozenset({v}) for v in succ[u]}
-            for w, u in keyed}
-        pools = [tuple(sorted(succ[w] - {u} - succ[u])) for w, u in keyed]
+        succ = [sum(1 << b for a, b in edges if a == w) for w in range(n)]
+        keyed = sorted(edges)
+        pools = [succ[w] & ~(1 << u) & ~succ[u] for w, u in keyed]
         option_lists = [_antichains(pool) for pool in pools]
         combos = sorted(
             product(*option_lists),
             key=lambda combo: (sum(len(c) for c in combo),
-                               [[(len(g), sorted(g)) for g in c] for c in combo]))
+                               [[mask_order(g) for g in c] for c in combo]))
         for combo in combos:
-            families: dict[World, dict[World, set[frozenset[World]]]] = {}
+            s: dict[World, dict[World, list[int]]] = {}
             for (w, u), extras in zip(keyed, combo):
-                families.setdefault(w, {})[u] = mandatory[(w, u)] | set(extras)
-            frame = GenFrame(worlds, pairs, families)
+                s.setdefault(worlds[w], {})[worlds[u]] = [1 << u, *bits(succ[u]), *extras]
+            frame = GenFrame.from_masks(worlds, pairs, s)
             if _quasi_transitivity_violation(frame) is not None:
                 continue
-            if conditions and not _passes(frame, conditions):
+            if not all(check_property(frame, pid).holds for pid in conditions):
                 continue
             yield frame
 

@@ -13,20 +13,21 @@ classes, the quotient is assembled from three clauses:
 
 A formula counts as box-like when its normalized form is  ~A |> bot.
 
-The quotient's S families store the minimal V~ satisfying clause 2, found by
-scanning the subsets of R~[[w]].  Truth of every formula in the adequate set
-is preserved from model to quotient; ``verify_filtration`` checks this
-exhaustively and returns the first disagreement, if any.
+The quotient's S families store the minimal V~ satisfying clause 2: the
+minimal unions, as masks of classes, of one projected generator per witness
+pair (w', u'), taking only the projections inside R~[[w]].  Truth of every
+formula in the adequate set is preserved from model to quotient;
+``verify_filtration`` checks this exhaustively and returns the first
+disagreement, if any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .bisim import Partition, largest_autobisimulation
 from .formula import Bot, Formula, Neg, Rhd, Var, adequate_set, normalize
-from .model import GenFrame, GenModel, Violation, World, validate
+from .model import GenFrame, GenModel, Violation, World, minimal_unions, validate
 
 
 @dataclass(frozen=True)
@@ -63,35 +64,26 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
                if any(not m.forces(w, f) and m.forces(u, f)
                       for f in boxes for (w, u) in pairs)}
 
-    succ_of = {cw: sorted(cu for (a, cu) in r_pairs if a == cw) for cw in class_ids}
-    families: dict[World, dict[World, list[frozenset[World]]]] = {}
-    for cw, cu in sorted(r_pairs):
-        candidates = []
-        for r in range(1, len(succ_of[cw]) + 1):
-            for combo in combinations(succ_of[cw], r):
-                v_tilde = frozenset(combo)
-                if _s_clause(m, partition, r_witness_pairs[(cw, cu)], v_tilde):
-                    candidates.append(v_tilde)
-        if candidates:
-            families.setdefault(cw, {})[cu] = candidates
+    r_frame = GenFrame(class_ids, r_pairs, {})
 
-    frame = GenFrame(class_ids, r_pairs, families)
+    def project(g: int) -> int:
+        return r_frame.mask(partition.class_of[v] for v in m.frame.names(g))
+
+    s: dict[World, dict[World, tuple[int, ...]]] = {}
+    for cw, cu in sorted(r_pairs):
+        inside = r_frame.succ_mask[cw]
+        choices = [[v for v in map(project, m.frame.gen_masks(w, u)) if v & ~inside == 0]
+                   for w, u in r_witness_pairs[(cw, cu)]]
+        if unions := minimal_unions(choices):
+            s.setdefault(cw, {})[cu] = unions
+
+    frame = GenFrame.from_masks(class_ids, r_pairs, s)
     valuation = {
         p: [cid for cid in class_ids if m.forces(cid, Var(p))]
         for p in sorted({f.name for f in gamma if isinstance(f, Var)})}
     quotient = GenModel(frame, valuation)
     return FiltrationResult(quotient, partition, gamma, m,
                             tuple(validate(frame)))
-
-
-def _s_clause(m: GenModel, partition: Partition,
-              witness_pairs: list[tuple[World, World]],
-              v_tilde: frozenset[World]) -> bool:
-    for w, u in witness_pairs:
-        if not any({partition.class_of[v] for v in g} <= v_tilde
-                   for g in m.frame.gens(w, u)):
-            return False
-    return True
 
 
 def verify_filtration(m: GenModel, result: FiltrationResult) -> tuple[World, Formula] | None:

@@ -4,9 +4,13 @@ A generalized frame has a transitive irreflexive accessibility relation R and,
 for every w, a relation S_w between worlds u in R[w] and nonempty subsets of
 R[w].  S_w is required to be quasi-reflexive (u S_w {u}), monotone, closed
 under successor steps (w R u R v forces u S_w {v}) and quasi-transitive.
-Monotonicity is not stored: S_w(u) is kept as an antichain of minimal
-generator sets, and ``s_holds(w, u, V)`` means some generator is contained in
-V.  An ordinary frame keeps S_w as a set of world pairs instead.
+Monotonicity is not stored: S_w(u) is kept once, as an antichain of minimal
+generator sets, each a world bitmask (bit i is ``worlds[i]``), and
+``s_holds_mask(w, u, V)`` means some generator is contained in V.  Every
+reader of S in the package works on those masks; frozensets of world names
+appear only at the boundary: ``gens``, ``s_holds``, ``to_json`` and
+``Violation`` witnesses.  An ordinary frame keeps S_w as a set of world pairs
+instead.
 
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
 bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``.
@@ -26,8 +30,9 @@ Empty generator sets are not representable: the constructor rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import or_
 from typing import Iterable, Mapping
 
 from .formula import Algebra, Formula, evaluate
@@ -49,11 +54,44 @@ class Violation:
         return f"{self.clause} {self.witness}: {self.message}"
 
 
-def _antichain(gens: Iterable[frozenset[World]]) -> tuple[frozenset[World], ...]:
-    """Drop duplicate and non-minimal sets; order by size then members."""
-    sets = set(gens)
-    minimal = [g for g in sets if not any(h < g for h in sets)]
-    return tuple(sorted(minimal, key=lambda g: (len(g), sorted(g))))
+def bits(x: int) -> list[int]:
+    """The one-bit masks of ``x``, lowest first."""
+    out = []
+    while x:
+        out.append(x & -x)
+        x &= x - 1
+    return out
+
+
+def mask_order(g: int) -> tuple[int, list[int]]:
+    """Sort key of a world mask: size, then members in world order."""
+    return g.bit_count(), bits(g)
+
+
+def antichain(masks: Iterable[int]) -> tuple[int, ...]:
+    """Drop duplicate and non-minimal masks; order by ``mask_order``."""
+    out: list[int] = []
+    for g in sorted(set(masks), key=mask_order):
+        for h in out:
+            if h & ~g == 0:
+                break
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def minimal_unions(choices: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """The minimal unions of one mask from each choice, as an ``antichain``:
+    a product pruned to its minimal members after every factor.  No choice
+    gives the empty union; an empty choice gives no union at all."""
+    partial: tuple[int, ...] = (0,)
+    for options in choices:
+        partial = antichain(h | g for h in partial for g in options)
+    return partial
+
+
+def _antichains(s: Mapping[World, Mapping[World, Iterable[int]]]) -> dict:
+    return {w: {u: antichain(gens) for u, gens in per_u.items()} for w, per_u in s.items()}
 
 
 class _Frame:
@@ -82,61 +120,78 @@ class _Frame:
 
 
 class GenFrame(_Frame):
-    """Generalized Veltman frame with antichain-represented S families.
-
-    ``box`` and ``rhd`` read world bitmasks (bit i is ``worlds[i]``) with
-    only ``&``, ``|``, ``==`` and ``*``: a Python int is one truth set of any
-    width, a numpy int64 array a grid of them.
-    """
+    """Generalized Veltman frame.  S is stored once: ``s[w][u]`` is the
+    ``antichain`` of world masks generating S_w(u), bit i standing for
+    ``worlds[i]``.  ``box`` and ``rhd`` read world bitmasks with only ``&``,
+    ``|``, ``==`` and ``*``: a Python int is one truth set of any width, a
+    numpy int64 array a grid of them."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
         super().__init__(worlds, pairs)
-        wset = set(self.worlds)
-        fam: dict[World, dict[World, tuple[frozenset[World], ...]]] = {}
+        self.bit = bit = {w: 1 << i for i, w in enumerate(self.worlds)}
+        self.succ_mask = {w: self.mask(self._succ[w]) for w in self.worlds}  # R[w]
+        s: dict[World, dict[World, list[int]]] = {}
         for w, per_u in families.items():
-            if w not in wset:
+            if w not in bit:
                 raise FrameError(f"S family keyed by unknown world {w}")
             for u, gens in per_u.items():
-                if u not in wset:
+                if u not in bit:
                     raise FrameError(f"S family for {w} keyed by unknown world {u}")
-                sets = [frozenset(g) for g in gens]
-                for g in sets:
+                for g in gens:
+                    g = set(g)
                     if not g:
                         raise FrameError(f"empty S-image set for ({w}, {u})")
-                    if not g <= wset:
+                    if not g <= bit.keys():
                         raise FrameError(f"S-image for ({w}, {u}) mentions an unknown world")
-                if sets:
-                    fam.setdefault(w, {})[u] = _antichain(sets)
-        self.families = fam
+                    s.setdefault(w, {}).setdefault(u, []).append(sum(map(bit.__getitem__, g)))
+        self.s = _antichains(s)
+
+    @classmethod
+    def from_masks(cls, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
+                   s: Mapping[World, Mapping[World, Iterable[int]]]) -> GenFrame:
+        """The frame whose S_w(u) is generated by the masks ``s[w][u]``: nonzero
+        masks over the sorted worlds, none of the ``s[w][u]`` empty."""
+        frame = cls(worlds, pairs, {})
+        frame.s = _antichains(s)
+        return frame
+
+    def gen_masks(self, w: World, u: World) -> tuple[int, ...]:
+        return self.s.get(w, {}).get(u, ())
 
     def gens(self, w: World, u: World) -> tuple[frozenset[World], ...]:
-        return self.families.get(w, {}).get(u, ())
+        return tuple(frozenset(self.names(g)) for g in self.gen_masks(w, u))
+
+    def s_holds_mask(self, w: World, u: World, v: int) -> bool:
+        """u S_w V in the monotone closure, V a world mask: requires u in
+        R[w], V nonempty and inside R[w], and some generator inside V."""
+        if v == 0 or v & ~self.succ_mask[w] or u not in self._succ[w]:
+            return False
+        for g in self.s.get(w, {}).get(u, ()):
+            if g & ~v == 0:
+                return True
+        return False
 
     def s_holds(self, w: World, u: World, vs: Iterable[World]) -> bool:
-        """u S_w V in the monotone closure: requires u in R[w], V inside R[w],
-        V nonempty, and some stored generator contained in V."""
-        v = frozenset(vs)
-        if not v or u not in self._succ[w] or not v <= self._succ[w]:
-            return False
-        return any(g <= v for g in self.gens(w, u))
-
-    @cached_property
-    def bit(self) -> dict[World, int]:
-        return {w: 1 << i for i, w in enumerate(self.worlds)}
+        """``s_holds_mask`` for V given as world names."""
+        vs = set(vs)
+        return vs <= self._succ[w] and self.s_holds_mask(w, u, self.mask(vs))
 
     def mask(self, ws: Iterable[World]) -> int:
-        return sum(self.bit[w] for w in set(ws))
+        return sum(map(self.bit.__getitem__, set(ws)))
+
+    def names(self, x: int) -> tuple[World, ...]:
+        """The worlds in mask ``x``, in world order."""
+        return tuple([self.worlds[b.bit_length() - 1] for b in bits(x)])
 
     @cached_property
     def _rows(self) -> tuple:
         """Per world w: its bit, the mask of R[w], and for each u in R[w]
-        the bit of u with the masks of the generators of S_w(u)."""
-        bit, mask = self.bit, self.mask
+        the bit of u with the stored generators of S_w(u)."""
+        bit = self.bit
         return tuple(
-            (bit[w], mask(self._succ[w]),
-             tuple((bit[u], tuple(mask(g) for g in self.gens(w, u)))
-                   for u in sorted(self._succ[w])))
+            (bit[w], self.succ_mask[w],
+             tuple((bit[u], self.gen_masks(w, u)) for u in sorted(self._succ[w])))
             for w in self.worlds)
 
     def box(self, x):
@@ -161,20 +216,17 @@ class GenFrame(_Frame):
         return out
 
     def _key(self):
-        fam = tuple(sorted(
-            (w, tuple(sorted((u, tuple(sorted(tuple(sorted(g)) for g in gens)))
-                             for u, gens in per_u.items())))
-            for w, per_u in self.families.items()))
-        return (self.worlds, tuple(sorted(self.pairs)), fam)
+        s = tuple(sorted((w, tuple(sorted(per_u.items()))) for w, per_u in self.s.items()))
+        return (self.worlds, tuple(sorted(self.pairs)), s)
 
     def to_json(self) -> dict:
         return {
             "kind": "gen",
             "worlds": list(self.worlds),
             "R": sorted([a, b] for a, b in self.pairs),
-            "S": {w: {u: [sorted(g) for g in gens]
+            "S": {w: {u: [list(self.names(g)) for g in gens]
                       for u, gens in sorted(per_u.items())}
-                  for w, per_u in sorted(self.families.items())},
+                  for w, per_u in sorted(self.s.items())},
         }
 
 
@@ -228,13 +280,12 @@ def _r_violations(frame) -> list[Violation]:
 def _a_violations(frame: GenFrame) -> list[Violation]:
     out = []
     for w in frame.worlds:
-        ru = frame.successors(w)
-        for u, gens in sorted(frame.families.get(w, {}).items()):
-            if u not in ru:
+        for u, gens in sorted(frame.s.get(w, {}).items()):
+            if u not in frame.successors(w):
                 out.append(Violation("a", (w, u), f"S_{w} keyed by {u} outside R[{w}]"))
             for g in gens:
-                if not g <= ru:
-                    out.append(Violation("a", (w, u, tuple(sorted(g))),
+                if g & ~frame.succ_mask[w]:
+                    out.append(Violation("a", (w, u, frame.names(g)),
                                          f"S_{w} image of {u} leaves R[{w}]"))
     return out
 
@@ -247,17 +298,16 @@ def validate(frame) -> list[Violation]:
     if isinstance(frame, GenFrame):
         out += _a_violations(frame)
         for w, u in sorted(frame.pairs):
-            if not frame.s_holds(w, u, {u}):
+            if not frame.s_holds_mask(w, u, frame.bit[u]):
                 out.append(Violation("b", (w, u), f"missing {u} S_{w} {{{u}}}"))
         for w, u in sorted(frame.pairs):
             for v in sorted(frame.successors(u)):
-                if not frame.s_holds(w, u, {v}):
+                if not frame.s_holds_mask(w, u, frame.bit[v]):
                     out.append(Violation("d", (w, u, v),
                                          f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}"))
-        qt = _quasi_transitivity_violation(frame)
-        if qt is not None:
+        if (qt := _quasi_transitivity_violation(frame)) is not None:
             w, u, g, union = qt
-            out.append(Violation("c", (w, u, tuple(sorted(g)), tuple(sorted(union))),
+            out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
                                  "quasi-transitivity fails"))
         return out
     if isinstance(frame, OrdFrame):
@@ -284,18 +334,18 @@ def validate(frame) -> list[Violation]:
 
 
 def _quasi_transitivity_violation(frame: GenFrame):
-    """First (w, u, G, union) where chaining generators escapes S_w(u)."""
+    """First (w, u, G, union) where chaining generators escapes S_w(u);
+    G and the union are world masks."""
     for w in frame.worlds:
-        per_u = frame.families.get(w, {})
+        per_u = frame.s.get(w, {})
         for u in sorted(per_u):
             for g in per_u[u]:
-                vs = sorted(g)
-                options = [frame.gens(w, v) for v in vs]
-                if any(not opt for opt in options):
+                options = [per_u.get(v, ()) for v in frame.names(g)]
+                if not all(options):
                     continue  # no S_w-image to chain through; nothing to check
                 for pick in product(*options):
-                    union = frozenset().union(*pick)
-                    if not frame.s_holds(w, u, union):
+                    union = reduce(or_, pick)
+                    if not frame.s_holds_mask(w, u, union):
                         return (w, u, g, union)
     return None
 
@@ -309,20 +359,16 @@ def close_s(frame: GenFrame) -> GenFrame:
     bad = _r_violations(frame) or _a_violations(frame)
     if bad:
         raise FrameError(f"cannot close S over an illegal R: {bad[0]}")
-    fam: dict[World, dict[World, set[frozenset[World]]]] = {
-        w: {u: set(gens) for u, gens in per_u.items()}
-        for w, per_u in frame.families.items()}
+    s = {w: {u: list(gens) for u, gens in per_u.items()} for w, per_u in frame.s.items()}
     for w in frame.worlds:
         for u in frame.successors(w):
-            gens = fam.setdefault(w, {}).setdefault(u, set())
-            gens.add(frozenset({u}))
-            for v in frame.successors(u):
-                gens.add(frozenset({v}))
-    closed = GenFrame(frame.worlds, frame.pairs, fam)
+            s.setdefault(w, {}).setdefault(u, []).extend(
+                [frame.bit[u], *bits(frame.succ_mask[u])])
+    closed = GenFrame.from_masks(frame.worlds, frame.pairs, s)
     while (qt := _quasi_transitivity_violation(closed)) is not None:
         w, u, _, union = qt
-        fam[w][u].add(union)
-        closed = GenFrame(frame.worlds, frame.pairs, fam)
+        s[w][u].append(union)
+        closed = GenFrame.from_masks(frame.worlds, frame.pairs, s)
     return closed
 
 
@@ -399,10 +445,10 @@ class OrdModel(_Model):
 def gen_of_ordinary(m: OrdModel) -> GenModel:
     """Embed an ordinary model: S'_w(u) is generated by the singletons {v}
     with u S_w v.  Forcing is preserved for every formula."""
-    families = {
-        w: {u: [frozenset({v}) for x, v in m.frame.s_pairs(w) if x == u]
-            for u in sorted({x for x, _ in m.frame.s_pairs(w)})}
-        for w in m.frame.worlds if m.frame.s_pairs(w)}
+    families: dict[World, dict[World, list[list[World]]]] = {}
+    for w, rel in m.frame.s.items():
+        for u, v in rel:
+            families.setdefault(w, {}).setdefault(u, []).append([v])
     frame = GenFrame(m.frame.worlds, m.frame.pairs, families)
     return GenModel(frame, m.valuation)
 

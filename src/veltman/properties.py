@@ -25,6 +25,16 @@ over every set in the monotone closure.  Z for P0gen ranges over minimal
 transversals of {R[v] : v in V} and C for Rgen over minimal choice sets;
 both conditions are antitone there, which makes the minimal elements enough.
 
+``check_property`` is one loop over a condition's items (worlds, sets, a, b,
+keep), sets as world masks.  The condition holds when b S_a keep for every
+item; the first item without fails it, with the witness ``worlds`` followed
+by ``sets`` as tuples of names.  Items run over V, a stored generator of
+S_w(u) (Wgen: every image), for Mgen and Wgen, and over w R x R u with V a
+generator of S_w(u) for the rest; Rgen and P0gen also over each choice set C
+or transversal Z.  keep is V cut to the worlds with R inside R[u] (Mgen,
+M0gen), inside C (Rgen) or off the preimage (Wgen), V inside R[w'] (Pgen)
+or Z inside R[x] (P0gen).
+
 ``frame_validates`` sweeps every valuation of a formula's variables, with
 ``GenFrame.box``/``rhd`` on numpy int64 arrays of world bitmasks, one entry
 per valuation, in chunks of at most ``SWEEP_ROWS`` valuations.
@@ -40,7 +50,7 @@ import numpy as np
 
 from .formula import Algebra, Formula, Var, evaluate, variables
 from .hilbert import SCHEMATA, instantiate, schema_metavars
-from .model import GenFrame, World
+from .model import GenFrame, World, bits, minimal_unions
 
 PROPERTY_IDS = ("Mgen", "M0gen", "Pgen", "P0gen", "Rgen", "Wgen")
 
@@ -58,129 +68,79 @@ class PropertyReport:
     message: str | None = None
 
 
-def minimal_hitting_sets(sets: Iterable[frozenset]) -> frozenset[frozenset]:
-    """Minimal transversals of a family of finite sets.
-
-    Every returned set meets every member of the family and no proper subset
-    does.  An empty family has the empty transversal; a family containing an
-    empty set has none.
-    """
-    family = [frozenset(s) for s in sets]
-    if any(not s for s in family):
-        return frozenset()
-    partial: set[frozenset] = {frozenset()}
-    for s in family:
-        nxt: set[frozenset] = set()
-        for h in partial:
-            if h & s:
-                nxt.add(h)
-            else:
-                nxt.update(h | {x} for x in s)
-        # prune anything that now dominates a smaller transversal-in-progress
-        partial = {h for h in nxt if not any(g < h for g in nxt)}
-    return frozenset(partial)
+def minimal_hitting_sets(sets: Iterable[int]) -> tuple[int, ...]:
+    """Minimal transversals of a family of world masks, in ``mask_order``:
+    the minimal unions of one bit from each member.  An empty family has the
+    empty transversal 0; a family containing 0 has none."""
+    return minimal_unions(bits(s) for s in sets)
 
 
-def choice_sets(frame: GenFrame, x: World, u: World) -> frozenset[frozenset[World]]:
-    """Minimal subsets of R[x] meeting every S_x-image of u.  Requires x R u."""
+def choice_sets(frame: GenFrame, x: World, u: World) -> tuple[int, ...]:
+    """Minimal masks inside R[x] meeting every S_x-image of u.  Requires x R u."""
     if u not in frame.successors(x):
         raise ValueError(f"choice_sets needs {x} R {u}")
-    return minimal_hitting_sets(frame.gens(x, u))
+    return minimal_hitting_sets(frame.gen_masks(x, u))
 
 
-def s_preimage(frame: GenFrame, w: World, vs: frozenset[World]) -> frozenset[World]:
-    """All z in R[w] with z S_w V."""
-    return frozenset(z for z in frame.successors(w) if frame.s_holds(w, z, vs))
+def s_preimage(frame: GenFrame, w: World, v: int) -> int:
+    """The mask of all z in R[w] with z S_w V, for V a world mask."""
+    return sum(frame.bit[z] for z in frame.successors(w) if frame.s_holds_mask(w, z, v))
 
 
-def _upward_images(frame: GenFrame, w: World, u: World) -> list[frozenset[World]]:
+def _upward_images(frame: GenFrame, w: World, u: World) -> list[int]:
     """Every V with u S_w V, smallest first (the full monotone closure)."""
-    ru = sorted(frame.successors(w))
-    out = []
-    for r in range(1, len(ru) + 1):
-        for combo in combinations(ru, r):
-            v = frozenset(combo)
-            if frame.s_holds(w, u, v):
-                out.append(v)
-    return out
+    ru = bits(frame.succ_mask[w])
+    return [v for r in range(1, len(ru) + 1) for v in map(sum, combinations(ru, r))
+            if frame.s_holds_mask(w, u, v)]
+
+
+def _r_inside(frame: GenFrame, c: int) -> int:
+    """The mask of the worlds whose R-successors all lie in mask ``c``."""
+    return sum(bv for bv, r, _ in frame._rows if r & ~c == 0)
+
+
+def _chains(frame: GenFrame):
+    """(w, x, u, V) for every w R x R u and generator V of S_w(u), in world order."""
+    succ = frame.successors
+    return ((w, x, u, v) for w in frame.worlds for x in sorted(succ(w))
+            for u in sorted(succ(x)) for v in frame.gen_masks(w, u))
+
+
+# the items of each condition on a frame f with R masks r
+_ITEMS = {
+    "Mgen": lambda f, r: (((w, u), (v,), w, u, v & _r_inside(f, r[u]))
+                          for w in f.worlds for u, gens in sorted(f.s.get(w, {}).items())
+                          for v in gens),
+    "M0gen": lambda f, r: (((w, u, x), (v,), w, u, v & _r_inside(f, r[u]))
+                           for w, u, x, v in _chains(f)),
+    "Pgen": lambda f, r: (((w, w2, u), (v,), w2, u, v & r[w2]) for w, w2, u, v in _chains(f)),
+    "P0gen": lambda f, r: (((w, x, u), (v, z), x, u, z & r[x]) for w, x, u, v in _chains(f)
+                           for z in minimal_hitting_sets(r[y] for y in f.names(v))),
+    "Rgen": lambda f, r: (((w, x, u), (v, c), w, x, v & _r_inside(f, c))
+                          for w, x, u, v in _chains(f) for c in choice_sets(f, x, u)),
+    "Wgen": lambda f, r: (((w, u), (v,), w, u, v & _r_inside(f, ~s_preimage(f, w, v)))
+                          for w in f.worlds for u in sorted(f.s.get(w, {}))
+                          for v in _upward_images(f, w, u)),
+}
+
+_MESSAGES = {
+    "Mgen": "no V' <= V with {b} S_{a} V' and R[V'] <= R[{b}]",
+    "M0gen": "no V' <= V with {b} S_{a} V' and R[V'] <= R[{b}]",
+    "Pgen": "no V' <= V with {b} S_{a} V'",
+    "P0gen": "no Z' <= Z with {b} S_{a} Z'",
+    "Rgen": "no U <= V with {b} S_{a} U and R[U] <= C",
+    "Wgen": "no V' <= V avoiding the S-preimage of V",
+}
 
 
 def check_property(frame: GenFrame, property_id: str) -> PropertyReport:
     """Decide one frame condition; a failure carries a concrete witness."""
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"unknown property {property_id!r}; choose from {PROPERTY_IDS}")
-    succ = frame.successors
-
-    def report(witness, message):
-        return PropertyReport(property_id, False, witness, message)
-
-    if property_id == "Mgen":
-        for w in frame.worlds:
-            for u in sorted(frame.families.get(w, {})):
-                for v_set in frame.gens(w, u):
-                    keep = frozenset(v for v in v_set if succ(v) <= succ(u))
-                    if not frame.s_holds(w, u, keep):
-                        return report((w, u, tuple(sorted(v_set))),
-                                      f"no V' <= V with {u} S_{w} V' and R[V'] <= R[{u}]")
-        return PropertyReport(property_id, True)
-
-    if property_id == "M0gen":
-        for w in frame.worlds:
-            for u in sorted(succ(w)):
-                for x in sorted(succ(u)):
-                    for v_set in frame.gens(w, x):
-                        keep = frozenset(v for v in v_set if succ(v) <= succ(u))
-                        if not frame.s_holds(w, u, keep):
-                            return report((w, u, x, tuple(sorted(v_set))),
-                                          f"no V' <= V with {u} S_{w} V' and R[V'] <= R[{u}]")
-        return PropertyReport(property_id, True)
-
-    if property_id == "Pgen":
-        for w in frame.worlds:
-            for w2 in sorted(succ(w)):
-                for u in sorted(succ(w2)):
-                    for v_set in frame.gens(w, u):
-                        keep = v_set & succ(w2)
-                        if not frame.s_holds(w2, u, keep):
-                            return report((w, w2, u, tuple(sorted(v_set))),
-                                          f"no V' <= V with {u} S_{w2} V'")
-        return PropertyReport(property_id, True)
-
-    if property_id == "P0gen":
-        for w in frame.worlds:
-            for x in sorted(succ(w)):
-                for u in sorted(succ(x)):
-                    for v_set in frame.gens(w, u):
-                        fam = [succ(v) for v in sorted(v_set)]
-                        for z in sorted(minimal_hitting_sets(fam),
-                                        key=lambda s: (len(s), sorted(s))):
-                            if not frame.s_holds(x, u, z & succ(x)):
-                                return report((w, x, u, tuple(sorted(v_set)), tuple(sorted(z))),
-                                              f"no Z' <= Z with {u} S_{x} Z'")
-        return PropertyReport(property_id, True)
-
-    if property_id == "Rgen":
-        for w in frame.worlds:
-            for x in sorted(succ(w)):
-                for u in sorted(succ(x)):
-                    for v_set in frame.gens(w, u):
-                        for c in sorted(choice_sets(frame, x, u),
-                                        key=lambda s: (len(s), sorted(s))):
-                            keep = frozenset(v for v in v_set if succ(v) <= c)
-                            if not frame.s_holds(w, x, keep):
-                                return report((w, x, u, tuple(sorted(v_set)), tuple(sorted(c))),
-                                              f"no U <= V with {x} S_{w} U and R[U] <= C")
-        return PropertyReport(property_id, True)
-
-    # Wgen: the preimage of V grows with V, so generators are not enough here.
-    for w in frame.worlds:
-        for u in sorted(frame.families.get(w, {})):
-            for v_set in _upward_images(frame, w, u):
-                pre = s_preimage(frame, w, v_set)
-                keep = frozenset(v for v in v_set if not (succ(v) & pre))
-                if not frame.s_holds(w, u, keep):
-                    return report((w, u, tuple(sorted(v_set))),
-                                  "no V' <= V avoiding the S-preimage of V")
+    for worlds, sets, a, b, keep in _ITEMS[property_id](frame, frame.succ_mask):
+        if not frame.s_holds_mask(a, b, keep):
+            return PropertyReport(property_id, False, worlds + tuple(map(frame.names, sets)),
+                                  _MESSAGES[property_id].format(a=a, b=b))
     return PropertyReport(property_id, True)
 
 

@@ -10,7 +10,8 @@ are written out connective by connective, world by world and row by row.
 They use nothing of veltman but its node classes and frame accessors, so
 they stay independent of ``formula.fold``/``formula.evaluate``.  The
 largest autobisimulation is the greatest fixpoint over world pairs, with
-its own copy of the transfer clause, independent of ``veltman.bisim``.
+its own copy of the transfer clause, independent of ``veltman.bisim``.  The
+S-clause of filtration scans every set of successor classes.
 """
 
 import itertools
@@ -265,6 +266,24 @@ def pair_set_autobisimulation(m: GenModel):
     classes = {cid: frozenset(w for w in fr.worlds if class_of[w] == cid)
                for cid in set(class_of.values())}
     return class_of, classes
+
+
+def filtration_s_by_scan(m: GenModel, class_of, r_pairs):
+    """Clause 2 of filtration, by scanning: for each [w] R~ [u], every
+    nonempty set V~ of R~-successor classes of [w] such that for every
+    w' in [w] and u' in [u] with w' R u', some S_{w'}-image of u' has all
+    its classes in V~.  Returns ``{[w]: {[u]: [V~, ...]}}``, with every
+    such V~, not only the minimal ones."""
+    fr = m.frame
+    out = {}
+    for cw, cu in sorted(r_pairs):
+        succ = [b for a, b in r_pairs if a == cw]
+        witnesses = [(w, u) for w, u in fr.pairs if (class_of[w], class_of[u]) == (cw, cu)]
+        found = [v for v in subsets(succ) if v and all(
+            any({class_of[x] for x in g} <= v for g in fr.gens(w, u)) for w, u in witnesses)]
+        if found:
+            out.setdefault(cw, {})[cu] = found
+    return out
 
 
 def _forces(worlds, succ, val, rhd_at, f):

@@ -221,6 +221,18 @@ class TestSearch:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("limit", ["nan", "-0"])
+    def test_time_limit_not_positive_exit_2(self, capsys, limit):
+        rc = main(["search", "p -> p", "--time-limit", limit])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time_limit must be positive" in captured.err
+
+    def test_infinite_time_limit_exit_0(self, capsys):
+        assert main(["search", "p -> p", "--time-limit", "inf"]) == 0
+        assert "no countermodel" in capsys.readouterr().out
+
     def test_timeout_exit_2(self, capsys):
         rc = main(["search", "--max-worlds", "4", "--time-limit", "1e-9",
                    "<>p |> p"])

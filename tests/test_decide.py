@@ -35,6 +35,13 @@ class TestBudget:
         with pytest.raises(ValueError):
             SearchBudget(max_worlds=3, time_limit=-1)
 
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ValueError):
+            SearchBudget(time_limit=float("nan"))
+
+    def test_infinite_time_limit_accepted(self):
+        assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
+
     def test_hard_cap(self):
         with pytest.raises(ValueError):
             countermodel_search(parse("p"), get_logic("IL"),

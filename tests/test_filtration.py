@@ -3,7 +3,7 @@
 import dataclasses
 import random
 
-from reference import duplicated_model, random_gen_frame
+from reference import duplicated_model, filtration_s_by_scan, random_gen_frame, random_gen_model
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
@@ -148,6 +148,35 @@ def test_verify_filtration_on_200_random_pairs():
         assert len(res.quotient.worlds) <= len(m.worlds)
         bad = verify_filtration(m, res)
         assert bad is None, (trial, bad[0], str(bad[1]))
+
+
+def test_quotient_s_matches_the_scan_on_300_random_models():
+    rng = random.Random(31)
+    for trial in range(300):
+        m = random_gen_model(rng)
+        if trial % 3 == 0:
+            m = duplicated_model(m)
+        d = d_closure([parse(s) for s in rng.sample(SEED_POOL, rng.randrange(1, 4))])
+        res = filtrate(m, d)
+        q = res.quotient
+        s = filtration_s_by_scan(m, res.partition.class_of, q.frame.pairs)
+        want = GenModel(GenFrame(q.worlds, q.frame.pairs, s), q.valuation)
+        assert q.to_json() == want.to_json(), (trial, m.to_json())
+
+
+def test_twenty_spoke_star_keeps_singleton_images():
+    spokes = [f"u{i:02d}" for i in range(20)]
+    m = GenModel(close_s(GenFrame(["w", *spokes], [("w", u) for u in spokes], {})),
+                 # spoke i is the only world with the valuation i in binary
+                 {f"p{j}": [u for i, u in enumerate(spokes) if i >> j & 1] for j in range(5)})
+    res = filtrate(m, d_closure([parse("[]bot")]))
+    fr = res.quotient.frame
+    assert len(fr.worlds) == 21
+    assert fr.successors("w") == frozenset(spokes)
+    for u in spokes:
+        assert fr.gens("w", u) == (frozenset({u}),)
+    assert res.violations == ()
+    assert verify_filtration(m, res) is None
 
 
 def test_refiltration_does_not_grow():

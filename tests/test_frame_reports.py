@@ -1,0 +1,83 @@
+"""Pinned frame-condition reports, violations and closures.
+
+``tests/fixtures/frame_reports.json`` holds, one record per line:
+
+- ``check_property`` (holds, witness, message) for all six properties on
+  every ``enumerate_frames(n, "IL")`` frame with n <= 4 and on 300 seeded
+  ``random_gen_model`` frames;
+- ``validate`` violations and ``close_s(...).to_json()`` for 300 seeded
+  unclosed candidate frames, drawn as in
+  ``test_model.test_close_s_always_legal_1000_random_candidates``.
+
+Every frame is named with a digest of its JSON, which pins the frames
+themselves as well.  The test recomputes every record and reports the first that differs.
+Regenerate the fixture with ``PYTHONPATH=src:tests python tests/test_frame_reports.py``
+only when a change of output is intended.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from reference import random_gen_model, random_r
+
+from veltman.decide import enumerate_frames
+from veltman.model import GenFrame, close_s, validate
+from veltman.properties import PROPERTY_IDS, check_property
+
+FIXTURE = Path(__file__).parent / "fixtures" / "frame_reports.json"
+
+
+def _digest(frame) -> str:
+    doc = json.dumps(frame.to_json(), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+
+
+def _candidate(rng: random.Random) -> GenFrame:
+    n = rng.randrange(1, 6)
+    worlds = [f"w{i}" for i in range(n)]
+    pairs = random_r(rng, worlds)
+    succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
+    fams = {}
+    for w in worlds:
+        for u in succ[w]:
+            if succ[w] and rng.random() < 0.5:
+                size = rng.randrange(1, len(succ[w]) + 1)
+                fams.setdefault(w, {}).setdefault(u, []).append(rng.sample(succ[w], size))
+    return GenFrame(worlds, pairs, fams)
+
+
+def records() -> list[dict]:
+    frames = [(f"enumerate_frames({n}, IL) #{i}", fr)
+              for n in range(1, 5) for i, fr in enumerate(enumerate_frames(n, "IL"))]
+    rng = random.Random(11)
+    frames += [(f"random_gen_model #{i}", random_gen_model(rng).frame) for i in range(300)]
+    out = []
+    for label, fr in frames:
+        reports = {}
+        for pid in PROPERTY_IDS:
+            rep = check_property(fr, pid)
+            reports[pid] = [rep.holds, rep.witness, rep.message]
+        out.append({"frame": label, "digest": _digest(fr), "reports": reports})
+    rng = random.Random(42)
+    for i in range(300):
+        fr = _candidate(rng)
+        out.append({"candidate": i, "digest": _digest(fr),
+                    "violations": [[v.clause, v.witness, v.message] for v in validate(fr)],
+                    "closed": close_s(fr).to_json()})
+    # witnesses are tuples; compare in their JSON form
+    return json.loads(json.dumps(out))
+
+
+def test_frame_reports_match_fixture():
+    want = json.loads(FIXTURE.read_text())
+    got = records()
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert a == b, f"first differing record, #{i}:\n  pinned  {a}\n  now     {b}"
+    assert len(got) == len(want)
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text("[\n" + ",\n".join(json.dumps(r) for r in records()) + "\n]\n")
