@@ -10,10 +10,10 @@ The transfer clauses only need the stored generator sets: the inner
 "every member has a partner in V'" condition is monotone in V', and an
 S-image witness V can always be shrunk to a generator, so checking
 generators on both sides decides the clause for the full monotone closure.
-``_forth_ok`` is the one encoding of the clause.  Z enters it as a mask of
-partners per world: ``partners[a]`` has the bits of the worlds of the other
-model that Z relates to a, so "v has a Z-partner in the generator g" is
-``partners[v] & g``.
+``_forth_ok`` is the one encoding of the clause, on world masks.  Z enters
+it as the mask of the Z-partners of each world, keyed by the world's bit, so
+the partners of u among the successors of y are ``partners[u] &
+succ_mask[y]`` and "v has a Z-partner in g" is ``partners[v] & g``.
 
 ``largest_autobisimulation`` refines a partition, starting from atomic
 agreement.  Each round splits every block: a world joins the first earlier
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import GenModel, World
+from .model import GenFrame, GenModel, World, bits
 
 
 @dataclass(frozen=True)
@@ -56,31 +56,29 @@ def _atoms(m: GenModel, w: World, names) -> frozenset[str]:
     return frozenset(p for p in names if w in m.valuation.get(p, ()))
 
 
-def _forth_ok(m1: GenModel, m2: GenModel, x: World, y: World,
-              partners: dict[World, int]) -> bool:
+def _forth_ok(f1: GenFrame, f2: GenFrame, x: World, y: World,
+              partners: dict[int, int]) -> bool:
     """Every R-step from x is matched from y, with S-image refinement."""
-    for u in m1.frame.successors(x):
-        if not any(partners[u] & m2.frame.bit[u2] and _images_refine(m1, m2, x, u, y, u2, partners)
-                   for u2 in m2.frame.successors(y)):
+    ry, images2 = f2._rows[y][1:]
+    for bu, _, gens in f1._rows[x][2]:
+        candidates = partners[bu] & ry
+        if not any(bu2 & candidates and _refines(gens, gens2, partners)
+                   for bu2, _, gens2 in images2):
             return False
     return True
 
 
-def _images_refine(m1: GenModel, m2: GenModel, x: World, u: World,
-                   y: World, u2: World, partners: dict[World, int]) -> bool:
-    f1 = m1.frame
-    for g2 in m2.frame.gen_masks(y, u2):
-        if not any(all(partners[v] & g2 for v in f1.names(g1))
-                   for g1 in f1.gen_masks(x, u)):
-            return False
-    return True
+def _refines(gens: tuple[int, ...], gens2: tuple[int, ...], partners: dict[int, int]) -> bool:
+    """Every image generated by ``gens2`` is refined by one of ``gens``."""
+    return all(any(all(partners[bv] & g2 for bv in bits(g)) for g in gens) for g2 in gens2)
 
 
-def _partners(pairs, bit: dict[World, int], keys=()) -> dict[World, int]:
-    """For each a, the mask of the b with (a, b) in ``pairs``, 0 for other ``keys``."""
-    out = dict.fromkeys(keys, 0)
+def _partners(pairs, bit: dict[World, int], bit2: dict[World, int]) -> dict[int, int]:
+    """For each world a of ``bit``, by its bit: the mask, in ``bit2``, of
+    the b with (a, b) in ``pairs``."""
+    out = dict.fromkeys(bit.values(), 0)
     for a, b in pairs:
-        out[a] = out.get(a, 0) | bit.get(b, 0)
+        out[bit[a]] |= bit2.get(b, 0)
     return out
 
 
@@ -88,14 +86,15 @@ def bisimulation_violation(m1: GenModel, m2: GenModel,
                            z: set[tuple[World, World]]) -> BisimViolation | None:
     """First clause broken by Z, or None when Z is a bisimulation."""
     names = set(m1.valuation) | set(m2.valuation)
-    forth = _partners(z, m2.frame.bit, m1.worlds)
-    back = _partners(((b, a) for a, b in z), m1.frame.bit, m2.worlds)
+    f1, f2 = m1.frame, m2.frame
+    forth = _partners(z, f1.bit, f2.bit)
+    back = _partners(((b, a) for a, b in z), f2.bit, f1.bit)
     for w, w2 in sorted(z):
         if _atoms(m1, w, names) != _atoms(m2, w2, names):
             return BisimViolation("at", (w, w2), "variable sets differ")
-        if not _forth_ok(m1, m2, w, w2, forth):
+        if not _forth_ok(f1, f2, w, w2, forth):
             return BisimViolation("forth", (w, w2), "unmatched R-successor")
-        if not _forth_ok(m2, m1, w2, w, back):
+        if not _forth_ok(f2, f1, w2, w, back):
             return BisimViolation("back", (w, w2), "unmatched R-successor")
     return None
 
@@ -107,21 +106,23 @@ def is_bisimulation(m1: GenModel, m2: GenModel, z: set[tuple[World, World]]) -> 
 def largest_autobisimulation(m: GenModel) -> Partition:
     """Greatest autobisimulation of ``m`` as a partition of its worlds."""
     names = sorted(m.valuation)
+    fr, bit = m.frame, m.frame.bit
     first: dict[frozenset[str], World] = {}
     class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
     while True:
         old = class_of
-        blocks = _partners(((cid, w) for w, cid in old.items()), m.frame.bit)
-        same = {w: blocks[cid] for w, cid in old.items()}
+        blocks = _partners(((cid, w) for w, cid in old.items()), bit, bit)
+        same = {bit[w]: blocks[bit[cid]] for w, cid in old.items()}
         reps: dict[World, list[World]] = {}
         class_of = {}
         for w in m.worlds:
             block = reps.setdefault(old[w], [])
-            class_of[w] = next((r for r in block if _forth_ok(m, m, w, r, same)
-                                and _forth_ok(m, m, r, w, same)), w)
+            class_of[w] = next((r for r in block if _forth_ok(fr, fr, w, r, same)
+                                and _forth_ok(fr, fr, r, w, same)), w)
             if class_of[w] == w:
                 block.append(w)
         if sum(map(len, reps.values())) == len(reps):
             break
-    blocks = _partners(((cid, w) for w, cid in class_of.items()), m.frame.bit)
-    return Partition(class_of, {cid: frozenset(m.frame.names(b)) for cid, b in blocks.items()})
+    blocks = _partners(((cid, w) for w, cid in class_of.items()), bit, bit)
+    return Partition(class_of, {cid: frozenset(fr.names(blocks[bit[cid]]))
+                                for cid in dict.fromkeys(class_of.values())})

@@ -23,8 +23,7 @@ from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
 from .hilbert import LOGICS, Logic, ProofObject, check_proof, get_logic
-from .model import (GenFrame, GenModel, World, _quasi_transitivity_violation, bits,
-                    mask_order)
+from .model import GenFrame, GenModel, World, _escapes, bits, mask_order
 from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, check_property,
                          frame_validates)
 
@@ -78,10 +77,6 @@ def _logic(logic: Logic | str) -> Logic:
     return logic if isinstance(logic, Logic) else get_logic(logic)
 
 
-def _transitive(edges: frozenset[tuple[int, int]]) -> bool:
-    return all((a, d) in edges for a, b in edges for c, d in edges if b == c)
-
-
 def _canonical_relations(n: int) -> list[frozenset[tuple[int, int]]]:
     """Transitive irreflexive relations on 0..n-1, one per relabeling orbit,
     ordered by edge count then lexicographically."""
@@ -90,8 +85,8 @@ def _canonical_relations(n: int) -> list[frozenset[tuple[int, int]]]:
     for k in range(len(slots) + 1):
         for chosen in combinations(slots, k):
             edges = frozenset(chosen)
-            if not _transitive(edges):
-                continue
+            if not all((a, d) in edges for a, b in edges for c, d in edges if b == c):
+                continue  # not transitive
             key = tuple(sorted(edges))
             if all(key <= tuple(sorted((p[a], p[b]) for a, b in edges))
                    for p in permutations(range(n))):
@@ -115,8 +110,8 @@ def enumerate_frames(n: int, logic: Logic | str = "IL"):
     conditions = FRAME_CONDITIONS[_logic(logic).name]
     worlds = tuple(f"w{i}" for i in range(n))
     for edges in _canonical_relations(n):
-        pairs = frozenset((worlds[a], worlds[b]) for a, b in edges)
         succ = [sum(1 << b for a, b in edges if a == w) for w in range(n)]
+        succ_mask = dict(zip(worlds, succ))
         keyed = sorted(edges)
         pools = [succ[w] & ~(1 << u) & ~succ[u] for w, u in keyed]
         option_lists = [_antichains(pool) for pool in pools]
@@ -128,8 +123,8 @@ def enumerate_frames(n: int, logic: Logic | str = "IL"):
             s: dict[World, dict[World, list[int]]] = {}
             for (w, u), extras in zip(keyed, combo):
                 s.setdefault(worlds[w], {})[worlds[u]] = [1 << u, *bits(succ[u]), *extras]
-            frame = GenFrame.from_masks(worlds, pairs, s)
-            if _quasi_transitivity_violation(frame) is not None:
+            frame = GenFrame.from_masks(worlds, succ_mask, s)
+            if next(_escapes(frame), None) is not None:
                 continue
             if not all(check_property(frame, pid).holds for pid in conditions):
                 continue

@@ -13,6 +13,8 @@ classes, the quotient is assembled from three clauses:
 
 A formula counts as box-like when its normalized form is  ~A |> bot.
 
+R~[[w]] is read off world masks: the class projection, joined over w' in
+[w], of each R[w'] cut to the truth mask of a box-like formula failing at w'.
 The quotient's S families store the minimal V~ satisfying clause 2: the
 minimal unions, as masks of classes, of one projected generator per witness
 pair (w', u'), taking only the projections inside R~[[w]].  Truth of every
@@ -26,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Partition, largest_autobisimulation
-from .formula import Bot, Formula, Neg, Rhd, Var, adequate_set, normalize
-from .model import GenFrame, GenModel, Violation, World, minimal_unions, validate
+from .formula import Bot, Box, Dia, Formula, Neg, Rhd, Var, adequate_set
+from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, validate
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,10 @@ class FiltrationResult:
 
 
 def box_like(f: Formula) -> bool:
-    g = normalize(f)
-    return isinstance(g, Rhd) and isinstance(g.left, Neg) and isinstance(g.right, Bot)
+    """``normalize(f)`` is ~A |> bot; as ``normalize`` rewrites only [] and
+    <> (to a negation), the top two nodes of ``f`` decide it."""
+    return isinstance(f, Box) or (isinstance(f, Rhd) and isinstance(f.left, (Neg, Dia))
+                                  and isinstance(f.right, Bot))
 
 
 def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
@@ -53,31 +57,32 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     """
     gamma = adequate_set(d)
     partition = largest_autobisimulation(m)
-    boxes = sorted((f for f in gamma if box_like(f)), key=str)
+    fr, class_of = m.frame, partition.class_of
+    truths = [m._truth_mask(f) for f in gamma if box_like(f)]
 
     class_ids = sorted(partition.classes)
-    r_witness_pairs: dict[tuple[World, World], list[tuple[World, World]]] = {}
-    for w, u in sorted(m.frame.pairs):
-        key = (partition.class_of[w], partition.class_of[u])
-        r_witness_pairs.setdefault(key, []).append((w, u))
-    r_pairs = {key for key, pairs in r_witness_pairs.items()
-               if any(not m.forces(w, f) and m.forces(u, f)
-                      for f in boxes for (w, u) in pairs)}
-
-    r_frame = GenFrame(class_ids, r_pairs, {})
+    to_class = {fr.bit[w]: 1 << class_ids.index(cid) for w, cid in class_of.items()}
 
     def project(g: int) -> int:
-        return r_frame.mask(partition.class_of[v] for v in m.frame.names(g))
+        return sum({to_class[b] for b in bits(g)})
+
+    succ = dict.fromkeys(class_ids, 0)  # R~[[w]] as a class mask
+    for w, r in fr.succ_mask.items():
+        for t in truths:
+            if not t & fr.bit[w]:
+                succ[class_of[w]] |= project(r & t)
 
     s: dict[World, dict[World, tuple[int, ...]]] = {}
-    for cw, cu in sorted(r_pairs):
-        inside = r_frame.succ_mask[cw]
-        choices = [[v for v in map(project, m.frame.gen_masks(w, u)) if v & ~inside == 0]
-                   for w, u in r_witness_pairs[(cw, cu)]]
-        if unions := minimal_unions(choices):
-            s.setdefault(cw, {})[cu] = unions
+    for cw in class_ids:
+        inside = succ[cw]
+        for cu in (class_ids[b.bit_length() - 1] for b in bits(inside)):
+            choices = [[v for v in map(project, fr.gen_masks(w, u)) if v & ~inside == 0]
+                       for w in sorted(partition.classes[cw])
+                       for u in fr.names(fr.succ_mask[w]) if class_of[u] == cu]
+            if unions := minimal_unions(choices):
+                s.setdefault(cw, {})[cu] = unions
 
-    frame = GenFrame.from_masks(class_ids, r_pairs, s)
+    frame = GenFrame.from_masks(class_ids, succ, s)
     valuation = {
         p: [cid for cid in class_ids if m.forces(cid, Var(p))]
         for p in sorted({f.name for f in gamma if isinstance(f, Var)})}

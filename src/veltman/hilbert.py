@@ -136,20 +136,20 @@ def _column(i: int, rows: int) -> int:
     return out
 
 
-def is_classical_tautology(f: Formula, max_atoms: int = MAX_TAUT_ATOMS) -> bool:
+def is_classical_tautology(f: Formula) -> bool:
     """Truth-table validity of the propositional skeleton of ``f``.
 
     The skeleton replaces each maximal |>-subformula of the normalized form
     with a fresh atom; identical subformulas share an atom.  Raises
-    ValueError past ``max_atoms`` distinct atoms.  All 2^n rows are evaluated
+    ValueError past ``MAX_TAUT_ATOMS`` distinct atoms.  All 2^n rows are evaluated
     at once: a value is the bitmask of the rows where it is true, atom i is
     true in the rows whose bit i is set.
     """
     g = normalize(f)
     atoms = fold(g, _skeleton_atoms)
     n = len(atoms)
-    if n > max_atoms:
-        raise ValueError(f"propositional skeleton has {n} atoms, limit is {max_atoms}")
+    if n > MAX_TAUT_ATOMS:
+        raise ValueError(f"propositional skeleton has {n} atoms, limit is {MAX_TAUT_ATOMS}")
     rows = 1 << n
     full = (1 << rows) - 1
     columns = {a: _column(i, rows) for i, a in enumerate(atoms)}

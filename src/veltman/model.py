@@ -4,13 +4,15 @@ A generalized frame has a transitive irreflexive accessibility relation R and,
 for every w, a relation S_w between worlds u in R[w] and nonempty subsets of
 R[w].  S_w is required to be quasi-reflexive (u S_w {u}), monotone, closed
 under successor steps (w R u R v forces u S_w {v}) and quasi-transitive.
-Monotonicity is not stored: S_w(u) is kept once, as an antichain of minimal
-generator sets, each a world bitmask (bit i is ``worlds[i]``), and
-``s_holds_mask(w, u, V)`` means some generator is contained in V.  Every
-reader of S in the package works on those masks; frozensets of world names
-appear only at the boundary: ``gens``, ``s_holds``, ``to_json`` and
-``Violation`` witnesses.  An ordinary frame keeps S_w as a set of world pairs
-instead.
+
+R and S are each stored once, as world bitmasks (bit i is ``worlds[i]``):
+``succ_mask[w]`` is R[w], built in one pass over the edges in document order.
+Monotonicity is not stored: S_w(u) is an antichain of minimal generator
+masks, and ``s_holds_mask(w, u, V)`` means some generator is contained in V.
+Every reader of R and S in the package works on those masks; world names
+appear only at the boundary: the derived views ``pairs``, ``successors``,
+``gens`` and ``s_holds``, ``to_json``, ``Violation`` witnesses and the
+clauses of an ordinary frame, which keeps S_w as a set of world pairs.
 
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
 bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``.
@@ -95,22 +97,38 @@ def _antichains(s: Mapping[World, Mapping[World, Iterable[int]]]) -> dict:
 
 
 class _Frame:
-    """Worlds (sorted) and the relation R, shared by both kinds of frame."""
+    """Worlds (sorted) and R, as ``succ_mask[w]`` = R[w], for both kinds of frame."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]]):
         self.worlds: tuple[World, ...] = tuple(sorted(set(worlds)))
         if not self.worlds:
             raise FrameError("empty world set")
-        wset = set(self.worlds)
-        self.pairs: frozenset[tuple[World, World]] = frozenset((a, b) for a, b in pairs)
-        for a, b in self.pairs:
-            if a not in wset or b not in wset:
+        self.bit = bit = {w: 1 << i for i, w in enumerate(self.worlds)}
+        self.succ_mask = succ = dict.fromkeys(self.worlds, 0)
+        for a, b in pairs:
+            if a not in bit or b not in bit:
                 raise FrameError(f"R edge ({a}, {b}) mentions an unknown world")
-        self._succ: dict[World, frozenset[World]] = {
-            w: frozenset(b for a, b in self.pairs if a == w) for w in self.worlds}
+            succ[a] |= bit[b]
+
+    @property
+    def pairs(self) -> frozenset[tuple[World, World]]:
+        """R as world-name pairs, derived from ``succ_mask``."""
+        return frozenset((w, u) for w, r in self.succ_mask.items() for u in self.names(r))
 
     def successors(self, w: World) -> frozenset[World]:
-        return self._succ[w]
+        """R[w] as world names, derived from ``succ_mask``."""
+        return frozenset(self.names(self.succ_mask[w]))
+
+    def mask(self, ws: Iterable[World]) -> int:
+        return sum(map(self.bit.__getitem__, set(ws)))
+
+    def names(self, x: int) -> tuple[World, ...]:
+        """The worlds in mask ``x``, in world order."""
+        out = []
+        while x:
+            out.append(self.worlds[(x & -x).bit_length() - 1])
+            x &= x - 1
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._key() == other._key()
@@ -129,30 +147,29 @@ class GenFrame(_Frame):
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
         super().__init__(worlds, pairs)
-        self.bit = bit = {w: 1 << i for i, w in enumerate(self.worlds)}
-        self.succ_mask = {w: self.mask(self._succ[w]) for w in self.worlds}  # R[w]
         s: dict[World, dict[World, list[int]]] = {}
         for w, per_u in families.items():
-            if w not in bit:
+            if w not in self.bit:
                 raise FrameError(f"S family keyed by unknown world {w}")
             for u, gens in per_u.items():
-                if u not in bit:
+                if u not in self.bit:
                     raise FrameError(f"S family for {w} keyed by unknown world {u}")
                 for g in gens:
                     g = set(g)
                     if not g:
                         raise FrameError(f"empty S-image set for ({w}, {u})")
-                    if not g <= bit.keys():
+                    if not g <= self.bit.keys():
                         raise FrameError(f"S-image for ({w}, {u}) mentions an unknown world")
-                    s.setdefault(w, {}).setdefault(u, []).append(sum(map(bit.__getitem__, g)))
+                    s.setdefault(w, {}).setdefault(u, []).append(self.mask(g))
         self.s = _antichains(s)
 
     @classmethod
-    def from_masks(cls, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
+    def from_masks(cls, worlds: Iterable[World], succ_mask: Mapping[World, int],
                    s: Mapping[World, Mapping[World, Iterable[int]]]) -> GenFrame:
-        """The frame whose S_w(u) is generated by the masks ``s[w][u]``: nonzero
-        masks over the sorted worlds, none of the ``s[w][u]`` empty."""
-        frame = cls(worlds, pairs, {})
+        """The frame with R[w] the mask ``succ_mask[w]`` (0 if absent) and S_w(u)
+        generated by ``s[w][u]``, one or more nonzero masks over the sorted worlds."""
+        frame = cls(worlds, (), {})
+        frame.succ_mask = {w: succ_mask.get(w, 0) for w in frame.worlds}
         frame.s = _antichains(s)
         return frame
 
@@ -165,7 +182,8 @@ class GenFrame(_Frame):
     def s_holds_mask(self, w: World, u: World, v: int) -> bool:
         """u S_w V in the monotone closure, V a world mask: requires u in
         R[w], V nonempty and inside R[w], and some generator inside V."""
-        if v == 0 or v & ~self.succ_mask[w] or u not in self._succ[w]:
+        r = self.succ_mask[w]
+        if v == 0 or v & ~r or not r & self.bit[u]:
             return False
         for g in self.s.get(w, {}).get(u, ()):
             if g & ~v == 0:
@@ -175,29 +193,20 @@ class GenFrame(_Frame):
     def s_holds(self, w: World, u: World, vs: Iterable[World]) -> bool:
         """``s_holds_mask`` for V given as world names."""
         vs = set(vs)
-        return vs <= self._succ[w] and self.s_holds_mask(w, u, self.mask(vs))
-
-    def mask(self, ws: Iterable[World]) -> int:
-        return sum(map(self.bit.__getitem__, set(ws)))
-
-    def names(self, x: int) -> tuple[World, ...]:
-        """The worlds in mask ``x``, in world order."""
-        return tuple([self.worlds[b.bit_length() - 1] for b in bits(x)])
+        return vs <= self.bit.keys() and self.s_holds_mask(w, u, self.mask(vs))
 
     @cached_property
-    def _rows(self) -> tuple:
-        """Per world w: its bit, the mask of R[w], and for each u in R[w]
-        the bit of u with the stored generators of S_w(u)."""
-        bit = self.bit
-        return tuple(
-            (bit[w], self.succ_mask[w],
-             tuple((bit[u], self.gen_masks(w, u)) for u in sorted(self._succ[w])))
-            for w in self.worlds)
+    def _rows(self) -> dict:
+        """Per world w, in world order: its bit, the mask of R[w], and for
+        each u in R[w] the bit and name of u with the generators of S_w(u)."""
+        return {w: (self.bit[w], r, tuple((b, u, self.gen_masks(w, u))
+                                          for b, u in zip(bits(r), self.names(r))))
+                for w, r in self.succ_mask.items()}
 
     def box(self, x):
         """Worlds all of whose R-successors lie in ``x``."""
         out = x & 0
-        for bw, succ, _ in self._rows:
+        for bw, succ, _ in self._rows.values():
             out = out | ((x & succ) == succ) * bw
         return out
 
@@ -205,9 +214,9 @@ class GenFrame(_Frame):
         """Worlds w such that every R-successor of w in ``a`` has some
         S_w-image inside ``b``."""
         out = a & b & 0
-        for bw, _, images in self._rows:
+        for bw, _, images in self._rows.values():
             good = True
-            for bu, gens in images:
+            for bu, _, gens in images:
                 ok = (a & bu) == 0
                 for g in gens:
                     ok = ok | ((b & g) == g)
@@ -217,7 +226,7 @@ class GenFrame(_Frame):
 
     def _key(self):
         s = tuple(sorted((w, tuple(sorted(per_u.items()))) for w, per_u in self.s.items()))
-        return (self.worlds, tuple(sorted(self.pairs)), s)
+        return (self.worlds, tuple(self.succ_mask.values()), s)
 
     def to_json(self) -> dict:
         return {
@@ -236,23 +245,22 @@ class OrdFrame(_Frame):
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  s: Mapping[World, Iterable[tuple[World, World]]]):
         super().__init__(worlds, pairs)
-        wset = set(self.worlds)
         self.s: dict[World, frozenset[tuple[World, World]]] = {}
         for w, rel in s.items():
-            if w not in wset:
+            if w not in self.bit:
                 raise FrameError(f"S relation keyed by unknown world {w}")
-            rel = frozenset((a, b) for a, b in rel)
+            rel = [(a, b) for a, b in rel]
             for a, b in rel:
-                if a not in wset or b not in wset:
+                if a not in self.bit or b not in self.bit:
                     raise FrameError(f"S_{w} pair ({a}, {b}) mentions an unknown world")
             if rel:
-                self.s[w] = rel
+                self.s[w] = frozenset(rel)
 
     def s_pairs(self, w: World) -> frozenset[tuple[World, World]]:
         return self.s.get(w, frozenset())
 
     def _key(self):
-        return (self.worlds, tuple(sorted(self.pairs)),
+        return (self.worlds, tuple(self.succ_mask.values()),
                 tuple(sorted((w, tuple(sorted(rel))) for w, rel in self.s.items())))
 
     def to_json(self) -> dict:
@@ -265,28 +273,21 @@ class OrdFrame(_Frame):
 
 
 def _r_violations(frame) -> list[Violation]:
-    out = []
-    for a, b in sorted(frame.pairs):
-        if a == b:
-            out.append(Violation("R-irreflexivity", (a,), f"R contains the loop ({a}, {a})"))
-    for a, b in sorted(frame.pairs):
-        for c in sorted(frame.successors(b)):
-            if (a, c) not in frame.pairs:
-                out.append(Violation("R-transitivity", (a, b, c),
-                                     f"{a} R {b} R {c} but not {a} R {c}"))
-    return out
+    r, names = frame.succ_mask, frame.names
+    return ([Violation("R-irreflexivity", (a,), f"R contains the loop ({a}, {a})")
+             for a, ra in r.items() if ra & frame.bit[a]]
+            + [Violation("R-transitivity", (a, b, c), f"{a} R {b} R {c} but not {a} R {c}")
+               for a, ra in r.items() for b in names(ra) for c in names(r[b] & ~ra)])
 
 
 def _a_violations(frame: GenFrame) -> list[Violation]:
     out = []
-    for w in frame.worlds:
+    for w, r in frame.succ_mask.items():
         for u, gens in sorted(frame.s.get(w, {}).items()):
-            if u not in frame.successors(w):
+            if not r & frame.bit[u]:
                 out.append(Violation("a", (w, u), f"S_{w} keyed by {u} outside R[{w}]"))
-            for g in gens:
-                if g & ~frame.succ_mask[w]:
-                    out.append(Violation("a", (w, u, frame.names(g)),
-                                         f"S_{w} image of {u} leaves R[{w}]"))
+            out += [Violation("a", (w, u, frame.names(g)), f"S_{w} image of {u} leaves R[{w}]")
+                    for g in gens if g & ~r]
     return out
 
 
@@ -297,45 +298,43 @@ def validate(frame) -> list[Violation]:
     out = _r_violations(frame)
     if isinstance(frame, GenFrame):
         out += _a_violations(frame)
-        for w, u in sorted(frame.pairs):
-            if not frame.s_holds_mask(w, u, frame.bit[u]):
-                out.append(Violation("b", (w, u), f"missing {u} S_{w} {{{u}}}"))
-        for w, u in sorted(frame.pairs):
-            for v in sorted(frame.successors(u)):
-                if not frame.s_holds_mask(w, u, frame.bit[v]):
-                    out.append(Violation("d", (w, u, v),
-                                         f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}"))
-        if (qt := _quasi_transitivity_violation(frame)) is not None:
+        rows = frame._rows
+        out += [Violation("b", (w, u), f"missing {u} S_{w} {{{u}}}")
+                for w in frame.worlds for bu, u, _ in rows[w][2]
+                if not frame.s_holds_mask(w, u, bu)]
+        out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}")
+                for w in frame.worlds for _, u, _ in rows[w][2] for bv, v, _ in rows[u][2]
+                if not frame.s_holds_mask(w, u, bv)]
+        if (qt := next(_escapes(frame), None)) is not None:
             w, u, g, union = qt
             out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
                                  "quasi-transitivity fails"))
         return out
     if isinstance(frame, OrdFrame):
         for w in frame.worlds:
-            ru = frame.successors(w)
-            rel = frame.s_pairs(w)
-            for a, b in sorted(rel):
-                if a not in ru or b not in ru:
-                    out.append(Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]"))
-            for u in sorted(ru):
-                if (u, u) not in rel:
-                    out.append(Violation("b", (w, u), f"S_{w} is not reflexive at {u}"))
-            for a, b in sorted(rel):
-                for c in sorted(x for y, x in rel if y == b):
-                    if (a, c) not in rel:
-                        out.append(Violation("c", (w, a, b, c), f"S_{w} is not transitive"))
-            for u in sorted(ru):
-                for v in sorted(frame.successors(u)):
-                    if (u, v) not in rel:
-                        out.append(Violation("d", (w, u, v),
-                                             f"{w} R {u} R {v} but not {u} S_{w} {v}"))
+            ru, rel = frame.successors(w), frame.s_pairs(w)
+            out += [Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]")
+                    for a, b in sorted(rel) if a not in ru or b not in ru]
+            out += [Violation("b", (w, u), f"S_{w} is not reflexive at {u}")
+                    for u in sorted(ru) if (u, u) not in rel]
+            out += [Violation("c", (w, a, b, c), f"S_{w} is not transitive")
+                    for a, b in sorted(rel) for c in sorted(x for y, x in rel if y == b)
+                    if (a, c) not in rel]
+            out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {v}")
+                    for u in sorted(ru) for v in sorted(frame.successors(u)) if (u, v) not in rel]
         return out
     raise TypeError(f"not a frame or model: {frame!r}")
 
 
-def _quasi_transitivity_violation(frame: GenFrame):
-    """First (w, u, G, union) where chaining generators escapes S_w(u);
-    G and the union are world masks."""
+def _picks(options: list[tuple[int, ...]]):
+    """The union of each pick of one mask per option, in ``product`` order."""
+    return (reduce(or_, pick) for pick in product(*options))
+
+
+def _escapes(frame: GenFrame, unions=_picks):
+    """Every (w, u, G, union) where a union of one generator of S_w(v) per v
+    in G, drawn by ``unions``, escapes S_w(u), breaking quasi-transitivity;
+    S_w(u) is upward closed, so ``minimal_unions`` finds one iff ``_picks`` does."""
     for w in frame.worlds:
         per_u = frame.s.get(w, {})
         for u in sorted(per_u):
@@ -343,11 +342,9 @@ def _quasi_transitivity_violation(frame: GenFrame):
                 options = [per_u.get(v, ()) for v in frame.names(g)]
                 if not all(options):
                     continue  # no S_w-image to chain through; nothing to check
-                for pick in product(*options):
-                    union = reduce(or_, pick)
+                for union in unions(options):
                     if not frame.s_holds_mask(w, u, union):
-                        return (w, u, g, union)
-    return None
+                        yield (w, u, g, union)
 
 
 def close_s(frame: GenFrame) -> GenFrame:
@@ -356,19 +353,18 @@ def close_s(frame: GenFrame) -> GenFrame:
     transitive and irreflexive, and all input generators inside R[w]; a
     frame that breaks this raises ``FrameError``, as chaining could never
     repair it."""
-    bad = _r_violations(frame) or _a_violations(frame)
-    if bad:
+    if bad := _r_violations(frame) or _a_violations(frame):
         raise FrameError(f"cannot close S over an illegal R: {bad[0]}")
+    r = frame.succ_mask
     s = {w: {u: list(gens) for u, gens in per_u.items()} for w, per_u in frame.s.items()}
     for w in frame.worlds:
-        for u in frame.successors(w):
-            s.setdefault(w, {}).setdefault(u, []).extend(
-                [frame.bit[u], *bits(frame.succ_mask[u])])
-    closed = GenFrame.from_masks(frame.worlds, frame.pairs, s)
-    while (qt := _quasi_transitivity_violation(closed)) is not None:
-        w, u, _, union = qt
-        s[w][u].append(union)
-        closed = GenFrame.from_masks(frame.worlds, frame.pairs, s)
+        for b, u in zip(bits(r[w]), frame.names(r[w])):
+            s.setdefault(w, {}).setdefault(u, []).extend([b, *bits(r[u])])
+    closed = GenFrame.from_masks(frame.worlds, r, s)
+    while escapes := list(_escapes(closed, minimal_unions)):  # a pass, then one rebuild
+        for w, u, _, union in escapes:
+            s[w][u].append(union)
+        closed = GenFrame.from_masks(frame.worlds, r, s)
     return closed
 
 
@@ -445,11 +441,12 @@ class OrdModel(_Model):
 def gen_of_ordinary(m: OrdModel) -> GenModel:
     """Embed an ordinary model: S'_w(u) is generated by the singletons {v}
     with u S_w v.  Forcing is preserved for every formula."""
-    families: dict[World, dict[World, list[list[World]]]] = {}
+    bit = m.frame.bit
+    s: dict[World, dict[World, list[int]]] = {}
     for w, rel in m.frame.s.items():
         for u, v in rel:
-            families.setdefault(w, {}).setdefault(u, []).append([v])
-    frame = GenFrame(m.frame.worlds, m.frame.pairs, families)
+            s.setdefault(w, {}).setdefault(u, []).append(bit[v])
+    frame = GenFrame.from_masks(m.frame.worlds, m.frame.succ_mask, s)
     return GenModel(frame, m.valuation)
 
 

@@ -77,14 +77,14 @@ def minimal_hitting_sets(sets: Iterable[int]) -> tuple[int, ...]:
 
 def choice_sets(frame: GenFrame, x: World, u: World) -> tuple[int, ...]:
     """Minimal masks inside R[x] meeting every S_x-image of u.  Requires x R u."""
-    if u not in frame.successors(x):
+    if not frame.succ_mask[x] & frame.bit[u]:
         raise ValueError(f"choice_sets needs {x} R {u}")
     return minimal_hitting_sets(frame.gen_masks(x, u))
 
 
 def s_preimage(frame: GenFrame, w: World, v: int) -> int:
     """The mask of all z in R[w] with z S_w V, for V a world mask."""
-    return sum(frame.bit[z] for z in frame.successors(w) if frame.s_holds_mask(w, z, v))
+    return sum(bz for bz, z, _ in frame._rows[w][2] if frame.s_holds_mask(w, z, v))
 
 
 def _upward_images(frame: GenFrame, w: World, u: World) -> list[int]:
@@ -96,14 +96,14 @@ def _upward_images(frame: GenFrame, w: World, u: World) -> list[int]:
 
 def _r_inside(frame: GenFrame, c: int) -> int:
     """The mask of the worlds whose R-successors all lie in mask ``c``."""
-    return sum(bv for bv, r, _ in frame._rows if r & ~c == 0)
+    return sum(bv for bv, r, _ in frame._rows.values() if r & ~c == 0)
 
 
 def _chains(frame: GenFrame):
     """(w, x, u, V) for every w R x R u and generator V of S_w(u), in world order."""
-    succ = frame.successors
-    return ((w, x, u, v) for w in frame.worlds for x in sorted(succ(w))
-            for u in sorted(succ(x)) for v in frame.gen_masks(w, u))
+    rows = frame._rows
+    return ((w, x, u, v) for w in frame.worlds for _, x, _ in rows[w][2]
+            for _, u, _ in rows[x][2] for v in frame.gen_masks(w, u))
 
 
 # the items of each condition on a frame f with R masks r

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -368,6 +369,25 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "veltman.cli", "parse", "p"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("doc, first", [
+    ({"kind": "gen", "worlds": ["a", "b"], "R": [["a", "x"], ["b", "y"], ["a", "z"]], "S": {}},
+     "R edge (a, x) mentions an unknown world"),
+    ({"kind": "ord", "worlds": ["a", "b"], "R": [["a", "b"]],
+      "S": {"a": [["a", "x"], ["q", "b"], ["b", "z"]]}},
+     "S_a pair (a, x) mentions an unknown world"),
+], ids=["R-edges", "S-pairs"])
+def test_check_model_errors_do_not_depend_on_the_hash_seed(tmp_path, doc, first):
+    """Of several bad entries, check-model names the first in document
+    order, in every process."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run([sys.executable, "-m", "veltman.cli", "check-model", str(path)],
+                              env=dict(os.environ, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, f"error: bad model: {first}\n"), seed
 
 
 def test_usage_error_exit_code():

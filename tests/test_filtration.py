@@ -3,17 +3,20 @@
 import dataclasses
 import random
 
-from reference import duplicated_model, filtration_s_by_scan, random_gen_frame, random_gen_model
+from reference import (duplicated_model, filtration_s_by_scan, random_formula, random_gen_frame,
+                       random_gen_model)
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
 from veltman.formula import (
+    BOT,
     Box,
     Neg,
     Rhd,
     Var,
     adequate_set,
     d_closure,
+    normalize,
     parse,
     variables,
 )
@@ -38,6 +41,17 @@ class TestBoxLike:
 
     def test_var_is_not(self):
         assert not box_like(Var("p"))
+
+    def test_matches_the_normalized_shape_on_300_random_adequate_sets(self):
+        """box_like reads the top two nodes; it agrees with the shape of the
+        normalized form on every member of 300 random adequate sets."""
+        rng = random.Random(1)
+        for _ in range(300):
+            seeds = [random_formula(rng, 2, ("p", "q")) for _ in range(2)]
+            for f in adequate_set(d_closure(seeds)):
+                g = normalize(f)
+                shape = isinstance(g, Rhd) and isinstance(g.left, Neg) and g.right == BOT
+                assert box_like(f) == shape, str(f)
 
 
 class TestFiltrateSmall:

@@ -7,7 +7,12 @@
   ``random_gen_model`` frames;
 - ``validate`` violations and ``close_s(...).to_json()`` for 300 seeded
   unclosed candidate frames, drawn as in
-  ``test_model.test_close_s_always_legal_1000_random_candidates``.
+  ``test_model.test_close_s_always_legal_1000_random_candidates``;
+- ``validate`` violations, and the ``close_s`` result or error, for 300
+  seeded generalized frames whose R is not transitive and irreflexive (loops,
+  dropped and extra edges) and whose S is keyed and valued outside R[w],
+  and ``validate`` violations for 100 such ordinary frames;
+- ``close_s(...).to_json()`` for ten seeded candidates of 12 to 20 worlds.
 
 Every frame is named with a digest of its JSON, which pins the frames
 themselves as well.  The test recomputes every record and reports the first that differs.
@@ -23,7 +28,7 @@ from pathlib import Path
 from reference import random_gen_model, random_r
 
 from veltman.decide import enumerate_frames
-from veltman.model import GenFrame, close_s, validate
+from veltman.model import FrameError, GenFrame, OrdFrame, close_s, validate
 from veltman.properties import PROPERTY_IDS, check_property
 
 FIXTURE = Path(__file__).parent / "fixtures" / "frame_reports.json"
@@ -34,8 +39,8 @@ def _digest(frame) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
-def _candidate(rng: random.Random) -> GenFrame:
-    n = rng.randrange(1, 6)
+def _candidate(rng: random.Random, lo: int = 1, hi: int = 6) -> GenFrame:
+    n = rng.randrange(lo, hi)
     worlds = [f"w{i}" for i in range(n)]
     pairs = random_r(rng, worlds)
     succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
@@ -46,6 +51,51 @@ def _candidate(rng: random.Random) -> GenFrame:
                 size = rng.randrange(1, len(succ[w]) + 1)
                 fams.setdefault(w, {}).setdefault(u, []).append(rng.sample(succ[w], size))
     return GenFrame(worlds, pairs, fams)
+
+
+def _unclosed_r(rng: random.Random, worlds: list[str]) -> list[tuple[str, str]]:
+    """A random transitive irreflexive R with loops added, edges dropped
+    (transitive ones too) and stray edges added, each at random."""
+    pairs = set(random_r(rng, worlds))
+    pairs |= {(w, w) for w in worlds if rng.random() < 0.2}
+    pairs -= {e for e in sorted(pairs) if rng.random() < 0.2}
+    if rng.random() < 0.5:
+        pairs.add((rng.choice(worlds), rng.choice(worlds)))
+    return sorted(pairs)
+
+
+def _illegal_gen(rng: random.Random) -> GenFrame:
+    """An unclosed R, and S keyed by any world with images of any worlds."""
+    worlds = [f"w{i}" for i in range(rng.randrange(1, 6))]
+    pairs = _unclosed_r(rng, worlds)
+    succ = {w: [v for a, v in pairs if a == w] for w in worlds}
+    fams = {}
+    for w in worlds:
+        for u in worlds:
+            if rng.random() < 0.4:
+                pool = succ[w] if succ[w] and rng.random() < 0.7 else worlds
+                size = rng.randrange(1, len(pool) + 1)
+                fams.setdefault(w, {})[u] = [rng.sample(pool, size)]
+    return GenFrame(worlds, pairs, fams)
+
+
+def _illegal_ord(rng: random.Random) -> OrdFrame:
+    """An unclosed R, and S_w random pairs of any worlds."""
+    worlds = [f"w{i}" for i in range(rng.randrange(1, 5))]
+    pairs = _unclosed_r(rng, worlds)
+    s = {w: [(a, b) for a in worlds for b in worlds if rng.random() < 0.3] for w in worlds}
+    return OrdFrame(worlds, pairs, s)
+
+
+def _violations(fr) -> list:
+    return [[v.clause, v.witness, v.message] for v in validate(fr)]
+
+
+def _closed_or_error(fr) -> dict:
+    try:
+        return {"closed": close_s(fr).to_json()}
+    except FrameError as exc:
+        return {"error": str(exc)}
 
 
 def records() -> list[dict]:
@@ -64,7 +114,19 @@ def records() -> list[dict]:
     for i in range(300):
         fr = _candidate(rng)
         out.append({"candidate": i, "digest": _digest(fr),
-                    "violations": [[v.clause, v.witness, v.message] for v in validate(fr)],
+                    "violations": _violations(fr), "closed": close_s(fr).to_json()})
+    rng = random.Random(13)
+    for i in range(300):
+        fr = _illegal_gen(rng)
+        out.append({"illegal gen": i, "digest": _digest(fr), "violations": _violations(fr),
+                    **_closed_or_error(fr)})
+    for i in range(100):
+        fr = _illegal_ord(rng)
+        out.append({"illegal ord": i, "digest": _digest(fr), "violations": _violations(fr)})
+    rng = random.Random(5)
+    for i in range(10):
+        fr = _candidate(rng, 12, 21)
+        out.append({"large candidate": i, "digest": _digest(fr),
                     "closed": close_s(fr).to_json()})
     # witnesses are tuples; compare in their JSON form
     return json.loads(json.dumps(out))
