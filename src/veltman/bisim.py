@@ -84,12 +84,17 @@ def _partners(pairs, bit: dict[World, int], bit2: dict[World, int]) -> dict[int,
 
 def bisimulation_violation(m1: GenModel, m2: GenModel,
                            z: set[tuple[World, World]]) -> BisimViolation | None:
-    """First clause broken by Z, or None when Z is a bisimulation."""
+    """First clause broken by Z, or None when Z is a bisimulation.  A pair
+    naming a world outside ``m1`` or ``m2`` raises ValueError."""
     names = set(m1.valuation) | set(m2.valuation)
     f1, f2 = m1.frame, m2.frame
-    forth = _partners(z, f1.bit, f2.bit)
-    back = _partners(((b, a) for a, b in z), f2.bit, f1.bit)
-    for w, w2 in sorted(z):
+    pairs = sorted(z)
+    for w, w2 in pairs:
+        if w not in f1.bit or w2 not in f2.bit:
+            raise ValueError(f"Z pair ({w}, {w2}) names a world outside the models")
+    forth = _partners(pairs, f1.bit, f2.bit)
+    back = _partners(((b, a) for a, b in pairs), f2.bit, f1.bit)
+    for w, w2 in pairs:
         if _atoms(m1, w, names) != _atoms(m2, w2, names):
             return BisimViolation("at", (w, w2), "variable sets differ")
         if not _forth_ok(f1, f2, w, w2, forth):

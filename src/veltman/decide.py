@@ -1,12 +1,13 @@
 """Bounded countermodel search over enumerated generalized frames.
 
-``enumerate_frames`` streams every legal generalized frame on n canonical
+``enumerate_frames`` yields every legal generalized frame on n canonical
 worlds (w0, w1, ...), with the accessibility relation deduplicated up to
 relabeling (lexicographically least orbit representative); the S families on
 a fixed R are enumerated exactly, as the mandatory singleton generators plus
 an antichain of extra generator masks per (w, u), kept only when
-quasi-transitivity survives.  Frames for a logic beyond IL are filtered by
-the corresponding frame conditions.
+quasi-transitivity survives.  Frames for a logic beyond IL are the IL frames
+that meet the corresponding frame conditions.  Each (n, logic) list is
+built once per process and shared.
 
 ``countermodel_search`` walks frames smallest first and sweeps every
 valuation of the formula's variables; the verdict is honest about its bound:
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
 from .hilbert import LOGICS, Logic, ProofObject, check_proof, get_logic
-from .model import GenFrame, GenModel, World, _escapes, bits, mask_order
+from .model import GenFrame, GenModel, World, _escapes, bits, mask_order, minimal_unions
 from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, check_property,
                          frame_validates)
 
@@ -104,10 +106,28 @@ def _antichains(pool: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_frames(n: int, logic: Logic | str = "IL"):
-    """Yield the legal generalized frames for ``logic`` on n canonical worlds."""
+    """Yield the legal generalized frames for ``logic`` on n canonical worlds.
+
+    The frames are enumerated once per (n, logic) and shared by later calls,
+    so they must not be changed."""
+    yield from _frames(n, _logic(logic).name)
+
+
+@cache
+def _frames(n: int, logic: str) -> tuple[GenFrame, ...]:
+    """The frames of ``enumerate_frames``: those of IL, in order, that meet
+    the logic's frame conditions."""
     if not 1 <= n <= MAX_ENUM_WORLDS:
         raise ValueError(f"frame enumeration supports 1..{MAX_ENUM_WORLDS} worlds, got {n}")
-    conditions = FRAME_CONDITIONS[_logic(logic).name]
+    if logic == "IL":
+        return tuple(_il_frames(n))
+    return tuple(frame for frame in _frames(n, "IL")
+                 if all(check_property(frame, pid).holds for pid in FRAME_CONDITIONS[logic]))
+
+
+def _il_frames(n: int):
+    """The IL frames on n worlds: per canonical R, each S assignment in
+    order of extra generators, kept when quasi-transitivity holds."""
     worlds = tuple(f"w{i}" for i in range(n))
     for edges in _canonical_relations(n):
         succ = [sum(1 << b for a, b in edges if a == w) for w in range(n)]
@@ -124,11 +144,8 @@ def enumerate_frames(n: int, logic: Logic | str = "IL"):
             for (w, u), extras in zip(keyed, combo):
                 s.setdefault(worlds[w], {})[worlds[u]] = [1 << u, *bits(succ[u]), *extras]
             frame = GenFrame.from_masks(worlds, succ_mask, s)
-            if next(_escapes(frame), None) is not None:
-                continue
-            if not all(check_property(frame, pid).holds for pid in conditions):
-                continue
-            yield frame
+            if next(_escapes(frame, unions=minimal_unions), None) is None:
+                yield frame
 
 
 def countermodel_search(f: Formula, logic: Logic | str,
@@ -136,20 +153,27 @@ def countermodel_search(f: Formula, logic: Logic | str,
     """Search frames of size 1..max_worlds for a world refuting ``f``.
 
     Deterministic: smallest frames first, valuations in bitmask order, first
-    refuting world.  Raises SearchTimeout when the time budget runs out.
+    refuting world.  Raises SearchTimeout when the time budget runs out; the
+    budget is checked before each chunk of the valuation sweep.
     """
     logic = _logic(logic)
     if budget.max_worlds > MAX_ENUM_WORLDS:
         raise ValueError(f"search is bounded at {MAX_ENUM_WORLDS} worlds")
     started = time.monotonic()
+    completed = 0
+
+    def check_time():
+        if time.monotonic() - started > budget.time_limit:
+            raise SearchTimeout(completed)
+
+    on_chunk = None if budget.time_limit is None else check_time
     for n in range(1, budget.max_worlds + 1):
         for frame in enumerate_frames(n, logic):
-            if budget.time_limit is not None and time.monotonic() - started > budget.time_limit:
-                raise SearchTimeout(n - 1)
-            fals = frame_validates(frame, f, cap=MAX_ENUM_WORLDS)
+            fals = frame_validates(frame, f, cap=MAX_ENUM_WORLDS, on_chunk=on_chunk)
             if fals is not True:
                 model = GenModel(frame, fals.valuation)
                 return Refuted(model, fals.world)
+        completed = n
     return NoCountermodelUpTo(budget.max_worlds)
 
 

@@ -339,7 +339,7 @@ class Algebra(NamedTuple):
     """A Boolean algebra with operators, as :func:`evaluate` reads it.
 
     ``full`` is the top element; ``x ^ full``, ``x & y`` and ``x | y`` must
-    be complement, meet and join, as they are on Python ints and numpy int64
+    be complement, meet and join, as they are on Python ints and numpy integer
     arrays alike.  ``atom`` values a variable by name; ``box`` and ``rhd``
     interpret ``[]`` and ``|>``: on a frame, ``GenFrame.box``/``rhd``.
     """

@@ -142,7 +142,8 @@ class GenFrame(_Frame):
     ``antichain`` of world masks generating S_w(u), bit i standing for
     ``worlds[i]``.  ``box`` and ``rhd`` read world bitmasks with only ``&``,
     ``|``, ``==`` and ``*``: a Python int is one truth set of any width, a
-    numpy int64 array a grid of them."""
+    numpy array of unsigned integers a grid of them, and the result keeps
+    the operand's dtype."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
@@ -203,10 +204,28 @@ class GenFrame(_Frame):
                                           for b, u in zip(bits(r), self.names(r))))
                 for w, r in self.succ_mask.items()}
 
+    @cached_property
+    def _typed_rows(self) -> dict:
+        """``_rows`` per numpy dtype, filled by ``_rows_for``."""
+        return {}
+
+    def _rows_for(self, x):
+        """The rows ``box`` and ``rhd`` read for an operand like ``x``: the
+        ``_rows`` for a Python int; for a numpy array, the same rows with
+        each world's bit a scalar of the array's dtype, since a bool array
+        times a Python int is int64 and would widen every later pass."""
+        if type(x) is int:
+            return self._rows.values()
+        rows = self._typed_rows.get(x.dtype)
+        if rows is None:
+            rows = self._typed_rows[x.dtype] = tuple(
+                (x.dtype.type(bw), r, images) for bw, r, images in self._rows.values())
+        return rows
+
     def box(self, x):
         """Worlds all of whose R-successors lie in ``x``."""
         out = x & 0
-        for bw, succ, _ in self._rows.values():
+        for bw, succ, _ in self._rows_for(out):
             out = out | ((x & succ) == succ) * bw
         return out
 
@@ -214,7 +233,7 @@ class GenFrame(_Frame):
         """Worlds w such that every R-successor of w in ``a`` has some
         S_w-image inside ``b``."""
         out = a & b & 0
-        for bw, _, images in self._rows.values():
+        for bw, _, images in self._rows_for(out):
             good = True
             for bu, _, gens in images:
                 ok = (a & bu) == 0

@@ -36,15 +36,19 @@ M0gen), inside C (Rgen) or off the preimage (Wgen), V inside R[w'] (Pgen)
 or Z inside R[x] (P0gen).
 
 ``frame_validates`` sweeps every valuation of a formula's variables, with
-``GenFrame.box``/``rhd`` on numpy int64 arrays of world bitmasks, one entry
-per valuation, in chunks of at most ``SWEEP_ROWS`` valuations.
+``GenFrame.box``/``rhd`` on numpy arrays of world bitmasks in the smallest
+unsigned dtype that holds one (uint8 up to eight worlds), one entry per
+valuation, in chunks of at most ``SWEEP_ROWS`` valuations.  Each chunk
+reads one shared read-only grid per (2^n, variables in a chunk), so no
+frame rebuilds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from functools import cache
+from itertools import combinations, product
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -156,21 +160,31 @@ class Falsification:
 
 class TruthTables:
     """Bitmask evaluation of formulas on one frame, in the frame's own
-    ``box`` and ``rhd``.  ``evaluate`` maps numpy int64 arrays of variable
-    masks to the array of truth-set masks, one entry per valuation.  The top
-    element and unassigned variables are one-entry arrays that broadcast, so
-    a formula without assigned variables yields a one-entry array.
+    ``box`` and ``rhd``.  ``evaluate`` maps numpy arrays of variable masks
+    to the array of truth-set masks, one entry per valuation.  ``dtype`` is
+    the smallest unsigned integer type that holds a world mask (uint8 up to
+    eight worlds); the top element and unassigned variables are read-only
+    one-entry arrays of it that broadcast, so a formula without assigned
+    variables yields a one-entry array, and masks of ``dtype`` give masks of
+    ``dtype``.
     """
 
     def __init__(self, frame: GenFrame):
         self.frame = frame
         self.full = (1 << len(frame.worlds)) - 1
+        self.dtype = np.min_scalar_type(self.full)
+        self._top = _read_only(np.full(1, self.full, dtype=self.dtype))
+        self._zero = _read_only(np.zeros(1, dtype=self.dtype))
 
     def evaluate(self, f: Formula, assignment: dict[str, np.ndarray]) -> np.ndarray:
-        full = np.full(1, self.full, dtype=np.int64)
-        zero = np.zeros(1, dtype=np.int64)
-        return evaluate(f, Algebra(full, lambda name: assignment.get(name, zero),
+        zero = self._zero
+        return evaluate(f, Algebra(self._top, lambda name: assignment.get(name, zero),
                                    self.frame.box, self.frame.rhd))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # Valuations per array pass: bounds the sweep's memory for any number of
@@ -178,14 +192,28 @@ class TruthTables:
 SWEEP_ROWS = 1 << 16
 
 
-def frame_validates(frame: GenFrame, f: Formula, cap: int = 5):
+@cache
+def _grid(size: int, digits: int) -> np.ndarray:
+    """Every valuation of ``digits`` variables over the world masks below
+    ``size``, in lexicographic order: row j is the column of the j-th
+    variable, one entry per valuation, in the smallest unsigned dtype that
+    holds a mask.  Shared by every sweep, so read-only."""
+    grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
+    return _read_only(grid.reshape(digits, size ** digits))
+
+
+def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
+                    on_chunk: Callable[[], None] | None = None):
     """Is ``f`` forced at every world under every valuation of its variables?
 
     Returns True on validity, otherwise the lexicographically first failing
     valuation (variables sorted, each ranging over world subsets in bitmask
-    order) together with the first failing world.  Valuations are swept in
-    ascending chunks of ``SWEEP_ROWS``, stopping at the first chunk with a
-    failure.
+    order) together with the first failing world.  A chunk pairs the shared
+    ``_grid`` of the last variables, as many as fit in ``SWEEP_ROWS`` rows,
+    with one value of each earlier variable as a one-entry array; chunks run
+    in lexicographic order of those values and stop at the first one with a
+    failure.  ``on_chunk`` is called before each chunk and may raise to end
+    the sweep.
     """
     n = len(frame.worlds)
     if n > cap:
@@ -193,17 +221,23 @@ def frame_validates(frame: GenFrame, f: Formula, cap: int = 5):
     tables = TruthTables(frame)
     vs = sorted(variables(f))
     size = 1 << n
-    total = size ** len(vs)
-    for start in range(0, total, SWEEP_ROWS):
-        idx = np.arange(start, min(start + SWEEP_ROWS, total), dtype=np.int64)
-        assignment = {name: (idx // size ** (len(vs) - 1 - j)) % size
-                      for j, name in enumerate(vs)}
+    inside = 0  # how many of the last variables vary inside a chunk
+    while inside < len(vs) and size ** (inside + 1) <= SWEEP_ROWS:
+        inside += 1
+    outer, inner = vs[:len(vs) - inside], vs[len(vs) - inside:]
+    grid = _grid(size, inside)
+    for prefix in product(range(size), repeat=len(outer)):
+        if on_chunk is not None:
+            on_chunk()
+        assignment = dict(zip(inner, grid))
+        assignment.update((name, np.full(1, d, dtype=grid.dtype))
+                          for name, d in zip(outer, prefix))
         truth = tables.evaluate(f, assignment)
         failing = truth != tables.full
         if failing.any():
             at = int(np.argmax(failing))
-            valuation = {name: frozenset(w for w in frame.worlds
-                                         if int(assignment[name][at]) & frame.bit[w])
+            row = dict(zip(outer, prefix)) | dict(zip(inner, grid[:, at].tolist()))
+            valuation = {name: frozenset(w for w in frame.worlds if row[name] & frame.bit[w])
                          for name in vs}
             world = next(w for w in frame.worlds if not int(truth[at]) & frame.bit[w])
             return Falsification(valuation, world)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import pytest
 from reference import (duplicated_model, pair_set_autobisimulation, random_gen_frame,
                        random_gen_model)
 
@@ -51,6 +52,13 @@ class TestIsBisimulation:
         m2 = GenModel(close_s(GenFrame(["c", "d"], [("c", "d")], {})), {})
         violation = bisimulation_violation(m1, m2, {("a", "c")})
         assert violation is not None and violation.clause == "back"
+
+    def test_pair_outside_the_models_is_a_value_error(self):
+        m = GenModel(GenFrame(["a"], [], {}), {})
+        with pytest.raises(ValueError, match=r"\(zz, a\)"):
+            bisimulation_violation(m, m, {("a", "a"), ("zz", "a")})
+        with pytest.raises(ValueError, match=r"\(a, zz\)"):
+            bisimulation_violation(m, m, {("a", "zz")})
 
     def test_chain_to_its_copy(self):
         m1 = GenModel(chain3(), {"p": ["u"]})

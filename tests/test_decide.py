@@ -1,7 +1,9 @@
 """Frame enumeration and bounded countermodel search."""
 
 import itertools
+import json
 import random
+import time
 
 import pytest
 from reference import canonical_form, random_gen_model
@@ -13,6 +15,7 @@ from veltman.decide import (
     Refuted,
     SearchBudget,
     SearchTimeout,
+    _il_frames,
     countermodel_search,
     decide,
     enumerate_frames,
@@ -95,6 +98,20 @@ class TestEnumerateFrames:
         a = [f.to_json() for f in enumerate_frames(3, "IL")]
         b = [f.to_json() for f in enumerate_frames(3, "IL")]
         assert a == b
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_repeated_calls_yield_equal_frames(self, n):
+        """The frame list is built once per (n, logic); later calls yield
+        the same frames, equal to a fresh enumeration filtered by the
+        logic's conditions."""
+        fresh = list(_il_frames(n))
+        for logic, conditions in FRAME_CONDITIONS.items():
+            first = list(enumerate_frames(n, logic))
+            assert list(enumerate_frames(n, get_logic(logic))) == first
+            assert first == [fr for fr in fresh
+                             if all(check_property(fr, pid).holds for pid in conditions)]
+            again = enumerate_frames(n, logic)
+            assert [fr.to_json() for fr in first] == [fr.to_json() for fr in again]
 
 
 def _naive_transitive_irreflexive(worlds):
@@ -237,6 +254,26 @@ class TestCountermodelSearch:
         with pytest.raises(SearchTimeout):
             countermodel_search(parse("<>p |> p"), get_logic("IL"),
                                 SearchBudget(max_worlds=4, time_limit=1e-9))
+
+    def test_time_limit_holds_inside_one_frame_sweep(self):
+        """Eight variables on one 4-world frame are 65,536 chunks of the
+        valuation sweep; the limit is checked between chunks, so the search
+        stops within about a second of it and names the last size done."""
+        started = time.monotonic()
+        with pytest.raises(SearchTimeout) as info:
+            countermodel_search(parse("a | b | c | d | e | f | g | h | ~h"), "IL",
+                                SearchBudget(max_worlds=4, time_limit=1))
+        assert time.monotonic() - started < 2
+        assert info.value.completed_worlds <= 3
+
+    def test_repeated_searches_give_identical_json(self):
+        cases = [("p |> q", "IL"), ("(p |> q) -> (p & []r) |> (q & []r)", "ILP"),
+                 ("(p |> q) -> p |> q & []~p", "ILW"), ("p -> p", "ILR")]
+        runs = [[json.dumps(verdict_to_json(countermodel_search(
+            parse(src), logic, SearchBudget(max_worlds=3))), sort_keys=True)
+            for src, logic in cases] for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert '"verdict": "refuted"' in runs[0][0]
 
 
 class TestDecide:

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import gen_truth_set, random_formula, random_gen_frame
+from reference import _forces, gen_truth_set, random_formula, random_gen_frame
 
 from veltman import properties
 from veltman.decide import enumerate_frames
@@ -422,6 +422,71 @@ class TestChunkedSweep:
             tracemalloc.stop()
         assert (result is True) == src.endswith("~e")
         assert peak < 16 * 2 ** 20, peak
+
+
+def _brute_first_failure(fr, f):
+    """The first failing (valuation, world) by a plain scan: valuations in
+    lexicographic order of the sorted variables, each ranging over the world
+    subsets in bitmask order (bit i is the i-th sorted world), forcing by the
+    reference semantics (``gen_truth_set`` with R and S read once)."""
+    worlds = sorted(fr.worlds)
+    masks = [frozenset(w for i, w in enumerate(worlds) if x >> i & 1)
+             for x in range(1 << len(worlds))]
+    succ = {w: fr.successors(w) for w in worlds}
+    gens = {(w, u): fr.gens(w, u) for w in worlds for u in succ[w]}
+
+    def rhd_at(w, a, b):
+        return all(any(g <= b for g in gens[w, u]) for u in succ[w] & a)
+
+    vs = sorted(variables(f))
+    for choice in itertools.product(masks, repeat=len(vs)):
+        val = dict(zip(vs, choice))
+        truth = _forces(worlds, succ.__getitem__, val, rhd_at, f)
+        missed = [w for w in worlds if w not in truth]
+        if missed:
+            return val, missed[0]
+    return True
+
+
+class TestSharedGrid:
+    @pytest.mark.parametrize("src, later", [
+        ("a | b | c | d | ~e", False),
+        ("~a | b | ~(c |> d) | ~c | e", True),
+        ("(a |> b) -> c | d | e | ~f", False),
+        ("a | ~b | ~c | (d |> e) | <>f", True),
+    ])
+    def test_five_and_six_variables_match_a_brute_scan(self, src, later):
+        """On 4-world frames a chunk is 16^4 valuations of the last four
+        variables; a failure with a nonempty earlier variable lies in a later
+        chunk, and the sweep still reports the scan's first failure."""
+        f = parse(src)
+        frames = list(enumerate_frames(4, "IL"))
+        for fr in (frames[-1],) if later else (frames[70], frames[-1]):
+            result = frame_validates(fr, f)
+            assert isinstance(result, Falsification)
+            early = sorted(variables(f))[:len(variables(f)) - 4]
+            assert any(result.valuation[name] for name in early) == later
+            assert (result.valuation, result.world) == _brute_first_failure(fr, f), src
+
+    def test_grid_is_shared_and_read_only(self):
+        grid = properties._grid(16, 4)
+        assert grid is properties._grid(16, 4)
+        assert grid.dtype == np.uint8 and grid.shape == (4, 16 ** 4)
+        assert not grid.flags.writeable and not grid[0].flags.writeable
+        with pytest.raises(ValueError):
+            grid[0][0] = 1
+
+    def test_evaluate_keeps_the_smallest_dtype(self):
+        """uint8 masks give uint8 truth sets on every modal node, up to
+        eight worlds; nine worlds need uint16."""
+        f = parse("(p |> q) -> []p & <>(q |> ~p)")
+        for n in (1, 4, 8, 9):
+            worlds = [f"w{i}" for i in range(n)]
+            fr = close_s(GenFrame(worlds, [(a, b) for a in worlds for b in worlds if a < b], {}))
+            tables = TruthTables(fr)
+            x = np.arange(min(256, 1 << n), dtype=tables.dtype)
+            out = tables.evaluate(f, {"p": x, "q": x[::-1]})
+            assert out.dtype == tables.dtype == (np.uint8 if n <= 8 else np.uint16)
 
 
 class TestSchemaFrameValid:
