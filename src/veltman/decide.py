@@ -10,7 +10,10 @@ that meet the corresponding frame conditions.  Each (n, logic) list is
 built once per process and shared.
 
 ``countermodel_search`` walks frames smallest first and sweeps every
-valuation of the formula's variables; the verdict is honest about its bound:
+valuation of the formula's variables.  It walks ``enumerate_frames`` and
+sweeps only the first frame of each isomorphism class (``_class_firsts``);
+the answer is the one the full list gives, because the first countermodel
+has no earlier isomorph.  The verdict is honest about its bound:
 ``NoCountermodelUpTo(n)`` only reports a bounded search, it does not claim
 theoremhood.  ``decide`` upgrades to ``CheckedTheorem`` when a Hilbert proof
 of the formula is supplied and verifies.
@@ -68,11 +71,17 @@ Verdict = Refuted | NoCountermodelUpTo | CheckedTheorem
 
 
 class SearchTimeout(Exception):
-    """Budget ran out before the bounded search finished."""
+    """Budget ran out before the bounded search finished: every size up to
+    ``completed_worlds`` was swept, and ``frames_swept`` of the
+    ``frames_at_size`` search frames of the next size."""
 
-    def __init__(self, completed_worlds: int):
-        super().__init__(f"time limit hit after finishing size {completed_worlds}")
+    def __init__(self, completed_worlds: int, frames_swept: int, frames_at_size: int):
+        super().__init__(f"time limit hit after finishing size {completed_worlds} "
+                         f"({frames_swept} of {frames_at_size} frames of size "
+                         f"{completed_worlds + 1} swept)")
         self.completed_worlds = completed_worlds
+        self.frames_swept = frames_swept
+        self.frames_at_size = frames_at_size
 
 
 def _logic(logic: Logic | str) -> Logic:
@@ -148,32 +157,81 @@ def _il_frames(n: int):
                 yield frame
 
 
+@cache
+def _class_firsts(n: int, logic: str) -> tuple[bool, ...]:
+    """For each frame of ``_frames(n, logic)``, in order, whether it is the
+    first of its isomorphism class.  Search sweeps only those frames and
+    answers as it would over every frame: refutation is invariant under
+    isomorphism, so the first refuting frame has no earlier isomorph (that
+    isomorph would have refuted first), and the first failing valuation
+    and world are those of that same frame.
+
+    ``_canonical_relations`` gives one R per orbit, so only frames with the
+    same R can be isomorphic, through an automorphism of R; the class key
+    is R with the least relabelling of the generator antichains under
+    those automorphisms."""
+    seen: set = set()
+    out = []
+    for frame in _frames(n, logic):
+        key = _iso_key(frame)
+        out.append(key not in seen)
+        seen.add(key)
+    return tuple(out)
+
+
+def _relabel(x: int, perm: tuple[int, ...]) -> int:
+    """World mask ``x`` with world i renamed ``perm[i]``."""
+    return sum(1 << perm[b.bit_length() - 1] for b in bits(x))
+
+
+@cache
+def _automorphisms(succ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The permutations of the worlds that map R, the masks ``succ``, onto itself."""
+    return tuple(p for p in permutations(range(len(succ)))
+                 if all(_relabel(r, p) == succ[p[i]] for i, r in enumerate(succ)))
+
+
+def _iso_key(frame: GenFrame) -> tuple:
+    """Equal for two frames on the same R exactly when they are isomorphic."""
+    succ = tuple(frame.succ_mask.values())
+    index = {w: i for i, w in enumerate(frame.worlds)}
+    s = [(index[w], index[u], gens) for w, per_u in frame.s.items() for u, gens in per_u.items()]
+    return succ, min(tuple(sorted((p[w], p[u], tuple(sorted(_relabel(g, p) for g in gens)))
+                                  for w, u, gens in s))
+                     for p in _automorphisms(succ))
+
+
 def countermodel_search(f: Formula, logic: Logic | str,
                         budget: SearchBudget = SearchBudget()) -> Verdict:
     """Search frames of size 1..max_worlds for a world refuting ``f``.
 
-    Deterministic: smallest frames first, valuations in bitmask order, first
-    refuting world.  Raises SearchTimeout when the time budget runs out; the
-    budget is checked before each chunk of the valuation sweep.
+    Deterministic: smallest frames first, in enumeration order, skipping
+    isomorphs of earlier frames (``_class_firsts``); valuations in bitmask
+    order; first refuting world.  Raises SearchTimeout when the time budget
+    runs out; the budget is checked before each chunk of the valuation
+    sweep.
     """
     logic = _logic(logic)
     if budget.max_worlds > MAX_ENUM_WORLDS:
         raise ValueError(f"search is bounded at {MAX_ENUM_WORLDS} worlds")
     started = time.monotonic()
-    completed = 0
 
-    def check_time():
+    def check_time():  # reads the loop's n, swept and firsts
         if time.monotonic() - started > budget.time_limit:
-            raise SearchTimeout(completed)
+            raise SearchTimeout(n - 1, swept, sum(firsts))
 
     on_chunk = None if budget.time_limit is None else check_time
     for n in range(1, budget.max_worlds + 1):
-        for frame in enumerate_frames(n, logic):
+        firsts = _class_firsts(n, logic.name)
+        swept = 0
+        for frame, first in zip(enumerate_frames(n, logic), firsts):
+            if not first:
+                continue  # an isomorph of an earlier frame, which did not refute f
             fals = frame_validates(frame, f, cap=MAX_ENUM_WORLDS, on_chunk=on_chunk)
             if fals is not True:
                 model = GenModel(frame, fals.valuation)
                 return Refuted(model, fals.world)
-        completed = n
+            swept += 1
     return NoCountermodelUpTo(budget.max_worlds)
 
 

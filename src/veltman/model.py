@@ -324,8 +324,8 @@ def validate(frame) -> list[Violation]:
         out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}")
                 for w in frame.worlds for _, u, _ in rows[w][2] for bv, v, _ in rows[u][2]
                 if not frame.s_holds_mask(w, u, bv)]
-        if (qt := next(_escapes(frame), None)) is not None:
-            w, u, g, union = qt
+        if next(_escapes(frame, unions=minimal_unions), None) is not None:
+            w, u, g, union = next(_escapes(frame))  # the first escape in product order
             out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
                                  "quasi-transitivity fails"))
         return out

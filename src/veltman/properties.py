@@ -21,9 +21,11 @@ Quantifier bounds: for Mgen, M0gen, Pgen, P0gen and Rgen it is enough to let
 V range over the stored generator sets, because each consequent only uses V
 through subsets, so a witness for a generator lifts to every superset.  That
 argument fails for Wgen: the preimage term grows with V, so Wgen quantifies
-over every set in the monotone closure.  Z for P0gen ranges over minimal
-transversals of {R[v] : v in V} and C for Rgen over minimal choice sets;
-both conditions are antitone there, which makes the minimal elements enough.
+over every set in the monotone closure, and ``check_property`` refuses it
+on a world with S entries and more than ``MAX_WGEN_SUCCESSORS`` successors.
+Z for P0gen ranges over minimal transversals of {R[v] : v in V} and C for
+Rgen over minimal choice sets; both conditions are antitone there, which
+makes the minimal elements enough.
 
 ``check_property`` is one loop over a condition's items (worlds, sets, a, b,
 keep), sets as world masks.  The condition holds when b S_a keep for every
@@ -91,6 +93,13 @@ def s_preimage(frame: GenFrame, w: World, v: int) -> int:
     return sum(bz for bz, z, _ in frame._rows[w][2] if frame.s_holds_mask(w, z, v))
 
 
+# Wgen's V ranges over every subset of R[w], so its scan doubles with each
+# successor (a star w -> u1..uk takes about 0.4 s at k = 12 and 1 s at
+# k = 13); check_property refuses Wgen past this many successors of a world
+# with S entries, before any work.
+MAX_WGEN_SUCCESSORS = 12
+
+
 def _upward_images(frame: GenFrame, w: World, u: World) -> list[int]:
     """Every V with u S_w V, smallest first (the full monotone closure)."""
     ru = bits(frame.succ_mask[w])
@@ -141,6 +150,11 @@ def check_property(frame: GenFrame, property_id: str) -> PropertyReport:
     """Decide one frame condition; a failure carries a concrete witness."""
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"unknown property {property_id!r}; choose from {PROPERTY_IDS}")
+    if property_id == "Wgen":
+        for w, per_u in frame.s.items():
+            if per_u and (k := frame.succ_mask[w].bit_count()) > MAX_WGEN_SUCCESSORS:
+                raise ValueError(f"Wgen scans every subset of R[{w}], and {w} has {k} "
+                                 f"successors; the bound is {MAX_WGEN_SUCCESSORS}")
     for worlds, sets, a, b, keep in _ITEMS[property_id](frame, frame.succ_mask):
         if not frame.s_holds_mask(a, b, keep):
             return PropertyReport(property_id, False, worlds + tuple(map(frame.names, sets)),

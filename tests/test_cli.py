@@ -132,6 +132,26 @@ class TestCheckProperty:
         with pytest.raises(SystemExit):
             main(["check-property", legal_model_file, "--property", "Qgen"])
 
+    @pytest.mark.parametrize("spokes, rc", [(properties.MAX_WGEN_SUCCESSORS, 0),
+                                            (properties.MAX_WGEN_SUCCESSORS + 1, 2)])
+    def test_wgen_star_bound(self, tmp_path, capsys, spokes, rc):
+        """Wgen scans every subset of R[w]: a star w -> u1..uk holds at the
+        bound k = 12 and is refused past it, before any work."""
+        us = [f"u{i:02d}" for i in range(spokes)]
+        doc = {"kind": "gen", "worlds": ["w", *us], "R": [["w", u] for u in us],
+               "S": {"w": {u: [[u]] for u in us}}}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        assert properties.MAX_WGEN_SUCCESSORS == 12
+        assert main(["check-property", str(path), "--property", "Wgen"]) == rc
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert out == "Wgen: holds\n"
+        else:
+            assert out == ""
+            assert err == ("error: Wgen scans every subset of R[w], and w has 13 "
+                           "successors; the bound is 12\n")
+
 
 class TestSchemaValid:
     def test_valid_exit_0(self, legal_model_file):

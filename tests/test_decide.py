@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from reference import canonical_form, random_gen_model
+from reference import canonical_form, random_formula, random_gen_model
 
 from veltman.decide import (
     FRAME_CONDITIONS,
@@ -16,15 +16,16 @@ from veltman.decide import (
     SearchBudget,
     SearchTimeout,
     _il_frames,
+    _class_firsts,
     countermodel_search,
     decide,
     enumerate_frames,
     verdict_to_json,
 )
-from veltman.formula import parse
+from veltman.formula import Box, Dia, Impl, Rhd, parse
 from veltman.hilbert import ProofLine, ProofObject, Axiom, get_logic, parse_proof
-from veltman.model import GenFrame, validate
-from veltman.properties import check_property
+from veltman.model import GenFrame, GenModel, validate
+from veltman.properties import check_property, frame_validates
 
 
 class TestBudget:
@@ -258,13 +259,20 @@ class TestCountermodelSearch:
     def test_time_limit_holds_inside_one_frame_sweep(self):
         """Eight variables on one 4-world frame are 65,536 chunks of the
         valuation sweep; the limit is checked between chunks, so the search
-        stops within about a second of it and names the last size done."""
+        stops within about a second of it and says how far it got: the last
+        size done, and the frames of the next size swept out of all."""
         started = time.monotonic()
         with pytest.raises(SearchTimeout) as info:
             countermodel_search(parse("a | b | c | d | e | f | g | h | ~h"), "IL",
                                 SearchBudget(max_worlds=4, time_limit=1))
         assert time.monotonic() - started < 2
-        assert info.value.completed_worlds <= 3
+        stop = info.value
+        assert stop.completed_worlds <= 3
+        assert stop.frames_at_size == sum(_class_firsts(stop.completed_worlds + 1, "IL"))
+        assert 0 <= stop.frames_swept < stop.frames_at_size
+        assert str(stop) == (f"time limit hit after finishing size {stop.completed_worlds} "
+                             f"({stop.frames_swept} of {stop.frames_at_size} frames of size "
+                             f"{stop.completed_worlds + 1} swept)")
 
     def test_repeated_searches_give_identical_json(self):
         cases = [("p |> q", "IL"), ("(p |> q) -> (p & []r) |> (q & []r)", "ILP"),
@@ -274,6 +282,93 @@ class TestCountermodelSearch:
             for src, logic in cases] for _ in range(2)]
         assert runs[0] == runs[1]
         assert '"verdict": "refuted"' in runs[0][0]
+
+
+def _search_over_every_frame(f, logic, max_worlds):
+    """Search with ``frame_validates`` over every enumerated frame, in
+    order: the reference the one-per-class sweep must match."""
+    for n in range(1, max_worlds + 1):
+        for frame in enumerate_frames(n, logic):
+            fals = frame_validates(frame, f, cap=4)
+            if fals is not True:
+                return Refuted(GenModel(frame, fals.valuation), fals.world)
+    return NoCountermodelUpTo(max_worlds)
+
+
+def _swept(n, logic):
+    """The enumerated frames search sweeps: the first of each isomorphism class."""
+    return [fr for fr, first in zip(enumerate_frames(n, logic), _class_firsts(n, logic))
+            if first]
+
+
+class TestSearchFrames:
+    """Search sweeps one frame per isomorphism class and answers exactly
+    as a sweep of every enumerated frame does."""
+
+    @pytest.mark.parametrize("src, logic", [("<><>(q | p) |> r", "ILP0"),
+                                            ("[]((r -> q) & (r | p) -> [](q |> p))", "ILP")])
+    def test_refuted_first_at_four_worlds(self, src, logic):
+        f = parse(src)
+        assert isinstance(countermodel_search(f, logic, SearchBudget(max_worlds=3)),
+                          NoCountermodelUpTo)
+        v = countermodel_search(f, logic, SearchBudget(max_worlds=4))
+        assert isinstance(v, Refuted) and len(v.model.worlds) == 4
+        assert verdict_to_json(v) == verdict_to_json(_search_over_every_frame(f, logic, 4))
+
+    def test_countermodel_with_an_isomorphic_copy(self):
+        """The first countermodel has a later isomorph in the enumeration,
+        with w1 and w2 swapped; search returns the first one."""
+        f = parse("[][]bot & ((p & ~q) |> q) -> [](p -> q)")
+        v = countermodel_search(f, "IL", SearchBudget(max_worlds=4))
+        assert verdict_to_json(v) == verdict_to_json(_search_over_every_frame(f, "IL", 4))
+        form = canonical_form(v.model.frame)
+        assert [canonical_form(fr) for fr in enumerate_frames(3, "IL")].count(form) == 2
+
+    def test_same_verdicts_as_every_frame(self):
+        """Seeded random formulas in all eight logics, drawn until at least
+        15 are first refuted at 3 worlds and 15 at 4.  Every other draw is
+        shaped like ``[](c -> <><>a |> b)``, since about one plain random
+        formula in 200 is first refuted at 4 worlds."""
+        rng = random.Random(9)
+        logics = sorted(FRAME_CONDITIONS)
+        vs = ("p", "q", "r")
+        first_refuted = dict.fromkeys((1, 2, 3, 4), 0)
+        for i in range(2000):
+            if first_refuted[3] >= 15 and first_refuted[4] >= 15:
+                break
+            if i % 2:
+                a = rng.choice([Dia, lambda x: Dia(Dia(x)), lambda x: x])(
+                    random_formula(rng, 2, vs))
+                f = Rhd(a, random_formula(rng, 1, vs))
+                if rng.random() < 0.5:
+                    f = Impl(random_formula(rng, 1, vs), f)
+                if rng.random() < 0.5:
+                    f = Box(f)
+            else:
+                f = random_formula(rng, rng.randrange(2, 5), vs)
+            logic = logics[i % len(logics)]
+            got = verdict_to_json(countermodel_search(f, logic, SearchBudget(max_worlds=4)))
+            assert got == verdict_to_json(_search_over_every_frame(f, logic, 4)), (str(f), logic)
+            if got["verdict"] == "refuted":
+                first_refuted[len(got["countermodel"]["worlds"])] += 1
+        assert first_refuted[3] >= 15 and first_refuted[4] >= 15, first_refuted
+
+    @pytest.mark.parametrize("logic", sorted(FRAME_CONDITIONS))
+    def test_one_per_class(self, logic):
+        for n in (1, 2, 3, 4):
+            first = {}
+            for fr in enumerate_frames(n, logic):
+                first.setdefault(canonical_form(fr), fr)
+            # the first frame of every class, in enumeration order
+            assert _swept(n, logic) == list(first.values())
+
+    def test_counts(self):
+        assert [len(_swept(n, "IL")) for n in (1, 2, 3, 4)] == [1, 2, 8, 85]
+        assert {logic: len(_swept(4, logic))
+                for logic in ("ILW", "ILWstar", "ILM", "ILP")} == {
+            "ILW": 58, "ILWstar": 58, "ILM": 56, "ILP": 52}
+        # enumeration itself stays exhaustive
+        assert len(list(enumerate_frames(4, "IL"))) == 140
 
 
 class TestDecide:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,18 @@ class TestValidate:
         fr = close_s(GenFrame(["w", "u", "v"],
                               [("w", "u"), ("w", "v"), ("u", "v")], {}))
         assert validate(fr) == []
+
+    def test_legal_frame_with_a_20_member_generator_is_fast(self):
+        """Each v of the generator {v00..v19} of S_w(u) has two generators,
+        {v} and {z}: 2^20 picks, but quasi-transitivity is decided on the
+        minimal unions, and the picks are walked only for a witness."""
+        vs = [f"v{i:02d}" for i in range(20)]
+        fr = GenFrame(["w", "u", "z", *vs], [("w", x) for x in ["u", "z", *vs]],
+                      {"w": {"u": [["u"], vs, ["z"]], "z": [["z"]],
+                             **{v: [[v], ["z"]] for v in vs}}})
+        started = time.perf_counter()
+        assert validate(fr) == []
+        assert time.perf_counter() - started < 1  # 2 s walking every pick
 
 
 class TestCloseS:
