@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except json.JSONDecodeError as exc:
         return _fail(f"bad JSON: {exc}")
-    except (ValueError, properties.FrameSizeError) as exc:
+    except ValueError as exc:  # FrameSizeError too
         return _fail(str(exc))
 
 

@@ -1,22 +1,21 @@
 """Bounded countermodel search over enumerated generalized frames.
 
-``enumerate_frames`` yields every legal generalized frame on n canonical
-worlds (w0, w1, ...), with the accessibility relation deduplicated up to
-relabeling (lexicographically least orbit representative); the S families on
-a fixed R are enumerated exactly, as the mandatory singleton generators plus
-an antichain of extra generator masks per (w, u), kept only when
-quasi-transitivity survives.  Frames for a logic beyond IL are the IL frames
-that meet the corresponding frame conditions.  Each (n, logic) list is
-built once per process and shared.
+``enumerate_frames`` yields one legal generalized frame on n canonical
+worlds (w0, w1, ...) per isomorphism class.  The accessibility relation is
+deduplicated up to relabeling (lexicographically least orbit
+representative); the S families on a fixed R are enumerated exactly, as the
+mandatory singleton generators plus an antichain of extra generator masks
+per (w, u), kept only when quasi-transitivity survives; of those, only the
+first frame of each isomorphism class is kept.  Frames for a logic beyond
+IL are the IL frames that meet the corresponding frame conditions; the
+conditions are invariant under isomorphism, so that list too has one frame
+per class.  Each (n, logic) list is built once per process and shared.
 
-``countermodel_search`` walks frames smallest first and sweeps every
-valuation of the formula's variables.  It walks ``enumerate_frames`` and
-sweeps only the first frame of each isomorphism class (``_class_firsts``);
-the answer is the one the full list gives, because the first countermodel
-has no earlier isomorph.  The verdict is honest about its bound:
-``NoCountermodelUpTo(n)`` only reports a bounded search, it does not claim
-theoremhood.  ``decide`` upgrades to ``CheckedTheorem`` when a Hilbert proof
-of the formula is supplied and verifies.
+``countermodel_search`` walks ``enumerate_frames`` smallest first and sweeps
+every valuation of the formula's variables.  The verdict is honest about its
+bound: ``NoCountermodelUpTo(n)`` only reports a bounded search, it does not
+claim theoremhood.  ``decide`` upgrades to ``CheckedTheorem`` when a Hilbert
+proof of the formula is supplied and verifies.
 """
 
 from __future__ import annotations
@@ -115,7 +114,8 @@ def _antichains(pool: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_frames(n: int, logic: Logic | str = "IL"):
-    """Yield the legal generalized frames for ``logic`` on n canonical worlds.
+    """Yield the legal generalized frames for ``logic`` on n canonical worlds,
+    one per isomorphism class.
 
     The frames are enumerated once per (n, logic) and shared by later calls,
     so they must not be changed."""
@@ -124,12 +124,21 @@ def enumerate_frames(n: int, logic: Logic | str = "IL"):
 
 @cache
 def _frames(n: int, logic: str) -> tuple[GenFrame, ...]:
-    """The frames of ``enumerate_frames``: those of IL, in order, that meet
-    the logic's frame conditions."""
+    """The frames of ``enumerate_frames``.  For IL, the first frame of each
+    isomorphism class of ``_il_frames``, in order; for another logic, those
+    IL frames, in order, that meet its frame conditions.
+
+    Search over this list answers as it would over all of ``_il_frames``:
+    refutation is invariant under isomorphism, so the first refuting frame
+    has no earlier isomorph (that isomorph would have refuted first), and
+    the first failing valuation and world are those of that same frame."""
     if not 1 <= n <= MAX_ENUM_WORLDS:
         raise ValueError(f"frame enumeration supports 1..{MAX_ENUM_WORLDS} worlds, got {n}")
     if logic == "IL":
-        return tuple(_il_frames(n))
+        firsts: dict[tuple, GenFrame] = {}
+        for frame in _il_frames(n):
+            firsts.setdefault(_iso_key(frame), frame)
+        return tuple(firsts.values())
     return tuple(frame for frame in _frames(n, "IL")
                  if all(check_property(frame, pid).holds for pid in FRAME_CONDITIONS[logic]))
 
@@ -157,28 +166,6 @@ def _il_frames(n: int):
                 yield frame
 
 
-@cache
-def _class_firsts(n: int, logic: str) -> tuple[bool, ...]:
-    """For each frame of ``_frames(n, logic)``, in order, whether it is the
-    first of its isomorphism class.  Search sweeps only those frames and
-    answers as it would over every frame: refutation is invariant under
-    isomorphism, so the first refuting frame has no earlier isomorph (that
-    isomorph would have refuted first), and the first failing valuation
-    and world are those of that same frame.
-
-    ``_canonical_relations`` gives one R per orbit, so only frames with the
-    same R can be isomorphic, through an automorphism of R; the class key
-    is R with the least relabelling of the generator antichains under
-    those automorphisms."""
-    seen: set = set()
-    out = []
-    for frame in _frames(n, logic):
-        key = _iso_key(frame)
-        out.append(key not in seen)
-        seen.add(key)
-    return tuple(out)
-
-
 def _relabel(x: int, perm: tuple[int, ...]) -> int:
     """World mask ``x`` with world i renamed ``perm[i]``."""
     return sum(1 << perm[b.bit_length() - 1] for b in bits(x))
@@ -192,7 +179,12 @@ def _automorphisms(succ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def _iso_key(frame: GenFrame) -> tuple:
-    """Equal for two frames on the same R exactly when they are isomorphic."""
+    """Equal for two frames of ``_il_frames(n)`` exactly when they are isomorphic.
+
+    ``_canonical_relations`` gives one R per orbit, so only frames with the
+    same R can be isomorphic, through an automorphism of R; the key is R with
+    the least relabelling of the generator antichains under those
+    automorphisms."""
     succ = tuple(frame.succ_mask.values())
     index = {w: i for i, w in enumerate(frame.worlds)}
     s = [(index[w], index[u], gens) for w, per_u in frame.s.items() for u, gens in per_u.items()]
@@ -205,33 +197,26 @@ def countermodel_search(f: Formula, logic: Logic | str,
                         budget: SearchBudget = SearchBudget()) -> Verdict:
     """Search frames of size 1..max_worlds for a world refuting ``f``.
 
-    Deterministic: smallest frames first, in enumeration order, skipping
-    isomorphs of earlier frames (``_class_firsts``); valuations in bitmask
-    order; first refuting world.  Raises SearchTimeout when the time budget
-    runs out; the budget is checked before each chunk of the valuation
-    sweep.
+    Deterministic: smallest frames first, in enumeration order; valuations
+    in bitmask order; first refuting world.  Raises SearchTimeout when the
+    time budget runs out; the budget is checked before each chunk of the
+    valuation sweep.
     """
     logic = _logic(logic)
     if budget.max_worlds > MAX_ENUM_WORLDS:
         raise ValueError(f"search is bounded at {MAX_ENUM_WORLDS} worlds")
     started = time.monotonic()
 
-    def check_time():  # reads the loop's n, swept and firsts
+    def check_time():  # reads the loop's n and swept
         if time.monotonic() - started > budget.time_limit:
-            raise SearchTimeout(n - 1, swept, sum(firsts))
+            raise SearchTimeout(n - 1, swept, len(_frames(n, logic.name)))
 
     on_chunk = None if budget.time_limit is None else check_time
     for n in range(1, budget.max_worlds + 1):
-        firsts = _class_firsts(n, logic.name)
-        swept = 0
-        for frame, first in zip(enumerate_frames(n, logic), firsts):
-            if not first:
-                continue  # an isomorph of an earlier frame, which did not refute f
-            fals = frame_validates(frame, f, cap=MAX_ENUM_WORLDS, on_chunk=on_chunk)
+        for swept, frame in enumerate(enumerate_frames(n, logic)):
+            fals = frame_validates(frame, f, on_chunk=on_chunk)
             if fals is not True:
-                model = GenModel(frame, fals.valuation)
-                return Refuted(model, fals.world)
-            swept += 1
+                return Refuted(GenModel(frame, fals.valuation), fals.world)
     return NoCountermodelUpTo(budget.max_worlds)
 
 

@@ -244,7 +244,9 @@ class ProofFormatError(ValueError):
     pass
 
 
-_LINE_RE = re.compile(r"^\s*(\d+)\.\s*(.*?)\s*;\s*(.*?)\s*$")
+# [0-9], not \d or str.isdigit, which also take non-ASCII digits such as '²' and '١'
+_LINE_RE = re.compile(r"^\s*([0-9]+)\.\s*(.*?)\s*;\s*(.*?)\s*$")
+_INDEX_RE = re.compile(r"[0-9]+")
 
 
 def parse_proof(text: str) -> ProofObject:
@@ -274,9 +276,9 @@ def _parse_justification(src: str, lineno: int) -> Justification:
         return Taut()
     if len(parts) == 2 and parts[0] == "ax":
         return Axiom(parts[1])
-    if len(parts) == 3 and parts[0] == "mp" and parts[1].isdigit() and parts[2].isdigit():
+    if len(parts) == 3 and parts[0] == "mp" and all(map(_INDEX_RE.fullmatch, parts[1:])):
         return MP(int(parts[1]), int(parts[2]))
-    if len(parts) == 2 and parts[0] == "nec" and parts[1].isdigit():
+    if len(parts) == 2 and parts[0] == "nec" and _INDEX_RE.fullmatch(parts[1]):
         return Nec(int(parts[1]))
     raise ProofFormatError(f"line {lineno}: bad justification {src!r}")
 

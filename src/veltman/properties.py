@@ -296,7 +296,8 @@ class BenchReport:
 
 def correspondence_bench(n: int, property_id: str) -> BenchReport:
     """Compare ``check_property`` with ``schema_frame_valid`` on every
-    enumerated IL frame with n worlds."""
+    IL frame with n worlds, one per isomorphism class (``enumerate_frames``);
+    both sides are invariant under isomorphism."""
     # local import; decide uses this module for its frame filters
     from .decide import enumerate_frames
 

@@ -18,8 +18,8 @@ from reference import (BRUTE, duplicated_model, gen_truth_set,
                        random_ord_model)
 
 from veltman.bisim import largest_autobisimulation
-from veltman.decide import (NoCountermodelUpTo, Refuted, SearchBudget,
-                            countermodel_search, enumerate_frames,
+from veltman.decide import (FRAME_CONDITIONS, NoCountermodelUpTo, Refuted,
+                            SearchBudget, _il_frames, countermodel_search,
                             verdict_to_json)
 from veltman.filtration import filtrate, verify_filtration
 from veltman.formula import Box, Dia, Rhd, Var, d_closure, normalize, parse
@@ -87,7 +87,11 @@ def test_criterion_01_soundness(report):
     for logic in LOGICS.values():
         schemata = sorted(logic.schemata)
         for n in (1, 2, 3, 4):
-            for fr in enumerate_frames(n, logic):
+            # every labelled IL frame of the logic, isomorphic copies included
+            for fr in _il_frames(n):
+                if not all(check_property(fr, pid).holds
+                           for pid in FRAME_CONDITIONS[logic.name]):
+                    continue
                 for s in schemata:
                     checks += 1
                     if schema_frame_valid(fr, s) is not True:
@@ -112,6 +116,7 @@ def test_criterion_02_correspondence(report):
     report(2, "correspondence", not failures,
             f"6 properties x n<=4, {rows} frames compared")
     assert not failures, failures
+    assert rows == 6 * (1 + 2 + 8 + 85)  # one frame per isomorphism class
 
 
 def test_criterion_03_filtration(report):
@@ -303,7 +308,7 @@ def test_criterion_09_wstar_composition(report):
     failures = []
     checked = 0
     for n in (1, 2, 3):
-        for fr in enumerate_frames(n, "IL"):
+        for fr in _il_frames(n):
             if not (check_property(fr, "M0gen").holds
                     and check_property(fr, "Wgen").holds):
                 continue
@@ -320,7 +325,7 @@ def test_criterion_10_optimization_equivalence(report):
     failures = []
     total = 0
     for n in (1, 2, 3):
-        for fr in enumerate_frames(n, "IL"):
+        for fr in _il_frames(n):
             for pid in ("Rgen", "P0gen"):
                 total += 1
                 if check_property(fr, pid).holds != BRUTE[pid](fr):

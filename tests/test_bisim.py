@@ -12,7 +12,7 @@ from veltman.bisim import (
     is_bisimulation,
     largest_autobisimulation,
 )
-from veltman.decide import enumerate_frames
+from veltman.decide import _il_frames
 from veltman.formula import Var
 from veltman.model import GenFrame, GenModel, close_s
 
@@ -95,7 +95,7 @@ class TestLargestAutobisimulation:
 
     def test_output_is_a_bisimulation(self):
         rng = random.Random(13)
-        for fr in enumerate_frames(4, "IL"):
+        for fr in _il_frames(4):
             m = GenModel(fr, {"p": [w for w in fr.worlds if rng.random() < 0.5]})
             part = largest_autobisimulation(m)
             z = {(a, b) for ws in part.to_json().values()
@@ -103,7 +103,7 @@ class TestLargestAutobisimulation:
             assert is_bisimulation(m, m, z)
 
     def test_classes_partition_worlds(self):
-        for fr in enumerate_frames(3, "IL"):
+        for fr in _il_frames(3):
             m = GenModel(fr, {"p": [fr.worlds[0]]})
             part = largest_autobisimulation(m)
             seen = sorted(w for ws in part.to_json().values() for w in ws)
@@ -128,7 +128,7 @@ class TestMatchesPairSetReference:
 
     def test_every_enumerated_frame(self):
         rng = random.Random(3)
-        for fr in itertools.chain(enumerate_frames(3, "IL"), enumerate_frames(4, "IL")):
+        for fr in itertools.chain(_il_frames(3), _il_frames(4)):
             self.assert_same(GenModel(fr, {
                 p: [w for w in fr.worlds if rng.random() < 0.5] for p in ("p", "q")}))
 
@@ -171,7 +171,7 @@ def _equivalences(worlds):
 def test_maximality_brute_force():
     # no strictly coarser equivalence is a bisimulation
     rng = random.Random(29)
-    frames = list(enumerate_frames(3, "IL")) + list(enumerate_frames(4, "IL"))
+    frames = list(_il_frames(3)) + list(_il_frames(4))
     for fr in frames:
         m = GenModel(fr, {"p": [w for w in fr.worlds if rng.random() < 0.5]})
         part = largest_autobisimulation(m)
@@ -215,7 +215,7 @@ def test_bisimilar_worlds_agree_on_forces():
                                  for p, ws in val.items()})
 
     pool = []
-    for fr in itertools.chain(enumerate_frames(3, "IL"), enumerate_frames(4, "IL")):
+    for fr in itertools.chain(_il_frames(3), _il_frames(4)):
         val = {"p": [w for w in fr.worlds if rng.random() < 0.5],
                "q": [w for w in fr.worlds if rng.random() < 0.5]}
         m = duplicated(fr, val)
@@ -234,7 +234,7 @@ def test_bisimilar_worlds_agree_on_forces():
 
 def test_refinement_rounds_bounded_by_world_count():
     # the gfp loop must stabilize within |W| iterations; emulate it here
-    for fr in enumerate_frames(4, "IL"):
+    for fr in _il_frames(4):
         m = GenModel(fr, {"p": [fr.worlds[0]]})
         part = largest_autobisimulation(m)
         z = {(a, b) for ws in part.to_json().values() for a in ws for b in ws}

@@ -213,6 +213,19 @@ class TestCheckProof:
         path.write_text("one. p ; taut\n")
         assert main(["check-proof", str(path)]) == 2
 
+    @pytest.mark.parametrize("line, rest", [
+        ("2. p -> p ; nec \u00b2", "bad justification 'nec \u00b2'"),
+        ("2. p -> p ; mp 1 \u0661", "bad justification 'mp 1 \u0661'"),
+        ("\u0662. p -> p ; nec 1", "expected '<index>. <formula> ; <justification>'"),
+    ])
+    def test_non_ascii_digits_exit_2(self, line, rest, tmp_path, capsys):
+        """A superscript two or an Arabic-Indic digit is no index: the file
+        is refused naming the line, with no int() error."""
+        path = tmp_path / "proof.ilp"
+        path.write_text(f"1. p -> p ; taut\n{line}\n", encoding="utf-8")
+        assert main(["check-proof", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad proof file: line 2: {rest}\n"
+
     def test_logic_gate(self, tmp_path):
         path = tmp_path / "proof.ilp"
         path.write_text("1. (p |> q) -> ((p & []r) |> (q & []r)) ; ax M\n")
@@ -276,10 +289,12 @@ class TestBench:
         assert [row["n"] for row in doc["sizes"]] == [1, 2]
 
     def test_every_il_frame_at_4_worlds(self, capsys):
+        # every IL frame up to isomorphism
         assert main(["bench", "--property", "Wgen", "--max-worlds", "4",
                      "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["sizes"][3] == {"n": 4, "frames": 140, "disagreements": 0}
+        assert [row["frames"] for row in doc["sizes"]] == [1, 2, 8, 85]
+        assert doc["sizes"][3] == {"n": 4, "frames": 85, "disagreements": 0}
 
     @pytest.mark.parametrize("n", ["0", "-1", "5"])
     def test_sizes_outside_enumeration_exit_2(self, n, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+from functools import cache
 
 import pytest
 from reference import canonical_form, random_formula, random_gen_model
@@ -16,7 +17,6 @@ from veltman.decide import (
     SearchBudget,
     SearchTimeout,
     _il_frames,
-    _class_firsts,
     countermodel_search,
     decide,
     enumerate_frames,
@@ -68,14 +68,16 @@ class TestEnumerateFrames:
         assert edge.gens(w, u) == (frozenset({u}),)
 
     def test_n3_regression_constant(self):
-        assert sum(1 for _ in enumerate_frames(3, "IL")) == 9
+        assert sum(1 for _ in enumerate_frames(3, "IL")) == 8
+        assert sum(1 for _ in _il_frames(3)) == 9
 
     def test_n4_regression_constant(self):
-        assert sum(1 for _ in enumerate_frames(4, "IL")) == 140
+        assert sum(1 for _ in enumerate_frames(4, "IL")) == 85
+        assert sum(1 for _ in _il_frames(4)) == 140
 
     def test_all_outputs_legal(self):
         for n in (1, 2, 3):
-            for fr in enumerate_frames(n, "IL"):
+            for fr in _il_frames(n):
                 assert validate(fr) == []
 
     def test_logic_filter(self):
@@ -103,13 +105,16 @@ class TestEnumerateFrames:
     @pytest.mark.parametrize("n", [3, 4])
     def test_repeated_calls_yield_equal_frames(self, n):
         """The frame list is built once per (n, logic); later calls yield
-        the same frames, equal to a fresh enumeration filtered by the
-        logic's conditions."""
-        fresh = list(_il_frames(n))
+        the same frames, equal to the IL frames filtered by the logic's
+        conditions, and the IL frames are a subsequence of a fresh
+        ``_il_frames`` run."""
+        il = list(enumerate_frames(n, "IL"))
+        fresh = iter(_il_frames(n))
+        assert all(fr in fresh for fr in il)  # consumes ``fresh``: in order
         for logic, conditions in FRAME_CONDITIONS.items():
             first = list(enumerate_frames(n, logic))
             assert list(enumerate_frames(n, get_logic(logic))) == first
-            assert first == [fr for fr in fresh
+            assert first == [fr for fr in il
                              if all(check_property(fr, pid).holds for pid in conditions)]
             again = enumerate_frames(n, logic)
             assert [fr.to_json() for fr in first] == [fr.to_json() for fr in again]
@@ -176,9 +181,9 @@ def test_n3_count_against_naive_generator():
         per_rel[rel] = count
         total += count
     assert total == 9
-    # and the enumerator agrees rel by rel
+    # and the generator agrees rel by rel
     from collections import Counter
-    got = Counter(tuple(sorted(fr.pairs)) for fr in enumerate_frames(3, "IL"))
+    got = Counter(tuple(sorted(fr.pairs)) for fr in _il_frames(3))
     assert dict(got) == {rel: n for rel, n in per_rel.items() if n}
 
 
@@ -190,6 +195,13 @@ def test_enumeration_misses_no_frame_up_to_4_worlds():
     for trial in range(1000):
         fr = random_gen_model(rng, max_worlds=4).frame
         assert canonical_form(fr) in enumerated, (trial, fr.to_json())
+
+
+@pytest.mark.parametrize("logic", sorted(FRAME_CONDITIONS))
+def test_enumerated_frames_pairwise_non_isomorphic(logic):
+    for n in (1, 2, 3, 4):
+        forms = [canonical_form(fr) for fr in enumerate_frames(n, logic)]
+        assert len(set(forms)) == len(forms), (logic, n)
 
 
 class TestCountermodelSearch:
@@ -268,7 +280,8 @@ class TestCountermodelSearch:
         assert time.monotonic() - started < 2
         stop = info.value
         assert stop.completed_worlds <= 3
-        assert stop.frames_at_size == sum(_class_firsts(stop.completed_worlds + 1, "IL"))
+        classes = {canonical_form(fr) for fr in _il_frames(stop.completed_worlds + 1)}
+        assert stop.frames_at_size == len(classes)
         assert 0 <= stop.frames_swept < stop.frames_at_size
         assert str(stop) == (f"time limit hit after finishing size {stop.completed_worlds} "
                              f"({stop.frames_swept} of {stop.frames_at_size} frames of size "
@@ -284,26 +297,28 @@ class TestCountermodelSearch:
         assert '"verdict": "refuted"' in runs[0][0]
 
 
+@cache
+def _labelled(n, logic):
+    """Every frame of ``_il_frames(n)``, isomorphic copies included, that
+    meets the logic's frame conditions, in order."""
+    return tuple(fr for fr in _il_frames(n)
+                 if all(check_property(fr, pid).holds for pid in FRAME_CONDITIONS[logic]))
+
+
 def _search_over_every_frame(f, logic, max_worlds):
-    """Search with ``frame_validates`` over every enumerated frame, in
-    order: the reference the one-per-class sweep must match."""
+    """Search with ``frame_validates`` over every labelled frame, in order:
+    the reference the one-per-class sweep must match."""
     for n in range(1, max_worlds + 1):
-        for frame in enumerate_frames(n, logic):
+        for frame in _labelled(n, logic):
             fals = frame_validates(frame, f, cap=4)
             if fals is not True:
                 return Refuted(GenModel(frame, fals.valuation), fals.world)
     return NoCountermodelUpTo(max_worlds)
 
 
-def _swept(n, logic):
-    """The enumerated frames search sweeps: the first of each isomorphism class."""
-    return [fr for fr, first in zip(enumerate_frames(n, logic), _class_firsts(n, logic))
-            if first]
-
-
 class TestSearchFrames:
-    """Search sweeps one frame per isomorphism class and answers exactly
-    as a sweep of every enumerated frame does."""
+    """The enumeration keeps one frame per isomorphism class, and search
+    over it answers exactly as a sweep of every labelled frame does."""
 
     @pytest.mark.parametrize("src, logic", [("<><>(q | p) |> r", "ILP0"),
                                             ("[]((r -> q) & (r | p) -> [](q |> p))", "ILP")])
@@ -316,13 +331,13 @@ class TestSearchFrames:
         assert verdict_to_json(v) == verdict_to_json(_search_over_every_frame(f, logic, 4))
 
     def test_countermodel_with_an_isomorphic_copy(self):
-        """The first countermodel has a later isomorph in the enumeration,
-        with w1 and w2 swapped; search returns the first one."""
+        """The first countermodel has a later isomorph among the labelled
+        frames, with w1 and w2 swapped; search returns the first one."""
         f = parse("[][]bot & ((p & ~q) |> q) -> [](p -> q)")
         v = countermodel_search(f, "IL", SearchBudget(max_worlds=4))
         assert verdict_to_json(v) == verdict_to_json(_search_over_every_frame(f, "IL", 4))
         form = canonical_form(v.model.frame)
-        assert [canonical_form(fr) for fr in enumerate_frames(3, "IL")].count(form) == 2
+        assert [canonical_form(fr) for fr in _il_frames(3)].count(form) == 2
 
     def test_same_verdicts_as_every_frame(self):
         """Seeded random formulas in all eight logics, drawn until at least
@@ -357,18 +372,19 @@ class TestSearchFrames:
     def test_one_per_class(self, logic):
         for n in (1, 2, 3, 4):
             first = {}
-            for fr in enumerate_frames(n, logic):
+            for fr in _labelled(n, logic):
                 first.setdefault(canonical_form(fr), fr)
-            # the first frame of every class, in enumeration order
-            assert _swept(n, logic) == list(first.values())
+            # the first labelled frame of every class, in order
+            assert list(enumerate_frames(n, logic)) == list(first.values())
 
     def test_counts(self):
-        assert [len(_swept(n, "IL")) for n in (1, 2, 3, 4)] == [1, 2, 8, 85]
-        assert {logic: len(_swept(4, logic))
-                for logic in ("ILW", "ILWstar", "ILM", "ILP")} == {
-            "ILW": 58, "ILWstar": 58, "ILM": 56, "ILP": 52}
-        # enumeration itself stays exhaustive
-        assert len(list(enumerate_frames(4, "IL"))) == 140
+        assert [len(list(enumerate_frames(n, "IL"))) for n in (1, 2, 3, 4)] == [1, 2, 8, 85]
+        assert {logic: len(list(enumerate_frames(4, logic)))
+                for logic in sorted(FRAME_CONDITIONS)} == {
+            "IL": 85, "ILM": 56, "ILM0": 83, "ILP": 52, "ILP0": 79, "ILR": 79,
+            "ILW": 58, "ILWstar": 58}
+        # the generator the enumeration dedupes keeps every labelled frame
+        assert [len(list(_il_frames(n))) for n in (1, 2, 3, 4)] == [1, 2, 9, 140]
 
 
 class TestDecide:
@@ -417,13 +433,12 @@ class TestVerdictJson:
 
 
 class TestSampleFrames:
-    """The 4-world frames. They were once sampled; they are now all
-    enumerated, and the class keeps its name."""
+    """The 4-world frames. They were once sampled; they are now enumerated,
+    one per isomorphism class, and the class keeps its name."""
 
     def test_count_and_legality(self):
-        frames = list(enumerate_frames(4, "IL"))
-        assert len(frames) == 140
-        for fr in frames:
+        assert len(list(enumerate_frames(4, "IL"))) == 85
+        for fr in _il_frames(4):
             assert len(fr.worlds) == 4
             assert validate(fr) == []
 

@@ -3,8 +3,9 @@
 ``tests/fixtures/frame_reports.json`` holds, one record per line:
 
 - ``check_property`` (holds, witness, message) for all six properties on
-  every ``enumerate_frames(n, "IL")`` frame with n <= 4 and on 300 seeded
-  ``random_gen_model`` frames;
+  every ``_il_frames(n)`` frame with n <= 4, isomorphic copies included
+  (labelled ``enumerate_frames(n, IL) #i``, the list they once came from),
+  and on 300 seeded ``random_gen_model`` frames;
 - ``validate`` violations and ``close_s(...).to_json()`` for 300 seeded
   unclosed candidate frames, drawn as in
   ``test_model.test_close_s_always_legal_1000_random_candidates``;
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from reference import random_gen_model, random_r
 
-from veltman.decide import enumerate_frames
+from veltman.decide import _il_frames
 from veltman.model import FrameError, GenFrame, OrdFrame, close_s, validate
 from veltman.properties import PROPERTY_IDS, check_property
 
@@ -100,7 +101,7 @@ def _closed_or_error(fr) -> dict:
 
 def records() -> list[dict]:
     frames = [(f"enumerate_frames({n}, IL) #{i}", fr)
-              for n in range(1, 5) for i, fr in enumerate(enumerate_frames(n, "IL"))]
+              for n in range(1, 5) for i, fr in enumerate(_il_frames(n))]
     rng = random.Random(11)
     frames += [(f"random_gen_model #{i}", random_gen_model(rng).frame) for i in range(300)]
     out = []

@@ -258,14 +258,14 @@ class TestProofFiles:
 
 def test_accepted_il_lines_are_frame_valid_on_small_frames():
     # soundness bridge: every line of the accepted derivation holds at
-    # every world of every enumerated frame with up to 3 worlds under
+    # every world of every IL frame with up to 3 worlds under
     # every valuation of its variables
-    from veltman.decide import enumerate_frames
+    from veltman.decide import _il_frames
     from veltman.properties import frame_validates
 
     proof = parse_proof(GOOD_PROOF)
     assert check_proof(proof, get_logic("IL")).accepted
     for n in (1, 2, 3):
-        for frame in enumerate_frames(n, "IL"):
+        for frame in _il_frames(n):
             for line in proof.lines:
                 assert frame_validates(frame, line.formula) is True
