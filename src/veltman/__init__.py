@@ -10,7 +10,7 @@ operations.
 """
 
 from .bisim import (BisimViolation, Partition, bisimulation_violation,
-                    is_bisimulation, largest_autobisimulation)
+                    largest_autobisimulation)
 from .decide import (FRAME_CONDITIONS, CheckedTheorem, NoCountermodelUpTo,
                      Refuted, SearchBudget, SearchTimeout, Verdict,
                      countermodel_search, decide, enumerate_frames,
@@ -28,7 +28,7 @@ from .hilbert import (LOGICS, SCHEMATA, Axiom, Logic, MP, Nec, ProofCheck,
                       parse_proof, schema_metavars)
 from .model import (FrameError, GenFrame, GenModel, OrdFrame, OrdModel,
                     Violation, close_s, gen_of_ordinary, model_from_json,
-                    model_to_json, validate)
+                    validate)
 from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, BenchReport,
                          Falsification, FrameSizeError, PropertyReport,
                          TruthTables, check_property, choice_sets,

@@ -104,10 +104,6 @@ def bisimulation_violation(m1: GenModel, m2: GenModel,
     return None
 
 
-def is_bisimulation(m1: GenModel, m2: GenModel, z: set[tuple[World, World]]) -> bool:
-    return bisimulation_violation(m1, m2, z) is None
-
-
 def largest_autobisimulation(m: GenModel) -> Partition:
     """Greatest autobisimulation of ``m`` as a partition of its worlds."""
     names = sorted(m.valuation)

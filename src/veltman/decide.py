@@ -27,7 +27,7 @@ from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
 from .hilbert import LOGICS, Logic, ProofObject, check_proof, get_logic
-from .model import GenFrame, GenModel, World, _escapes, bits, mask_order, minimal_unions
+from .model import GenFrame, GenModel, World, _escapes, bits, mask_order
 from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, check_property,
                          frame_validates)
 
@@ -162,7 +162,7 @@ def _il_frames(n: int):
             for (w, u), extras in zip(keyed, combo):
                 s.setdefault(worlds[w], {})[worlds[u]] = [1 << u, *bits(succ[u]), *extras]
             frame = GenFrame.from_masks(worlds, succ_mask, s)
-            if next(_escapes(frame, unions=minimal_unions), None) is None:
+            if next(_escapes(frame), None) is None:
                 yield frame
 
 

@@ -32,9 +32,7 @@ Empty generator sets are not representable: the constructor rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import product
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .formula import Algebra, Formula, evaluate
@@ -311,7 +309,7 @@ def _a_violations(frame: GenFrame) -> list[Violation]:
 
 
 def validate(frame) -> list[Violation]:
-    """Every violated frame clause, each with a concrete witness tuple."""
+    """Every violated frame clause with a concrete witness; for c, the first of ``_escapes``."""
     if isinstance(frame, (GenModel, OrdModel)):
         return validate(frame.frame)
     out = _r_violations(frame)
@@ -324,8 +322,8 @@ def validate(frame) -> list[Violation]:
         out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}")
                 for w in frame.worlds for _, u, _ in rows[w][2] for bv, v, _ in rows[u][2]
                 if not frame.s_holds_mask(w, u, bv)]
-        if next(_escapes(frame, unions=minimal_unions), None) is not None:
-            w, u, g, union = next(_escapes(frame))  # the first escape in product order
+        if escape := next(_escapes(frame), None):  # the first in product order
+            w, u, g, union = escape
             out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
                                  "quasi-transitivity fails"))
         return out
@@ -345,25 +343,34 @@ def validate(frame) -> list[Violation]:
     raise TypeError(f"not a frame or model: {frame!r}")
 
 
-def _picks(options: list[tuple[int, ...]]):
-    """The union of each pick of one mask per option, in ``product`` order."""
-    return (reduce(or_, pick) for pick in product(*options))
-
-
-def _escapes(frame: GenFrame, unions=_picks):
+def _escapes(frame: GenFrame):
     """Every (w, u, G, union) where a union of one generator of S_w(v) per v
-    in G, drawn by ``unions``, escapes S_w(u), breaking quasi-transitivity;
-    S_w(u) is upward closed, so ``minimal_unions`` finds one iff ``_picks`` does."""
+    in G escapes S_w(u), breaking quasi-transitivity.  The picks are walked
+    depth first in ``product`` order, skipping a partial union met at the
+    same depth, one that contains an escape yielded for (w, u, G), and one
+    in S_w(u) whose options all lie inside R[w] (S_w(u) is upward closed).
+    So the first yield is the first escape, and each escape skipped contains one yielded."""
     for w in frame.worlds:
-        per_u = frame.s.get(w, {})
+        per_u, r = frame.s.get(w, {}), frame.succ_mask[w]
         for u in sorted(per_u):
             for g in per_u[u]:
                 options = [per_u.get(v, ()) for v in frame.names(g)]
                 if not all(options):
                     continue  # no S_w-image to chain through; nothing to check
-                for union in unions(options):
-                    if not frame.s_holds_mask(w, u, union):
-                        yield (w, u, g, union)
+                inside = all(h & ~r == 0 for hs in options for h in hs)
+                seen, found = set(), []
+                stack = [(1, h) for h in reversed(options[0])]  # (options picked, their union)
+                while stack:
+                    depth, union = item = stack.pop()
+                    if item in seen or found and any(e & ~union == 0 for e in found):
+                        continue
+                    seen.add(item)
+                    if depth == len(options):
+                        if not frame.s_holds_mask(w, u, union):
+                            found.append(union)
+                            yield (w, u, g, union)
+                    elif not (inside and frame.s_holds_mask(w, u, union)):
+                        stack += [(depth + 1, union | h) for h in reversed(options[depth])]
 
 
 def close_s(frame: GenFrame) -> GenFrame:
@@ -380,7 +387,7 @@ def close_s(frame: GenFrame) -> GenFrame:
         for b, u in zip(bits(r[w]), frame.names(r[w])):
             s.setdefault(w, {}).setdefault(u, []).extend([b, *bits(r[u])])
     closed = GenFrame.from_masks(frame.worlds, r, s)
-    while escapes := list(_escapes(closed, minimal_unions)):  # a pass, then one rebuild
+    while escapes := list(_escapes(closed)):  # a pass, then one rebuild
         for w, u, _, union in escapes:
             s[w][u].append(union)
         closed = GenFrame.from_masks(frame.worlds, r, s)
@@ -518,7 +525,3 @@ def model_from_json(obj: dict) -> GenModel | OrdModel:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FrameError(f"malformed model document: {exc}") from exc
-
-
-def model_to_json(m: GenModel | OrdModel) -> dict:
-    return m.to_json()

@@ -116,6 +116,41 @@ BRUTE = {"Mgen": brute_mgen, "M0gen": brute_m0gen, "Pgen": brute_pgen,
          "P0gen": brute_p0gen, "Rgen": brute_rgen, "Wgen": brute_wgen}
 
 
+def brute_close_s(fr):
+    """The least S over R that is quasi-reflexive, closed under successor
+    steps and quasi-transitive, as ``{w: {u: minimal generator sets}}`` for
+    every nonempty S_w(u); None when R is not transitive and irreflexive or
+    some S_w is keyed or has an image outside R[w], which no closure can
+    repair.  A fixpoint over the frame's accessors: each pass adds the union
+    of every product pick, one image of each v in a generator of S_w(u), that
+    no image of S_w(u) lies inside, until none escapes; then reduce."""
+    succ = {w: fr.successors(w) for w in fr.worlds}
+    if any(w in succ[w] or not succ[u] <= succ[w] for w in fr.worlds for u in succ[w]):
+        return None
+    s = {}
+    for w in fr.worlds:
+        for u in fr.worlds:
+            gens = set(fr.gens(w, u))
+            if gens and (u not in succ[w] or any(not g <= succ[w] for g in gens)):
+                return None
+        s[w] = {u: set(fr.gens(w, u)) | {frozenset([u])} | {frozenset([v]) for v in succ[u]}
+                for u in succ[w]}
+    changed = True
+    while changed:
+        changed = False
+        for per_u in s.values():
+            for images_u in per_u.values():
+                for g in list(images_u):
+                    for pick in itertools.product(*(per_u[v] for v in g)):
+                        union = frozenset().union(*pick)
+                        if not any(h <= union for h in images_u):
+                            images_u.add(union)
+                            changed = True
+    return {w: {u: {a for a in images_u if not any(b < a for b in images_u)}
+                for u, images_u in per_u.items()}
+            for w, per_u in s.items() if per_u}
+
+
 def random_r(rng: random.Random, worlds):
     """Random transitive irreflexive relation over the given worlds."""
     order = list(worlds)

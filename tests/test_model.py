@@ -1,6 +1,7 @@
 """Frames, models, validation, closure, forcing, and the JSON format."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -22,7 +23,6 @@ from veltman.model import (
     close_s,
     gen_of_ordinary,
     model_from_json,
-    model_to_json,
     validate,
 )
 
@@ -55,6 +55,25 @@ class TestGenFrameConstruction:
         a = GenFrame(["u", "w"], [("w", "u")], {"w": {"u": [["u"]]}})
         b = GenFrame(["w", "u"], [("w", "u")], {"w": {"u": [["u"]]}})
         assert a == b and hash(a) == hash(b)
+
+
+def legal_wide_frame():
+    """Each v of the generator {v00..v19} of S_w(u) has two generators, {v}
+    and {z}, and {z} generates S_w(u): every pick lies in S_w(u)."""
+    vs = [f"v{i:02d}" for i in range(20)]
+    return GenFrame(["w", "u", "z", *vs], [("w", x) for x in ["u", "z", *vs]],
+                    {"w": {"u": [["u"], vs, ["z"]], "z": [["z"]],
+                           **{v: [[v], ["z"]] for v in vs}}})
+
+
+def unclosed_wide_frame(k: int):
+    """w R every other world; S_w(u) is generated by {v00..} and {a00}, and
+    S_w(vi) by {ai} and {bi}.  A pick escapes S_w(u) iff it takes b00, and
+    ``product`` order meets the 2^(k-1) picks that take a00 first."""
+    vs, a, b = ([f"{c}{i:02d}" for i in range(k)] for c in "vab")
+    others = ["u", *vs, *a, *b]
+    return GenFrame(["w", *others], [("w", x) for x in others],
+                    {"w": {"u": [vs, ["a00"]], **{v: [[x], [y]] for v, x, y in zip(vs, a, b)}}})
 
 
 class TestValidate:
@@ -105,17 +124,31 @@ class TestValidate:
                               [("w", "u"), ("w", "v"), ("u", "v")], {}))
         assert validate(fr) == []
 
-    def test_legal_frame_with_a_20_member_generator_is_fast(self):
-        """Each v of the generator {v00..v19} of S_w(u) has two generators,
-        {v} and {z}: 2^20 picks, but quasi-transitivity is decided on the
-        minimal unions, and the picks are walked only for a witness."""
-        vs = [f"v{i:02d}" for i in range(20)]
-        fr = GenFrame(["w", "u", "z", *vs], [("w", x) for x in ["u", "z", *vs]],
-                      {"w": {"u": [["u"], vs, ["z"]], "z": [["z"]],
-                             **{v: [[v], ["z"]] for v in vs}}})
+    @pytest.mark.parametrize("frame, c_witnesses", [
+        pytest.param(legal_wide_frame(), [], id="legal"),
+        pytest.param(unclosed_wide_frame(20),
+                     [("w", "u", tuple(f"v{i:02d}" for i in range(20)),
+                       (*(f"a{i:02d}" for i in range(1, 20)), "b00"))], id="unclosed"),
+    ])
+    def test_legal_frame_with_a_20_member_generator_is_fast(self, frame, c_witnesses):
+        """2^20 picks for the generator {v00..v19} of S_w(u), walked once,
+        depth first: a partial union already in S_w(u) ends its branch."""
         started = time.perf_counter()
-        assert validate(fr) == []
+        violations = validate(frame)
         assert time.perf_counter() - started < 1  # 2 s walking every pick
+        assert [v.witness for v in violations if v.clause == "c"] == c_witnesses
+        if not c_witnesses:
+            assert violations == []
+
+    def test_check_model_on_the_62_world_unclosed_frame_exits_1(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(GenModel(unclosed_wide_frame(20), {}).to_json()))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "veltman.cli", "check-model", str(path)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert "c ('w', 'u'" in proc.stdout
 
 
 class TestCloseS:
@@ -445,7 +478,7 @@ def test_seeded_models_do_not_depend_on_the_hash_seed():
 class TestJson:
     def test_gen_roundtrip(self):
         m = two_world_model()
-        doc = model_to_json(m)
+        doc = m.to_json()
         again = model_from_json(doc)
         assert isinstance(again, GenModel)
         assert again.frame == m.frame and again.valuation == m.valuation
@@ -453,7 +486,7 @@ class TestJson:
     def test_ord_roundtrip(self):
         fr = OrdFrame(["w", "u"], [("w", "u")], {"w": [("u", "u")]})
         m = OrdModel(fr, {"p": ["u"]})
-        again = model_from_json(model_to_json(m))
+        again = model_from_json(m.to_json())
         assert isinstance(again, OrdModel)
         assert again.frame == m.frame and again.valuation == m.valuation
 
@@ -462,7 +495,7 @@ class TestJson:
                       {"q": ["b"], "p": []})
         m2 = GenModel(GenFrame(["a", "b"], [("a", "b")], {"a": {"b": [["b"]]}}),
                       {"p": [], "q": ["b"]})
-        assert model_to_json(m1) == model_to_json(m2)
+        assert m1.to_json() == m2.to_json()
 
     def test_bad_kind_rejected(self):
         with pytest.raises(FrameError):
