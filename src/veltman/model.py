@@ -309,7 +309,9 @@ def _a_violations(frame: GenFrame) -> list[Violation]:
 
 
 def validate(frame) -> list[Violation]:
-    """Every violated frame clause with a concrete witness; for c, the first of ``_escapes``."""
+    """Every violated frame clause with a concrete witness.  Clause c fails
+    when a minimal union escapes (``_escapes``); its witness is the first
+    escaping union in product order (``_first_escape``)."""
     if isinstance(frame, (GenModel, OrdModel)):
         return validate(frame.frame)
     out = _r_violations(frame)
@@ -322,8 +324,8 @@ def validate(frame) -> list[Violation]:
         out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}")
                 for w in frame.worlds for _, u, _ in rows[w][2] for bv, v, _ in rows[u][2]
                 if not frame.s_holds_mask(w, u, bv)]
-        if escape := next(_escapes(frame), None):  # the first in product order
-            w, u, g, union = escape
+        if next(_escapes(frame), None) is not None:
+            w, u, g, union = _first_escape(frame)
             out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
                                  "quasi-transitivity fails"))
         return out
@@ -343,34 +345,79 @@ def validate(frame) -> list[Violation]:
     raise TypeError(f"not a frame or model: {frame!r}")
 
 
-def _escapes(frame: GenFrame):
-    """Every (w, u, G, union) where a union of one generator of S_w(v) per v
-    in G escapes S_w(u), breaking quasi-transitivity.  The picks are walked
-    depth first in ``product`` order, skipping a partial union met at the
-    same depth, one that contains an escape yielded for (w, u, G), and one
-    in S_w(u) whose options all lie inside R[w] (S_w(u) is upward closed).
-    So the first yield is the first escape, and each escape skipped contains one yielded."""
+def _chains(frame: GenFrame):
+    """Every (w, u, G, options) quasi-transitivity constrains: G a generator
+    of S_w(u) and options the generators of S_w(v) per v in G, in world
+    order.  A G with some v lacking S_w-images has nothing to chain through."""
     for w in frame.worlds:
-        per_u, r = frame.s.get(w, {}), frame.succ_mask[w]
+        per_u = frame.s.get(w, {})
         for u in sorted(per_u):
             for g in per_u[u]:
                 options = [per_u.get(v, ()) for v in frame.names(g)]
-                if not all(options):
-                    continue  # no S_w-image to chain through; nothing to check
-                inside = all(h & ~r == 0 for hs in options for h in hs)
-                seen, found = set(), []
-                stack = [(1, h) for h in reversed(options[0])]  # (options picked, their union)
-                while stack:
-                    depth, union = item = stack.pop()
-                    if item in seen or found and any(e & ~union == 0 for e in found):
-                        continue
-                    seen.add(item)
-                    if depth == len(options):
-                        if not frame.s_holds_mask(w, u, union):
-                            found.append(union)
-                            yield (w, u, g, union)
-                    elif not (inside and frame.s_holds_mask(w, u, union)):
-                        stack += [(depth + 1, union | h) for h in reversed(options[depth])]
+                if all(options):
+                    yield w, u, g, options
+
+
+def _tails(options: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """Per depth d, the union of every option from factor d on, and the union
+    of the first option of each factor from d on; both 0 past the last."""
+    every, first = [0], [0]
+    for hs in reversed(options):
+        union = 0
+        for h in hs:
+            union |= h
+        every.append(every[-1] | union)
+        first.append(first[-1] | hs[0])
+    return every[::-1], first[::-1]
+
+
+def _escapes(frame: GenFrame):
+    """Every (w, u, G, union) where a minimal union of one generator of
+    S_w(v) per v in G (as ``minimal_unions`` walks them, breadth first)
+    escapes S_w(u), breaking quasi-transitivity: the unions ``close_s``
+    adds.  When u and every option lie inside R[w], S_w(u) is upward closed
+    over the unions, so before each factor with two or more options but the
+    last such, the first partial union that stays out of S_w(u) even with
+    every later option added is yielded at once, completed by the first
+    options: an escape, maybe not minimal, so deciding need not wait for
+    the last factor.  Past the last such factor the layer no longer grows."""
+    for w, u, g, options in _chains(frame):
+        r, layer, last = frame.succ_mask[w], options[0], 0  # options[0]: a stored antichain
+        if len(options) > 2 and r & frame.bit[u]:
+            every, first = _tails(options)
+            if not every[0] & ~r:
+                last = max((d for d, hs in enumerate(options) if len(hs) > 1), default=0)
+        for d in range(1, len(options)):
+            if d < last and len(options[d]) > 1 and (stuck := next(
+                    (p for p in layer if not frame.s_holds_mask(w, u, p | every[d])), 0)):
+                last = 0
+                yield (w, u, g, stuck | first[d])
+            layer = antichain(p | h for p in layer for h in options[d])
+        yield from ((w, u, g, p) for p in layer if not frame.s_holds_mask(w, u, p))
+
+
+def _first_escape(frame: GenFrame):
+    """The first (w, u, G, union) where a union of one generator of S_w(v)
+    per v in G escapes S_w(u), in ``itertools.product`` order, or None.
+    Depth first and exact on any frame: a partial union met before at the
+    same depth is skipped; one outside R[w], or one that stays out of S_w(u)
+    even with every later option added, escapes with every completion, so
+    its completion by the first options is the answer; and one in S_w(u)
+    whose later options all lie inside R[w] has no escaping completion."""
+    for w, u, g, options in _chains(frame):
+        r = frame.succ_mask[w]
+        every, first = _tails(options)
+        seen, stack = set(), [(0, 0)]  # (options picked, their union)
+        while stack:
+            d, p = item = stack.pop()
+            if item in seen:
+                continue
+            seen.add(item)
+            if p & ~r or not frame.s_holds_mask(w, u, (p | every[d]) & r):
+                return (w, u, g, p | first[d])
+            if d < len(options) and (every[d] & ~r or not frame.s_holds_mask(w, u, p)):
+                stack += [(d + 1, p | h) for h in reversed(options[d])]
+    return None
 
 
 def close_s(frame: GenFrame) -> GenFrame:

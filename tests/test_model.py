@@ -66,6 +66,18 @@ def legal_wide_frame():
                            **{v: [[v], ["z"]] for v in vs}}})
 
 
+def trap_wide_frame():
+    """S_w(vi) is generated by {vi} and {z} but S_w(v19) by {v19} and {x};
+    S_w(u) by {u}, {v00..v19}, {z, v19}, {z, x} and {v00..v18, x}.  Every
+    pick lies in S_w(u), yet the 2^19 partial unions with z stay outside it
+    until the last factor: only their minimal unions are few."""
+    vs = [f"v{i:02d}" for i in range(20)]
+    return GenFrame(["w", "u", "x", "z", *vs], [("w", y) for y in ["u", "x", "z", *vs]],
+                    {"w": {"u": [["u"], vs, ["z", "v19"], ["z", "x"], [*vs[:-1], "x"]],
+                           "x": [["x"]], "z": [["z"]], "v19": [["v19"], ["x"]],
+                           **{v: [[v], ["z"]] for v in vs[:-1]}}})
+
+
 def unclosed_wide_frame(k: int):
     """w R every other world; S_w(u) is generated by {v00..} and {a00}, and
     S_w(vi) by {ai} and {bi}.  A pick escapes S_w(u) iff it takes b00, and
@@ -126,16 +138,19 @@ class TestValidate:
 
     @pytest.mark.parametrize("frame, c_witnesses", [
         pytest.param(legal_wide_frame(), [], id="legal"),
+        pytest.param(trap_wide_frame(), [], id="legal-trap"),
         pytest.param(unclosed_wide_frame(20),
                      [("w", "u", tuple(f"v{i:02d}" for i in range(20)),
                        (*(f"a{i:02d}" for i in range(1, 20)), "b00"))], id="unclosed"),
     ])
     def test_legal_frame_with_a_20_member_generator_is_fast(self, frame, c_witnesses):
-        """2^20 picks for the generator {v00..v19} of S_w(u), walked once,
-        depth first: a partial union already in S_w(u) ends its branch."""
+        """2^20 picks for the generator {v00..v19} of S_w(u).  Clause c is
+        decided on the minimal unions, stopping at a partial union that no
+        later option brings into S_w(u); only then are the picks walked,
+        depth first, for the witness."""
         started = time.perf_counter()
         violations = validate(frame)
-        assert time.perf_counter() - started < 1  # 2 s walking every pick
+        assert time.perf_counter() - started < 1  # seconds walking every pick
         assert [v.witness for v in violations if v.clause == "c"] == c_witnesses
         if not c_witnesses:
             assert violations == []
@@ -149,6 +164,28 @@ class TestValidate:
                               env=env, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 1, proc.stderr
         assert "c ('w', 'u'" in proc.stdout
+
+    def test_image_outside_r_does_not_turn_off_pruning(self, tmp_path):
+        """S_w(v00) has the image {x}, x outside R[w] (clause a), and the
+        b-breaking {v01}; S_w(v01) is {v00, v01}.  Every minimal union for
+        {v00..v23} lies in S_w(u), so c holds as it is decided, and the
+        2^22 picks through {v01} are never walked."""
+        vs = [f"v{i:02d}" for i in range(24)]
+        fr = GenFrame(["w", "u", "x", "z", *vs], [("w", y) for y in ["u", "z", *vs]],
+                      {"w": {"u": [["u"], vs, ["z"]], "z": [["z"]],
+                             "v00": [["v01"], ["x"]], "v01": [["v00", "v01"]],
+                             **{v: [[v], ["z"]] for v in vs[2:]}}})
+        started = time.perf_counter()
+        assert [(v.clause, v.witness) for v in validate(fr)] == [
+            ("a", ("w", "v00", ("x",))), ("b", ("w", "v00")), ("b", ("w", "v01"))]
+        assert time.perf_counter() - started < 1
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(GenModel(fr, {}).to_json()))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "veltman.cli", "check-model", str(path)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert "c (" not in proc.stdout
 
 
 class TestCloseS:
@@ -168,6 +205,17 @@ class TestCloseS:
                               [("w", "u"), ("w", "v"), ("u", "v")],
                               {"w": {"u": [["v"]]}}))
         assert close_s(fr) == fr
+
+    def test_wide_generator_closes_with_the_one_minimal_escape(self):
+        """S_w(vi) is generated by {vi} and {z}: of the 2^20 picks for
+        {v00..v19}, all but one escape S_w(u), and each contains {z}."""
+        vs = [f"v{i:02d}" for i in range(20)]
+        fr = GenFrame(["w", "u", "z", *vs], [("w", x) for x in ["u", "z", *vs]],
+                      {"w": {"u": [vs], **{v: [[v], ["z"]] for v in vs}}})
+        started = time.perf_counter()
+        closed = close_s(fr)
+        assert time.perf_counter() - started < 1
+        assert closed.gens("w", "u") == (frozenset({"u"}), frozenset({"z"}), frozenset(vs))
 
     def test_illegal_r_rejected(self):
         with pytest.raises(FrameError):
