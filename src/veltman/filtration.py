@@ -18,9 +18,14 @@ R~[[w]] is read off world masks: the class projection, joined over w' in
 The quotient's S families store the minimal V~ satisfying clause 2: the
 minimal unions, as masks of classes, of one projected generator per witness
 pair (w', u'), taking only the projections inside R~[[w]].  Truth of every
-formula in the adequate set is preserved from model to quotient;
-``verify_filtration`` checks this exhaustively and returns the first
-disagreement, if any.
+formula in the adequate set is preserved from model to quotient.
+
+``verify_filtration`` checks this exhaustively on truth masks.  It lifts the
+quotient's mask of a formula to the model's worlds, as the join of the
+member masks of the classes where it holds, and XORs that with the model's
+mask: a set bit is a world where the two disagree.  Formulas are taken in
+the order of their printed text, all printed through one memo, and within
+a formula the lowest set bit, the first world of ``m.worlds``, is reported.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Partition, largest_autobisimulation
-from .formula import Bot, Box, Dia, Formula, Neg, Rhd, Var, adequate_set
+from .formula import Bot, Box, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
 from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, validate
 
 
@@ -92,11 +97,14 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
 
 
 def verify_filtration(m: GenModel, result: FiltrationResult) -> tuple[World, Formula] | None:
-    """First (world, formula) where model and quotient disagree, else None."""
-    class_of = result.partition.class_of
-    for f in sorted(result.gamma, key=str):
-        here, there = m.truth_set(f), result.quotient.truth_set(f)
-        for w in m.worlds:
-            if (w in here) != (class_of[w] in there):
-                return (w, f)
+    """First (world, formula) where model and quotient disagree, else None:
+    the first formula in ``str`` order, and within it the first world of
+    ``m.worlds``."""
+    q = result.quotient
+    members = {c: m.frame.mask(ws) for c, ws in result.partition.classes.items()}
+    texts: dict = {}
+    for f in sorted(result.gamma, key=lambda f: pretty(f, texts)):
+        lifted = sum(members[c] for c in q.frame.names(q._truth_mask(f)))
+        if diff := m._truth_mask(f) ^ lifted:
+            return (m.worlds[(diff & -diff).bit_length() - 1], f)
     return None

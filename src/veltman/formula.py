@@ -325,7 +325,8 @@ def fold(f: Formula, visit: Callable[[Formula, tuple], Any], memo: dict | None =
     Without ``memo`` each child's value is dropped once its parent's is
     computed.  With ``memo`` every distinct subformula is visited once and its
     value kept there; an entry already in ``memo`` stands for its subtree,
-    which is not entered.
+    which is not entered.  One ``memo`` may serve many calls with the same
+    ``visit``, so work on subtrees shared across formulas is done once.
     """
     if memo is None:
         return visit(f, tuple([fold(c, visit) for c in f.children]))
@@ -398,9 +399,13 @@ def _show(g: Formula, texts: tuple) -> str:
     return f"{_wrap(g.left, texts[0], lo)} {g.symbol} {_wrap(g.right, texts[1], ro)}"
 
 
-def pretty(f: Formula) -> str:
-    """Render ``f`` with minimal parentheses; `parse(pretty(f)) == f`."""
-    return fold(f, _show)
+def pretty(f: Formula, memo: dict | None = None) -> str:
+    """Render ``f`` with minimal parentheses; `parse(pretty(f)) == f`.
+
+    ``memo`` is passed to :func:`fold`: it keeps the text of every subformula
+    printed through it.
+    """
+    return fold(f, _show, memo)
 
 
 def _expand(g: Formula, v: tuple) -> Formula:
@@ -412,12 +417,14 @@ def _expand(g: Formula, v: tuple) -> Formula:
     return g.rebuild(v)
 
 
-def normalize(f: Formula) -> Formula:
+def normalize(f: Formula, memo: dict | None = None) -> Formula:
     """Eliminate [] and <> bottom-up: []A -> ~A |> bot, <>A -> ~(A |> bot).
 
-    Idempotent; leaves every other connective untouched.
+    Idempotent; leaves every other connective untouched.  ``memo`` is passed
+    to :func:`fold`: it maps each subformula normalized through it to its
+    normal form.
     """
-    return fold(f, _expand)
+    return fold(f, _expand, memo)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -456,8 +463,9 @@ def _pool(gamma: Iterable[Formula]) -> frozenset[Formula]:
     """Antecedents and succedents of the |>-formulas in ``gamma``, read off the
     normalized forms (so a [] node contributes via its ``~A |> bot`` shape)."""
     out: set[Formula] = set()
+    normal: dict = {}
     for g in gamma:
-        n = normalize(g)
+        n = normalize(g, normal)
         if isinstance(n, Rhd):
             out.update(n.children)
     return frozenset(out)
@@ -468,12 +476,15 @@ def adequate_set(d: Iterable[Formula]) -> frozenset[Formula]:
     subformulas, single negation, membership of ``bot |> bot``, pairing of
     |>-components, and ``[]~A`` for every A in ``d``.
 
-    A worklist: each new member is normalized once, and a component new to
-    the pool is paired with every component already there.
+    A worklist: each new member is normalized once, through one memo shared
+    by the whole worklist, so each distinct node is expanded once however
+    many members contain it; and a component new to the pool is paired with
+    every component already there.
     """
     d = frozenset(d)
     gamma: set[Formula] = set()
     pool: set[Formula] = set()
+    normal: dict = {}
     todo = [*d, Rhd(BOT, BOT), *(Box(Neg(a)) for a in d)]
     while todo:
         g = todo.pop()
@@ -482,7 +493,7 @@ def adequate_set(d: Iterable[Formula]) -> frozenset[Formula]:
         gamma.add(g)
         todo.extend(g.children)
         todo.append(single_negation(g))
-        n = normalize(g)
+        n = normalize(g, normal)
         if isinstance(n, Rhd):
             for c in n.children:
                 if c not in pool:
@@ -499,7 +510,8 @@ def is_adequate(gamma: Iterable[Formula], d: Iterable[Formula]) -> bool:
     if not d <= gamma:
         return False
     for g in gamma:
-        if not subformulas(g) <= gamma:
+        # closed under subformulas exactly when every child is a member
+        if not all(c in gamma for c in g.children):
             return False
         if single_negation(g) not in gamma:
             return False

@@ -11,7 +11,8 @@ They use nothing of veltman but its node classes and frame accessors, so
 they stay independent of ``formula.fold``/``formula.evaluate``.  The
 largest autobisimulation is the greatest fixpoint over world pairs, with
 its own copy of the transfer clause, independent of ``veltman.bisim``.  The
-S-clause of filtration scans every set of successor classes.
+S-clause of filtration scans every set of successor classes, and the
+adequate set is a naive fixpoint over the whole set.
 """
 
 import itertools
@@ -384,6 +385,40 @@ def _normalize(f):
     if isinstance(f, Neg):
         return Neg(_normalize(f.arg))
     return type(f)(_normalize(f.left), _normalize(f.right))
+
+
+def _parts(f):
+    """Immediate subformulas, read off the node classes."""
+    if isinstance(f, (Var, Bot, Top)):
+        return ()
+    if isinstance(f, (Neg, Box, Dia)):
+        return (f.arg,)
+    return (f.left, f.right)
+
+
+def adequate_closure(d):
+    """Least superset of ``d`` closed under the five structure conditions,
+    as a fixpoint over the whole set: each round adds, for every member, its
+    immediate subformulas and its single negation, then ``bot |> bot``,
+    ``[]~A`` for every A in ``d``, and A |> B for every A, B among the
+    components of the normalized |>-members, until a round adds nothing."""
+    d = frozenset(d)
+    gamma = set(d)
+    while True:
+        new = set(gamma)
+        new.add(Rhd(BOT, BOT))
+        new.update(Box(Neg(a)) for a in d)
+        pool = set()
+        for g in gamma:
+            new.update(_parts(g))
+            new.add(g.arg if isinstance(g, Neg) else Neg(g))
+            n = _normalize(g)
+            if isinstance(n, Rhd):
+                pool.update((n.left, n.right))
+        new.update(Rhd(a, b) for a in pool for b in pool)
+        if new == gamma:
+            return frozenset(gamma)
+        gamma = new
 
 
 def classical_tautology(f, max_atoms=20):

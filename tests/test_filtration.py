@@ -3,8 +3,8 @@
 import dataclasses
 import random
 
-from reference import (duplicated_model, filtration_s_by_scan, random_formula, random_gen_frame,
-                       random_gen_model)
+from reference import (duplicated_model, filtration_s_by_scan, gen_truth_set, random_formula,
+                       random_gen_frame, random_gen_model)
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
@@ -136,6 +136,54 @@ def test_corrupted_quotient_detected():
     world, formula = hit
     assert world in m.worlds
     assert formula in res.gamma
+
+
+def _first_disagreement(m, res):
+    """verify_filtration written out: the adequate set in ``str`` order, the
+    worlds of ``m`` in order, truth sets from the reference semantics."""
+    class_of = res.partition.class_of
+    for f in sorted(res.gamma, key=str):
+        here, there = gen_truth_set(m, f), gen_truth_set(res.quotient, f)
+        for w in m.worlds:
+            if (w in here) != (class_of[w] in there):
+                return (w, f)
+    return None
+
+
+def _corrupted(rng, q, kind):
+    """``q`` with one class flipped in one variable (kind 0), one R~ edge
+    dropped with its S family (kind 1), or all of S~ dropped (kind 2);
+    ``q`` itself when there is no variable or edge to corrupt."""
+    fr = q.frame
+    if kind == 0 and q.valuation:
+        p, c = rng.choice(sorted(q.valuation)), rng.choice(q.worlds)
+        return GenModel(fr, {**q.valuation, p: set(q.valuation[p]) ^ {c}})
+    if kind == 1 and fr.pairs:
+        edge = rng.choice(sorted(fr.pairs))
+        s = {w: {u: fr.gens(w, u) for u in fr.successors(w) if (w, u) != edge}
+             for w in fr.worlds}
+        return GenModel(GenFrame(fr.worlds, fr.pairs - {edge}, s), q.valuation)
+    if kind == 2 and fr.pairs:
+        return GenModel(GenFrame(fr.worlds, fr.pairs, {}), q.valuation)
+    return q
+
+
+def test_first_disagreement_matches_the_reference_on_300_corrupted_quotients():
+    """The formula and world verify_filtration reports are the first in
+    ``str`` order and world order, on models up to 128 worlds wide."""
+    rng = random.Random(12)
+    found = 0
+    for trial in range(300):
+        m = random_gen_model(rng)
+        if trial % 4 == 0:
+            while len(m.worlds) <= 64:
+                m = duplicated_model(m, f"_{len(m.worlds)}")
+        res = filtrate(m, d_closure([parse(s) for s in rng.sample(SEED_POOL, rng.randrange(1, 3))]))
+        bad = dataclasses.replace(res, quotient=_corrupted(rng, res.quotient, trial % 3))
+        got = verify_filtration(m, bad)
+        assert got == _first_disagreement(m, bad), (trial, m.to_json())
+        found += got is not None
+    assert found > 200
 
 
 def _random_model(rng, n_worlds):

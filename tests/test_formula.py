@@ -1,10 +1,13 @@
 """Syntax layer: parsing, printing, normalization, closure operators."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import adequate_closure, random_formula
 
+from veltman import formula
 from veltman.formula import (
     BOT,
     TOP,
@@ -155,6 +158,19 @@ def test_parse_pretty_roundtrip_1000():
         assert parse(pretty(f)) == f
 
 
+def test_shared_memo_gives_the_plain_results_on_500_formulas():
+    """One normalize memo and one pretty memo, each shared across 500
+    formulas, give what the memo-free calls give."""
+    rng = random.Random(12)
+    normal, texts = {}, {}
+    for _ in range(500):
+        f = random_formula(rng, rng.randrange(1, 6), ("p", "q", "r"))
+        assert normalize(f, normal) == normalize(f)
+        text = pretty(f, texts)
+        assert text == pretty(f)
+        assert parse(text) == f
+
+
 class TestNormalize:
     def test_box(self):
         assert normalize(Box(p)) == Rhd(Neg(p), BOT)
@@ -247,6 +263,38 @@ class TestAdequateSet:
             if not is_adequate(g - {f}, d):
                 broken += 1
         assert broken == len(g)
+
+    def test_matches_the_reference_closure_on_300_seed_sets(self):
+        """Every 50th seed set is a nested chain []p_k |> ... ([]p1 |> p0),
+        k = 1..6; every other one is closed under d_closure first."""
+        rng = random.Random(3)
+        for i in range(300):
+            if i % 50 == 49:
+                chain = Var("p0")
+                for j in range(1, i // 50 + 2):
+                    chain = Rhd(Box(Var(f"p{j}")), chain)
+                seeds = [chain]
+            else:
+                seeds = [random_formula(rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
+            if i % 2:
+                seeds = d_closure(seeds)
+            assert adequate_set(seeds) == adequate_closure(seeds), [str(f) for f in seeds]
+
+    def test_expands_each_distinct_node_once(self, monkeypatch):
+        visits = Counter()
+        expand = formula._expand
+
+        def counting(g, v):
+            visits[g] += 1
+            return expand(g, v)
+
+        monkeypatch.setattr(formula, "_expand", counting)
+        chain = Var("p0")
+        for j in range(1, 5):
+            chain = Rhd(Box(Var(f"p{j}")), chain)
+        g = adequate_set(d_closure([chain, parse("<>(p & q) -> []~r")]))
+        assert visits.keys() == g
+        assert max(visits.values()) == 1
 
     def test_fixpoint_for_fixed_d(self):
         # closure is relative to d: the output satisfies all five
