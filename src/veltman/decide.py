@@ -11,8 +11,9 @@ IL are the IL frames that meet the corresponding frame conditions; the
 conditions are invariant under isomorphism, so that list too has one frame
 per class.  Each (n, logic) list is built once per process and shared.
 
-``countermodel_search`` walks ``enumerate_frames`` smallest first and sweeps
-every valuation of the formula's variables.  The verdict is honest about its
+``countermodel_search`` walks ``enumerate_frames`` smallest first and
+decides each frame with ``frame_validates``, on a table shared by the
+frames of one size.  The verdict is honest about its
 bound: ``NoCountermodelUpTo(n)`` only reports a bounded search, it does not
 claim theoremhood.  ``decide`` upgrades to ``CheckedTheorem`` when a Hilbert
 proof of the formula is supplied and verifies.
@@ -199,8 +200,8 @@ def countermodel_search(f: Formula, logic: Logic | str,
 
     Deterministic: smallest frames first, in enumeration order; valuations
     in bitmask order; first refuting world.  Raises SearchTimeout when the
-    time budget runs out; the budget is checked before each chunk of the
-    valuation sweep.
+    time budget runs out; the budget is checked before each chunk of a
+    frame's sweep.
     """
     logic = _logic(logic)
     if budget.max_worlds > MAX_ENUM_WORLDS:

@@ -37,24 +37,36 @@ or transversal Z.  keep is V cut to the worlds with R inside R[u] (Mgen,
 M0gen), inside C (Rgen) or off the preimage (Wgen), V inside R[w'] (Pgen)
 or Z inside R[x] (P0gen).
 
-``frame_validates`` sweeps every valuation of a formula's variables, with
-``GenFrame.box``/``rhd`` on numpy arrays of world bitmasks in the smallest
-unsigned dtype that holds one (uint8 up to eight worlds), one entry per
-valuation, in chunks of at most ``SWEEP_ROWS`` valuations.  Each chunk
-reads one shared read-only grid per (2^n, variables in a chunk), so no
-frame rebuilds it.
+``frame_validates`` evaluates with ``GenFrame.box``/``rhd`` on numpy arrays
+of world bitmasks in the smallest unsigned dtype that holds one (uint8 up
+to eight worlds), in chunks of at most ``SWEEP_ROWS`` rows.  It decides
+validity on the skeleton of a formula f: f with each maximal modal-free
+subformula (a leaf) replaced by a fresh variable.  The decision is exact:
+
+- a leaf's truth at a world w depends only on the variables' values at w;
+- so, with I the set of distinct leaf vectors over the 2^k rows of a
+  per-world truth table, the leaf-mask tuples that valuations reach on n
+  worlds are exactly those of the |I|^n choices of one vector per world;
+- and f is valid on the frame exactly when the skeleton is true at every
+  world on each of them.
+
+That table has |I|^n <= (2^k)^n rows and does not depend on the frame, so it
+is built once per (formula, size) and kept for the next call.  Only on a
+failing frame are the valuations swept, in order, for the
+lexicographically first failing one; the chunks of either read one shared
+read-only grid of digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .formula import Algebra, Formula, Var, evaluate, variables
+from .formula import Algebra, Box, Dia, Formula, Rhd, Var, evaluate, fold, variables
 from .hilbert import SCHEMATA, instantiate, schema_metavars
 from .model import GenFrame, World, bits, minimal_unions
 
@@ -175,12 +187,12 @@ class Falsification:
 class TruthTables:
     """Bitmask evaluation of formulas on one frame, in the frame's own
     ``box`` and ``rhd``.  ``evaluate`` maps numpy arrays of variable masks
-    to the array of truth-set masks, one entry per valuation.  ``dtype`` is
-    the smallest unsigned integer type that holds a world mask (uint8 up to
-    eight worlds); the top element and unassigned variables are read-only
-    one-entry arrays of it that broadcast, so a formula without assigned
-    variables yields a one-entry array, and masks of ``dtype`` give masks of
-    ``dtype``.
+    to the array of truth-set masks, one entry per row (a valuation, or a
+    row of the skeleton table).  ``dtype`` is the smallest unsigned integer
+    type that holds a world mask (uint8 up to eight worlds); the top element
+    and unassigned variables are read-only one-entry arrays of it that
+    broadcast, so a formula without assigned variables yields a one-entry
+    array, and masks of ``dtype`` give masks of ``dtype``.
     """
 
     def __init__(self, frame: GenFrame):
@@ -201,19 +213,99 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Valuations per array pass: bounds the sweep's memory for any number of
+# Rows per array pass: bounds the sweep's memory for any number of
 # variables; up to four variables on four worlds is one pass.
 SWEEP_ROWS = 1 << 16
 
+# The skeleton table keeps one column of up to SWEEP_ROWS masks per leaf;
+# past this many leaves frame_validates sweeps the valuations directly.  At
+# most 64, since ``_image`` packs a leaf vector into a uint64.
+MAX_LEAVES = 64
 
-@cache
+
+@lru_cache(maxsize=16)
 def _grid(size: int, digits: int) -> np.ndarray:
-    """Every valuation of ``digits`` variables over the world masks below
-    ``size``, in lexicographic order: row j is the column of the j-th
-    variable, one entry per valuation, in the smallest unsigned dtype that
-    holds a mask.  Shared by every sweep, so read-only."""
+    """Every tuple of ``digits`` digits below ``size``, in lexicographic
+    order: row j is the column of the j-th digit, one entry per tuple, in the
+    smallest unsigned dtype that holds a digit.  The valuation sweep reads
+    the digits as variables, each a world mask; the skeleton table as
+    worlds, each a leaf vector.  Shared by every sweep, so read-only; the
+    last few are kept."""
     grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
     return _read_only(grid.reshape(digits, size ** digits))
+
+
+def _inside(size: int, digits: int, rows: int) -> int:
+    """How many of the last digits of ``_grid(size, digits)`` vary inside a
+    pass of at most ``rows`` rows."""
+    inside = 0
+    while inside < digits and size ** (inside + 1) <= rows:
+        inside += 1
+    return inside
+
+
+def _skeleton(f: Formula) -> tuple[Formula, dict[Formula, Var]]:
+    """``f`` with each maximal modal-free subformula (a leaf) replaced by a
+    fresh variable ``l0``, ``l1``, ..., and the map from leaves to those."""
+    leaves: dict[Formula, Var] = {}
+
+    def visit(g, kids):
+        if type(g) not in (Box, Dia, Rhd) and all(k is None for k in kids):
+            return None  # modal-free
+        return g.rebuild([leaves.setdefault(c, Var(f"l{len(leaves)}")) if k is None else k
+                          for c, k in zip(g.children, kids)])
+
+    out = fold(f, visit, {})
+    return out or leaves.setdefault(f, Var("l0")), leaves
+
+
+@lru_cache(maxsize=1)
+def _image(f: Formula, rows: int):
+    """The skeleton of ``f``, the names of its fresh variables and I, the
+    distinct leaf vectors over the per-world truth table (one row per
+    assignment of the variables at one world), as a (leaves, |I|) array of
+    0/1.  None when the per-world table exceeds ``rows`` rows or there are
+    more than ``MAX_LEAVES`` leaves."""
+    vs = sorted(variables(f))
+    skeleton, leaves = _skeleton(f)
+    if len(leaves) > MAX_LEAVES or 1 << len(vs) > rows:
+        return None
+    # leaves have no modal nodes, so no box or rhd
+    algebra = Algebra(np.uint8(1), dict(zip(vs, _grid(2, len(vs)))).__getitem__, None, None)
+    # the leaf vector of each row, leaf j at bit j
+    packed = sum(evaluate(leaf, algebra).astype(np.uint64) << np.uint64(j)
+                 for j, leaf in enumerate(leaves))
+    codes = np.array(sorted(set(np.atleast_1d(packed).tolist())), dtype=np.uint64)
+    image = codes >> np.arange(len(leaves), dtype=np.uint64)[:, None] & np.uint64(1)
+    return skeleton, [v.name for v in leaves.values()], image
+
+
+@lru_cache(maxsize=1)
+def _table(f: Formula, worlds: int, rows: int):
+    """The frame-independent table that decides ``f`` on frames of
+    ``worlds`` worlds in passes of at most ``rows`` rows, or None where
+    ``_image`` is None.
+
+    Returns (skeleton, |I|, outer, inner).  A row of the table picks one leaf
+    vector of I per world, in lexicographic order of their indices; its
+    leaf masks take bit p from the vector of world p.  A pass fixes the
+    vectors of the first ``len(outer)`` worlds, with ``outer[p][:, i]`` the
+    leaf masks of vector i at world p, and varies the last worlds over the
+    shared ``_grid``: ``inner`` maps each skeleton variable to its column.
+    The one cached table is keyed by the pass size too, so a change of
+    ``SWEEP_ROWS`` rebuilds it; it is shared, so read-only."""
+    found = _image(f, rows)
+    if found is None:
+        return None
+    skeleton, names, image = found
+    size = image.shape[1]
+    dtype = np.min_scalar_type((1 << worlds) - 1)
+    at = [_read_only((image << np.uint64(p)).astype(dtype)) for p in range(worlds)]
+    inside = _inside(size, worlds, rows)
+    inner = sum((np.take(at[p], d, axis=1)
+                 for p, d in zip(range(worlds - inside, worlds), _grid(size, inside))),
+                start=np.zeros((len(names), 1), dtype=dtype))
+    return skeleton, size, at[:worlds - inside], dict(zip(names, _read_only(inner)))
 
 
 def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
@@ -222,22 +314,48 @@ def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
 
     Returns True on validity, otherwise the lexicographically first failing
     valuation (variables sorted, each ranging over world subsets in bitmask
-    order) together with the first failing world.  A chunk pairs the shared
-    ``_grid`` of the last variables, as many as fit in ``SWEEP_ROWS`` rows,
-    with one value of each earlier variable as a one-entry array; chunks run
-    in lexicographic order of those values and stop at the first one with a
-    failure.  ``on_chunk`` is called before each chunk and may raise to end
+    order) together with the first failing world.
+
+    Validity is decided on the table of ``_table``, exactly: a leaf's truth
+    at a world depends only on the variables' values there, so the leaf
+    masks that valuations reach are those of the |I|^n choices of one leaf
+    vector per world, and ``f`` is valid exactly when its skeleton is true
+    at every world on each of them.  Only on a failing frame, or when there
+    is no table, ``_sweep`` runs the valuations in order for the witness.
+    ``on_chunk`` is called before each pass of either and may raise to end
     the sweep.
     """
     n = len(frame.worlds)
     if n > cap:
         raise FrameSizeError(f"frame has {n} worlds, cap is {cap}")
     tables = TruthTables(frame)
+    table = _table(f, n, SWEEP_ROWS)
+    if table is not None:
+        skeleton, size, outer, inner = table
+        for prefix in product(range(size), repeat=len(outer)):
+            if on_chunk is not None:
+                on_chunk()
+            assignment = inner
+            if prefix:
+                fixed = sum(at[:, i] for at, i in zip(outer, prefix))
+                assignment = {name: col | x for (name, col), x in zip(inner.items(), fixed)}
+            if (tables.evaluate(skeleton, assignment) != tables.full).any():
+                break
+        else:
+            return True
+    return _sweep(tables, f, on_chunk)
+
+
+def _sweep(tables: TruthTables, f: Formula, on_chunk: Callable[[], None] | None):
+    """``frame_validates`` by every valuation, in order.  A pass pairs the
+    shared ``_grid`` of the last variables, as many as fit in ``SWEEP_ROWS``
+    rows, with one value of each earlier variable as a one-entry array;
+    passes run in lexicographic order of those values and stop at the first
+    one with a failure."""
+    frame = tables.frame
     vs = sorted(variables(f))
-    size = 1 << n
-    inside = 0  # how many of the last variables vary inside a chunk
-    while inside < len(vs) and size ** (inside + 1) <= SWEEP_ROWS:
-        inside += 1
+    size = 1 << len(frame.worlds)
+    inside = _inside(size, len(vs), SWEEP_ROWS)
     outer, inner = vs[:len(vs) - inside], vs[len(vs) - inside:]
     grid = _grid(size, inside)
     for prefix in product(range(size), repeat=len(outer)):

@@ -269,13 +269,14 @@ class TestCountermodelSearch:
                                 SearchBudget(max_worlds=4, time_limit=1e-9))
 
     def test_time_limit_holds_inside_one_frame_sweep(self):
-        """Eight variables on one 4-world frame are 65,536 chunks of the
-        valuation sweep; the limit is checked between chunks, so the search
-        stops within about a second of it and says how far it got: the last
-        size done, and the frames of the next size swept out of all."""
+        """Eight independent leaves on one 4-world frame are 256^4 rows of
+        the skeleton table, 65,536 chunks; the limit is checked between
+        chunks, so the search stops within about a second of it and says how
+        far it got: the last size done, and the frames of the next size
+        swept out of all."""
         started = time.monotonic()
         with pytest.raises(SearchTimeout) as info:
-            countermodel_search(parse("a | b | c | d | e | f | g | h | ~h"), "IL",
+            countermodel_search(parse("[]a | []b | []c | []d | []e | []f | []g | []h | ~[]h"), "IL",
                                 SearchBudget(max_worlds=4, time_limit=1))
         assert time.monotonic() - started < 2
         stop = info.value

@@ -15,9 +15,9 @@ import pytest
 from reference import _forces, gen_truth_set, random_formula, random_gen_frame
 
 from veltman import properties
-from veltman.decide import _il_frames
-from veltman.formula import Var, parse, variables
-from veltman.hilbert import SCHEMATA
+from veltman.decide import _il_frames, enumerate_frames
+from veltman.formula import Var, fold, parse, variables
+from veltman.hilbert import SCHEMATA, instantiate
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
     PROPERTY_IDS,
@@ -409,6 +409,35 @@ class TestChunkedSweep:
         assert [frame_validates(fr, f) for fr, f in cases] == whole
         assert any(r is True for r in whole) and any(r is not True for r in whole)
 
+    def test_small_chunks_split_the_skeleton_table(self, monkeypatch):
+        """The leaves p & q and p | q take three vectors, so four worlds make
+        81 table rows: one pass by default, 27 passes of three rows at
+        ``SWEEP_ROWS`` = 7.  The cached table follows ``SWEEP_ROWS`` both
+        ways, and every pass evaluates the skeleton, not the valuations."""
+        f = parse("[](p & q) -> [](p | q)")
+        fr = close_s(GenFrame(["w0", "w1", "w2", "w3"],
+                              [("w0", "w1"), ("w0", "w2"), ("w0", "w3"), ("w1", "w2")], {}))
+        rows = []
+        evaluate = TruthTables.evaluate
+
+        def spy(tables, g, assignment):
+            rows.append(next(iter(assignment.values())).size)
+            return evaluate(tables, g, assignment)
+
+        monkeypatch.setattr(TruthTables, "evaluate", spy)
+
+        def passes():
+            calls = []
+            assert frame_validates(fr, f, on_chunk=lambda: calls.append(1)) is True
+            return len(calls)
+
+        assert passes() == 1
+        monkeypatch.setattr(properties, "SWEEP_ROWS", 7)
+        assert passes() == 27
+        monkeypatch.setattr(properties, "SWEEP_ROWS", 1 << 16)
+        assert passes() == 1
+        assert rows == [81] + [3] * 27 + [81]
+
     @pytest.mark.parametrize("src", ["a | b | c | d | e", "a | b | c | d | e | ~e"])
     def test_five_variables_on_four_worlds_stay_small(self, src):
         """16^5 valuations: the whole grid is 8 MiB per int64 array, one
@@ -487,6 +516,97 @@ class TestSharedGrid:
             x = np.arange(min(256, 1 << n), dtype=tables.dtype)
             out = tables.evaluate(f, {"p": x, "q": x[::-1]})
             assert out.dtype == tables.dtype == (np.uint8 if n <= 8 else np.uint16)
+
+
+def _shared_leaf_formula(rng):
+    """A random formula over A, B and C with each replaced by a Boolean term
+    over p, q and r, so that the modal-free parts share variables (p & q
+    beside p | ~q, say)."""
+    terms = [parse(src) for src in ("p & q", "p | ~q", "~p", "q", "p -> q", "p",
+                                      "(p & q) | r", "~(q & r)", "r")]
+    sub = {name: rng.choice(terms) for name in "ABC"}
+    return fold(random_formula(rng, 3, tuple("ABC")),
+                lambda g, kids: sub[g.name] if type(g) is Var else g.rebuild(kids))
+
+
+class TestSkeletonTable:
+    def test_decision_matches_a_brute_scan_on_shared_leaves(self):
+        """On 360 random (frame, formula) pairs whose leaves share variables,
+        ``frame_validates`` decides on the skeleton table and reports the
+        brute scan's first failure."""
+        rng = random.Random(1313)
+        outcomes = {True: 0, False: 0}
+        smaller = 0
+        for _ in range(360):
+            f = _shared_leaf_formula(rng)
+            k = len(variables(f))
+            n = rng.randrange(1, 5 if k <= 2 else 4)
+            fr = random_gen_frame(rng, n)
+            table = properties._table(f, n, properties.SWEEP_ROWS)
+            assert table is not None
+            smaller += table[1] < 1 << k
+            result = frame_validates(fr, f)
+            expected = _brute_first_failure(fr, f)
+            if result is True:
+                assert expected is True, str(f)
+            else:
+                assert (result.valuation, result.world) == expected, str(f)
+            outcomes[result is True] += 1
+        assert min(outcomes.values()) >= 60, outcomes
+        assert smaller >= 100, smaller
+
+    def test_k4_k_instance_reaches_evaluate_with_256_rows(self, monkeypatch):
+        """K with A = p & q and B = r | s: four variables, but the leaves
+        A -> B, A and B take four vectors, so a 4-world frame is decided on
+        4^4 = 256 rows rather than 16^4 = 65,536 valuations."""
+        f = instantiate("K", {"A": parse("p & q"), "B": parse("r | s")})
+        sizes = []
+        evaluate = TruthTables.evaluate
+
+        def spy(tables, g, assignment):
+            sizes.append({a.size for a in assignment.values()})
+            return evaluate(tables, g, assignment)
+
+        monkeypatch.setattr(TruthTables, "evaluate", spy)
+        frames = list(enumerate_frames(4))
+        assert all(frame_validates(fr, f) is True for fr in frames)
+        assert sizes == [{256}] * len(frames)
+
+    def test_shared_table_stays_bounded_over_many_formulas(self):
+        """Each formula has its own 4096-row table on four worlds; after 300
+        distinct formulas only the last is kept."""
+        fr = list(enumerate_frames(4))[-1]
+        tracemalloc.start()
+        try:
+            for i in range(300):
+                f = parse(f"[]a{i} | []b{i} | <>c{i} | ~[]a{i}")
+                assert frame_validates(fr, f) is True
+                if i == 99:
+                    before = tracemalloc.get_traced_memory()[0]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert properties._table.cache_info().currsize == 1
+        assert properties._image.cache_info().currsize == 1
+        assert after - before < 2 ** 20, after - before
+
+    def test_past_max_leaves_the_valuations_decide(self, monkeypatch):
+        """With the table refused, the valuation sweep gives the same
+        answers."""
+        rng = random.Random(1414)
+        cases = [(random_gen_frame(rng, rng.randrange(1, 4)), _shared_leaf_formula(rng))
+                 for _ in range(60)]
+        with_table = [frame_validates(fr, f) for fr, f in cases]
+        monkeypatch.setattr(properties, "MAX_LEAVES", 0)
+        properties._image.cache_clear()
+        properties._table.cache_clear()
+        try:
+            assert all(properties._table(f, len(fr.worlds), properties.SWEEP_ROWS) is None
+                       for fr, f in cases)
+            assert [frame_validates(fr, f) for fr, f in cases] == with_table
+        finally:
+            properties._image.cache_clear()
+            properties._table.cache_clear()
 
 
 class TestSchemaFrameValid:
