@@ -34,8 +34,8 @@ by ``sets`` as tuples of names.  Items run over V, a stored generator of
 S_w(u) (Wgen: every image), for Mgen and Wgen, and over w R x R u with V a
 generator of S_w(u) for the rest; Rgen and P0gen also over each choice set C
 or transversal Z.  keep is V cut to the worlds with R inside R[u] (Mgen,
-M0gen), inside C (Rgen) or off the preimage (Wgen), V inside R[w'] (Pgen)
-or Z inside R[x] (P0gen).
+M0gen), inside C (Rgen) or off the preimage (Wgen), each by ``GenFrame.box``,
+V inside R[w'] (Pgen) or Z inside R[x] (P0gen).
 
 ``frame_validates`` evaluates with ``GenFrame.box``/``rhd`` on numpy arrays
 of world bitmasks in the smallest unsigned dtype that holds one (uint8 up
@@ -52,9 +52,10 @@ subformula (a leaf) replaced by a fresh variable.  The decision is exact:
 
 That table has |I|^n <= (2^k)^n rows and does not depend on the frame, so it
 is built once per (formula, size) and kept for the next call.  Only on a
-failing frame are the valuations swept, in order, for the
-lexicographically first failing one; the chunks of either read one shared
-read-only grid of digits.
+failing frame is f walked on the table of its valuations, whose digits are
+the sorted variables, each a world mask, for the lexicographically first
+failing one.  One loop, ``_first_failure``, walks both tables in passes that
+fix the first digits and read the last from one shared read-only grid.
 """
 
 from __future__ import annotations
@@ -119,11 +120,6 @@ def _upward_images(frame: GenFrame, w: World, u: World) -> list[int]:
             if frame.s_holds_mask(w, u, v)]
 
 
-def _r_inside(frame: GenFrame, c: int) -> int:
-    """The mask of the worlds whose R-successors all lie in mask ``c``."""
-    return sum(bv for bv, r, _ in frame._rows.values() if r & ~c == 0)
-
-
 def _chains(frame: GenFrame):
     """(w, x, u, V) for every w R x R u and generator V of S_w(u), in world order."""
     rows = frame._rows
@@ -133,17 +129,17 @@ def _chains(frame: GenFrame):
 
 # the items of each condition on a frame f with R masks r
 _ITEMS = {
-    "Mgen": lambda f, r: (((w, u), (v,), w, u, v & _r_inside(f, r[u]))
+    "Mgen": lambda f, r: (((w, u), (v,), w, u, v & f.box(r[u]))
                           for w in f.worlds for u, gens in sorted(f.s.get(w, {}).items())
                           for v in gens),
-    "M0gen": lambda f, r: (((w, u, x), (v,), w, u, v & _r_inside(f, r[u]))
+    "M0gen": lambda f, r: (((w, u, x), (v,), w, u, v & f.box(r[u]))
                            for w, u, x, v in _chains(f)),
     "Pgen": lambda f, r: (((w, w2, u), (v,), w2, u, v & r[w2]) for w, w2, u, v in _chains(f)),
     "P0gen": lambda f, r: (((w, x, u), (v, z), x, u, z & r[x]) for w, x, u, v in _chains(f)
                            for z in minimal_hitting_sets(r[y] for y in f.names(v))),
-    "Rgen": lambda f, r: (((w, x, u), (v, c), w, x, v & _r_inside(f, c))
+    "Rgen": lambda f, r: (((w, x, u), (v, c), w, x, v & f.box(c))
                           for w, x, u, v in _chains(f) for c in choice_sets(f, x, u)),
-    "Wgen": lambda f, r: (((w, u), (v,), w, u, v & _r_inside(f, ~s_preimage(f, w, v)))
+    "Wgen": lambda f, r: (((w, u), (v,), w, u, v & f.box(~s_preimage(f, w, v)))
                           for w in f.worlds for u in sorted(f.s.get(w, {}))
                           for v in _upward_images(f, w, u)),
 }
@@ -213,12 +209,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Rows per array pass: bounds the sweep's memory for any number of
+# Rows per array pass: bounds a table walk's memory for any number of
 # variables; up to four variables on four worlds is one pass.
 SWEEP_ROWS = 1 << 16
 
 # The skeleton table keeps one column of up to SWEEP_ROWS masks per leaf;
-# past this many leaves frame_validates sweeps the valuations directly.  At
+# past this many leaves frame_validates decides on the table of valuations.  At
 # most 64, since ``_image`` packs a leaf vector into a uint64.
 MAX_LEAVES = 64
 
@@ -227,21 +223,31 @@ MAX_LEAVES = 64
 def _grid(size: int, digits: int) -> np.ndarray:
     """Every tuple of ``digits`` digits below ``size``, in lexicographic
     order: row j is the column of the j-th digit, one entry per tuple, in the
-    smallest unsigned dtype that holds a digit.  The valuation sweep reads
-    the digits as variables, each a world mask; the skeleton table as
-    worlds, each a leaf vector.  Shared by every sweep, so read-only; the
-    last few are kept."""
+    smallest unsigned dtype that holds a digit.  Every table pass reads
+    its last digits from it, so it is shared and read-only; the last few
+    are kept."""
     grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
     return _read_only(grid.reshape(digits, size ** digits))
 
 
-def _inside(size: int, digits: int, rows: int) -> int:
-    """How many of the last digits of ``_grid(size, digits)`` vary inside a
-    pass of at most ``rows`` rows."""
+def _plan(at: list[np.ndarray], size: int, start: np.ndarray, rows: int):
+    """The passes of a table: a row picks one of ``size`` values per digit,
+    in lexicographic order, and its names' masks are the OR of the columns
+    ``at[p][:, i]`` of its values.  Returns (outer, inner, grid): the arrays
+    of the first digits, which a pass fixes, and each name's column over the
+    ``grid`` of the last digits, as many as fit in ``rows`` rows, or, where
+    no last digit sets the name, its one-entry zero row of ``start``."""
     inside = 0
-    while inside < digits and size ** (inside + 1) <= rows:
+    while inside < len(at) and size ** (inside + 1) <= rows:
         inside += 1
-    return inside
+    grid = _grid(size, inside)
+    last = at[len(at) - inside:]
+    used = np.flatnonzero(sum((a.any(axis=1) for a in last), start=np.zeros(len(start), bool)))
+    inner = list(_read_only(start))
+    cols = sum((np.take(a[used], d, axis=1) for a, d in zip(last, grid)), start=start[used])
+    for i, col in zip(used, _read_only(cols)):
+        inner[i] = col
+    return at[:len(at) - inside], inner, grid
 
 
 def _skeleton(f: Formula) -> tuple[Formula, dict[Formula, Var]]:
@@ -284,28 +290,53 @@ def _image(f: Formula, rows: int):
 def _table(f: Formula, worlds: int, rows: int):
     """The frame-independent table that decides ``f`` on frames of
     ``worlds`` worlds in passes of at most ``rows`` rows, or None where
-    ``_image`` is None.
-
-    Returns (skeleton, |I|, outer, inner).  A row of the table picks one leaf
-    vector of I per world, in lexicographic order of their indices; its
-    leaf masks take bit p from the vector of world p.  A pass fixes the
-    vectors of the first ``len(outer)`` worlds, with ``outer[p][:, i]`` the
-    leaf masks of vector i at world p, and varies the last worlds over the
-    shared ``_grid``: ``inner`` maps each skeleton variable to its column.
-    The one cached table is keyed by the pass size too, so a change of
-    ``SWEEP_ROWS`` rebuilds it; it is shared, so read-only."""
+    ``_image`` is None: (skeleton, names, plan).  A row picks one leaf
+    vector of I per world; its leaf masks take bit p from the vector of
+    world p.  The one cached table is keyed by the pass size too, so a
+    change of ``SWEEP_ROWS`` rebuilds it; it is shared, so read-only."""
     found = _image(f, rows)
     if found is None:
         return None
     skeleton, names, image = found
-    size = image.shape[1]
     dtype = np.min_scalar_type((1 << worlds) - 1)
     at = [_read_only((image << np.uint64(p)).astype(dtype)) for p in range(worlds)]
-    inside = _inside(size, worlds, rows)
-    inner = sum((np.take(at[p], d, axis=1)
-                 for p, d in zip(range(worlds - inside, worlds), _grid(size, inside))),
-                start=np.zeros((len(names), 1), dtype=dtype))
-    return skeleton, size, at[:worlds - inside], dict(zip(names, _read_only(inner)))
+    return skeleton, names, _plan(at, image.shape[1], np.zeros((len(names), 1), dtype), rows)
+
+
+@lru_cache(maxsize=4)
+def _valuations(count: int, worlds: int, rows: int):
+    """The plan of the table of valuations of ``count`` variables on
+    ``worlds`` worlds, whose digits are the sorted variables, each a world
+    mask: variable j's array is one-hot at row j, a window onto one strip,
+    so the arrays take linear space.  Shared, so read-only; the last few
+    are kept."""
+    masks = np.arange(1 << worlds)
+    dtype = np.min_scalar_type(masks[-1])
+    strip = _read_only(np.outer(np.arange(2 * count + 1) == count, masks).astype(dtype))
+    return _plan([strip[count - j:2 * count - j] for j in range(count)], len(masks),
+                 np.zeros((count, 1), dtype), rows)
+
+
+def _first_failure(tables: TruthTables, f: Formula, names: list[str], plan,
+                   on_chunk: Callable[[], None] | None):
+    """The digits and truth mask of the first row of a ``_plan`` table on
+    which ``f``, with ``names`` read from the row, fails at some world, or
+    None.  Passes run in lexicographic order of their fixed digits, and
+    ``on_chunk`` is called before each."""
+    outer, inner, grid = plan
+    for prefix in product(*(range(a.shape[1]) for a in outer)):
+        if on_chunk is not None:
+            on_chunk()
+        assignment = dict(zip(names, inner))
+        if prefix:
+            fixed = sum(a[:, i] for a, i in zip(outer, prefix))
+            assignment = {name: col | x for (name, col), x in zip(assignment.items(), fixed)}
+        truth = tables.evaluate(f, assignment)
+        failing = truth != tables.full
+        if failing.any():
+            at = int(np.argmax(failing))
+            return prefix + tuple(grid[:, at].tolist()), int(truth[at])
+    return None
 
 
 def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
@@ -320,60 +351,25 @@ def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
     at a world depends only on the variables' values there, so the leaf
     masks that valuations reach are those of the |I|^n choices of one leaf
     vector per world, and ``f`` is valid exactly when its skeleton is true
-    at every world on each of them.  Only on a failing frame, or when there
-    is no table, ``_sweep`` runs the valuations in order for the witness.
-    ``on_chunk`` is called before each pass of either and may raise to end
-    the sweep.
+    at every world on each of them.  Only on a failing frame, or with no
+    skeleton table, is ``f`` walked on the table of its valuations for the
+    witness.  ``on_chunk`` is called before each pass of either table and
+    may raise to end the walk.
     """
     n = len(frame.worlds)
     if n > cap:
         raise FrameSizeError(f"frame has {n} worlds, cap is {cap}")
     tables = TruthTables(frame)
     table = _table(f, n, SWEEP_ROWS)
-    if table is not None:
-        skeleton, size, outer, inner = table
-        for prefix in product(range(size), repeat=len(outer)):
-            if on_chunk is not None:
-                on_chunk()
-            assignment = inner
-            if prefix:
-                fixed = sum(at[:, i] for at, i in zip(outer, prefix))
-                assignment = {name: col | x for (name, col), x in zip(inner.items(), fixed)}
-            if (tables.evaluate(skeleton, assignment) != tables.full).any():
-                break
-        else:
-            return True
-    return _sweep(tables, f, on_chunk)
-
-
-def _sweep(tables: TruthTables, f: Formula, on_chunk: Callable[[], None] | None):
-    """``frame_validates`` by every valuation, in order.  A pass pairs the
-    shared ``_grid`` of the last variables, as many as fit in ``SWEEP_ROWS``
-    rows, with one value of each earlier variable as a one-entry array;
-    passes run in lexicographic order of those values and stop at the first
-    one with a failure."""
-    frame = tables.frame
+    if table is not None and _first_failure(tables, *table, on_chunk) is None:
+        return True
     vs = sorted(variables(f))
-    size = 1 << len(frame.worlds)
-    inside = _inside(size, len(vs), SWEEP_ROWS)
-    outer, inner = vs[:len(vs) - inside], vs[len(vs) - inside:]
-    grid = _grid(size, inside)
-    for prefix in product(range(size), repeat=len(outer)):
-        if on_chunk is not None:
-            on_chunk()
-        assignment = dict(zip(inner, grid))
-        assignment.update((name, np.full(1, d, dtype=grid.dtype))
-                          for name, d in zip(outer, prefix))
-        truth = tables.evaluate(f, assignment)
-        failing = truth != tables.full
-        if failing.any():
-            at = int(np.argmax(failing))
-            row = dict(zip(outer, prefix)) | dict(zip(inner, grid[:, at].tolist()))
-            valuation = {name: frozenset(w for w in frame.worlds if row[name] & frame.bit[w])
-                         for name in vs}
-            world = next(w for w in frame.worlds if not int(truth[at]) & frame.bit[w])
-            return Falsification(valuation, world)
-    return True
+    failure = _first_failure(tables, f, vs, _valuations(len(vs), n, SWEEP_ROWS), on_chunk)
+    if failure is None:
+        return True
+    digits, truth = failure
+    return Falsification({name: frozenset(frame.names(d)) for name, d in zip(vs, digits)},
+                         frame.names(tables.full & ~truth)[0])
 
 
 _FRESH = {"A": Var("a0"), "B": Var("b0"), "C": Var("c0")}

@@ -17,7 +17,7 @@ from reference import _forces, gen_truth_set, random_formula, random_gen_frame
 from veltman import properties
 from veltman.decide import _il_frames, enumerate_frames
 from veltman.formula import Var, fold, parse, variables
-from veltman.hilbert import SCHEMATA, instantiate
+from veltman.hilbert import SCHEMATA, instantiate, schema_metavars
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
     PROPERTY_IDS,
@@ -438,6 +438,50 @@ class TestChunkedSweep:
         assert passes() == 1
         assert rows == [81] + [3] * 27 + [81]
 
+    @staticmethod
+    def _first_refuted(schema):
+        f = instantiate(schema, {m: Var(f"{m.lower()}0") for m in schema_metavars(schema)})
+        return next(fr for fr in _il_frames(3) if frame_validates(fr, f) is not True), f
+
+    def test_the_witness_walk_calls_on_chunk_before_each_pass(self, monkeypatch):
+        """At ``SWEEP_ROWS`` = 7 the M instance has no skeleton table (its
+        three variables take 8 rows per world), so on the first refuted
+        3-world IL frame all of its 273 passes walk the valuations."""
+        monkeypatch.setattr(properties, "SWEEP_ROWS", 7)
+        fr, f = self._first_refuted("M")
+        assert properties._table(f, 3, 7) is None
+        calls = []
+        assert isinstance(frame_validates(fr, f, on_chunk=lambda: calls.append(1)),
+                          Falsification)
+        assert len(calls) == 273
+
+    def test_on_chunk_can_end_the_witness_walk(self, monkeypatch):
+        """The W instance is decided on its skeleton table in 2 passes, then
+        its witness takes 35 passes of the valuations; an ``on_chunk`` that
+        raises on its first call past the decision ends ``frame_validates``
+        with that exception."""
+        monkeypatch.setattr(properties, "SWEEP_ROWS", 7)
+        fr, f = self._first_refuted("W")
+        calls, decision = [], []
+        assert isinstance(frame_validates(fr, f, on_chunk=lambda: calls.append(1)),
+                          Falsification)
+        assert properties._first_failure(TruthTables(fr), *properties._table(f, 3, 7),
+                                         lambda: decision.append(1)) is not None
+        assert (len(decision), len(calls)) == (2, 37)
+
+        class Stop(Exception):
+            pass
+
+        def stop():
+            calls.append(1)
+            if len(calls) > len(decision):
+                raise Stop
+
+        calls.clear()
+        with pytest.raises(Stop):
+            frame_validates(fr, f, on_chunk=stop)
+        assert len(calls) == len(decision) + 1
+
     @pytest.mark.parametrize("src", ["a | b | c | d | e", "a | b | c | d | e | ~e"])
     def test_five_variables_on_four_worlds_stay_small(self, src):
         """16^5 valuations: the whole grid is 8 MiB per int64 array, one
@@ -450,6 +494,24 @@ class TestChunkedSweep:
         finally:
             tracemalloc.stop()
         assert (result is True) == src.endswith("~e")
+        assert peak < 16 * 2 ** 20, peak
+
+    def test_many_variables_stay_small(self):
+        """1,024 variables give the table of valuations 1,024 names, of
+        which one pass sets only the last sixteen: the others stay one-entry
+        arrays, so memory does not grow with names x rows."""
+        names = [f"a{i:04d}" for i in range(1024)]
+        while len(names) > 1:
+            names = [f"({a} | {b})" for a, b in zip(names[::2], names[1::2])]
+        fr = GenFrame(["w"], [], {})
+        tracemalloc.start()
+        try:
+            result = frame_validates(fr, parse(names[0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.world, set(map(len, result.valuation.values()))) == ("w", {0})
+        assert len(result.valuation) == 1024
         assert peak < 16 * 2 ** 20, peak
 
 
@@ -529,6 +591,25 @@ def _shared_leaf_formula(rng):
                 lambda g, kids: sub[g.name] if type(g) is Var else g.rebuild(kids))
 
 
+@pytest.mark.parametrize("src", ["[]bot", "~[]bot", "bot |> top", "top |> bot",
+                                 "<>top -> [][]bot", "[]bot | <>[]bot", "top",
+                                 "(top |> bot) -> []bot"])
+def test_variable_free_formulas_match_a_brute_scan(src):
+    """Without variables the table of valuations has no digits and one row,
+    and the truth array one entry; the skeleton table has one leaf vector.
+    On every labelled IL frame up to four worlds the answer is the brute
+    scan's."""
+    f = parse(src)
+    for n in range(1, 5):
+        for fr in _il_frames(n):
+            result = frame_validates(fr, f)
+            expected = _brute_first_failure(fr, f)
+            if result is True:
+                assert expected is True, (src, fr)
+            else:
+                assert (result.valuation, result.world) == expected, (src, fr)
+
+
 class TestSkeletonTable:
     def test_decision_matches_a_brute_scan_on_shared_leaves(self):
         """On 360 random (frame, formula) pairs whose leaves share variables,
@@ -542,9 +623,9 @@ class TestSkeletonTable:
             k = len(variables(f))
             n = rng.randrange(1, 5 if k <= 2 else 4)
             fr = random_gen_frame(rng, n)
-            table = properties._table(f, n, properties.SWEEP_ROWS)
-            assert table is not None
-            smaller += table[1] < 1 << k
+            assert properties._table(f, n, properties.SWEEP_ROWS) is not None
+            image = properties._image(f, properties.SWEEP_ROWS)[2]
+            smaller += image.shape[1] < 1 << k
             result = frame_validates(fr, f)
             expected = _brute_first_failure(fr, f)
             if result is True:
