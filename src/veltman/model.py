@@ -15,7 +15,8 @@ appear only at the boundary: the derived views ``pairs``, ``successors``,
 clauses of an ordinary frame, which keeps S_w as a set of world pairs.
 
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
-bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``.
+bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``,
+which reads them through the lookup tables they build, ``GenFrame._lookups``.
 
 JSON interchange format::
 
@@ -32,8 +33,10 @@ Empty generator sets are not representable: the constructor rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .formula import Algebra, Formula, evaluate
 
@@ -84,10 +87,10 @@ def minimal_unions(choices: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """The minimal unions of one mask from each choice, as an ``antichain``:
     a product pruned to its minimal members after every factor.  No choice
     gives the empty union; an empty choice gives no union at all."""
-    partial: tuple[int, ...] = (0,)
+    unions: tuple[int, ...] = (0,)
     for options in choices:
-        partial = antichain(h | g for h in partial for g in options)
-    return partial
+        unions = antichain(h | g for h in unions for g in options)
+    return unions
 
 
 def _antichains(s: Mapping[World, Mapping[World, Iterable[int]]]) -> dict:
@@ -220,6 +223,21 @@ class GenFrame(_Frame):
                 (x.dtype.type(bw), r, images) for bw, r, images in self._rows.values())
         return rows
 
+    @cached_property
+    def _lookups(self):
+        """``box`` and ``rhd`` as lookups in read-only uint8 tables, for up to
+        eight worlds.  The tables are built by those methods, so a lookup
+        keeps their one encoding: entry x of the box table is ``box(x)``
+        (2^n entries), entry ``(a << 8) | b`` of the rhd table is
+        ``rhd(a, b)`` (a below 2^n, b below 256).  A mask with bits above
+        world n - 1 reads as in ``box``/``rhd``, which ignore those bits, or
+        falls outside its table and raises ``IndexError``."""
+        xs = np.arange(1 << len(self.worlds), dtype=np.uint8)
+        box = self.box(xs)
+        rhd = self.rhd(xs[:, None], np.arange(256, dtype=np.uint8)[None, :]).ravel()
+        box.flags.writeable = rhd.flags.writeable = False
+        return box.take, partial(_take_pair, rhd)
+
     def box(self, x):
         """Worlds all of whose R-successors lie in ``x``."""
         out = x & 0
@@ -254,6 +272,12 @@ class GenFrame(_Frame):
                       for u, gens in sorted(per_u.items())}
                   for w, per_u in sorted(self.s.items())},
         }
+
+
+def _take_pair(table, a, b):
+    """Entry ``(a << 8) | b`` of ``table``, where a and b keep their low
+    eight bits, so that b never reaches a's field."""
+    return table.take(a.astype(np.uint16) << 8 | b.astype(np.uint8, copy=False))
 
 
 class OrdFrame(_Frame):

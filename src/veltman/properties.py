@@ -37,11 +37,16 @@ or transversal Z.  keep is V cut to the worlds with R inside R[u] (Mgen,
 M0gen), inside C (Rgen) or off the preimage (Wgen), each by ``GenFrame.box``,
 V inside R[w'] (Pgen) or Z inside R[x] (P0gen).
 
-``frame_validates`` evaluates with ``GenFrame.box``/``rhd`` on numpy arrays
-of world bitmasks in the smallest unsigned dtype that holds one (uint8 up
-to eight worlds), in chunks of at most ``SWEEP_ROWS`` rows.  It decides
-validity on the skeleton of a formula f: f with each maximal modal-free
-subformula (a leaf) replaced by a fresh variable.  The decision is exact:
+``frame_validates`` evaluates on numpy arrays of world bitmasks in the
+smallest unsigned dtype that holds one (uint8 up to eight worlds), in chunks
+of at most ``SWEEP_ROWS`` rows.  Each ``[]`` or ``|>`` node is one lookup
+in the frame's tables of ``GenFrame.box``/``rhd``, built by those methods
+once per frame and kept on it (``GenFrame._lookups``), so the frame lists
+that search shares pay for them once.  A frame whose 4^n pairs of masks
+exceed one pass (more than eight worlds) is evaluated by ``box``/``rhd``
+themselves.  It decides validity on the skeleton of a formula f: f with
+each maximal modal-free subformula (a leaf) replaced by a fresh variable.
+The decision is exact:
 
 - a leaf's truth at a world w depends only on the variables' values at w;
 - so, with I the set of distinct leaf vectors over the 2^k rows of a
@@ -61,7 +66,7 @@ fix the first digits and read the last from one shared read-only grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable
 
@@ -189,24 +194,42 @@ class TruthTables:
     and unassigned variables are read-only one-entry arrays of it that
     broadcast, so a formula without assigned variables yields a one-entry
     array, and masks of ``dtype`` give masks of ``dtype``.
+
+    Where the frame's 4^n pairs of masks fit in one pass (4^n <=
+    ``SWEEP_ROWS``, so up to eight worlds, whose masks are uint8), each
+    ``[]`` and ``|>`` node is one lookup from ``GenFrame._lookups``, built
+    once per frame: its result has ``dtype`` whatever the operands', and a
+    mask with bits above world n - 1 gives the answer of ``box``/``rhd`` or
+    raises ``IndexError``.  Larger frames are evaluated by
+    ``GenFrame.box``/``rhd`` themselves.
     """
 
     def __init__(self, frame: GenFrame):
+        n = len(frame.worlds)
         self.frame = frame
-        self.full = (1 << len(frame.worlds)) - 1
+        self.full = (1 << n) - 1
         self.dtype = np.min_scalar_type(self.full)
-        self._top = _read_only(np.full(1, self.full, dtype=self.dtype))
-        self._zero = _read_only(np.zeros(1, dtype=self.dtype))
+        self._top, self._zero = _ends(n)
+        self._box, self._rhd = frame._lookups if 4 ** n <= SWEEP_ROWS else (frame.box, frame.rhd)
 
     def evaluate(self, f: Formula, assignment: dict[str, np.ndarray]) -> np.ndarray:
         zero = self._zero
         return evaluate(f, Algebra(self._top, lambda name: assignment.get(name, zero),
-                                   self.frame.box, self.frame.rhd))
+                                   self._box, self._rhd))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@cache
+def _ends(worlds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top and zero masks on ``worlds`` worlds, as shared read-only
+    one-entry arrays of the smallest dtype that holds them."""
+    full = (1 << worlds) - 1
+    dtype = np.min_scalar_type(full)
+    return _read_only(np.full(1, full, dtype=dtype)), _read_only(np.zeros(1, dtype=dtype))
 
 
 # Rows per array pass: bounds a table walk's memory for any number of
@@ -242,9 +265,13 @@ def _plan(at: list[np.ndarray], size: int, start: np.ndarray, rows: int):
         inside += 1
     grid = _grid(size, inside)
     last = at[len(at) - inside:]
-    used = np.flatnonzero(sum((a.any(axis=1) for a in last), start=np.zeros(len(start), bool)))
+    used = np.flatnonzero(np.hstack((start, *last)).any(axis=1))
     inner = list(_read_only(start))
-    cols = sum((np.take(a[used], d, axis=1) for a, d in zip(last, grid)), start=start[used])
+    # a broadcast OR per inner digit, last digit first, so that each step's
+    # innermost axis is the long block of the digits after it
+    cols = start[used]
+    for a in reversed(last):
+        cols = (a[used][:, :, None] | cols[:, None, :]).reshape(len(used), size * cols.shape[1])
     for i, col in zip(used, _read_only(cols)):
         inner[i] = col
     return at[:len(at) - inside], inner, grid

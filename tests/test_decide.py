@@ -297,6 +297,29 @@ class TestCountermodelSearch:
         assert runs[0] == runs[1]
         assert '"verdict": "refuted"' in runs[0][0]
 
+    def test_lookup_tables_are_built_once_per_shared_frame(self, monkeypatch):
+        """Search shares its frame lists, and each frame keeps its ``[]``
+        and ``|>`` lookup tables: after one search has swept every frame up
+        to four worlds, a search for another formula calls neither
+        ``GenFrame.box`` nor ``rhd``.  The tables are read-only."""
+        budget = SearchBudget(max_worlds=4)
+        assert countermodel_search(parse("p |> p"), "IL", budget) == NoCountermodelUpTo(4)
+        calls = []
+
+        def counted(name):
+            method = getattr(GenFrame, name)
+            return lambda self, *xs: calls.append(name) or method(self, *xs)
+
+        for name in ("box", "rhd"):
+            monkeypatch.setattr(GenFrame, name, counted(name))
+        f = parse("[](p -> q) -> (p & r) |> (q | <>r)")
+        assert countermodel_search(f, "IL", budget) == NoCountermodelUpTo(4)
+        assert calls == []
+        box, rhd = list(enumerate_frames(4))[-1]._lookups
+        for table in (box.__self__, rhd.args[0]):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
 
 @cache
 def _labelled(n, logic):

@@ -16,7 +16,7 @@ from reference import _forces, gen_truth_set, random_formula, random_gen_frame
 
 from veltman import properties
 from veltman.decide import _il_frames, enumerate_frames
-from veltman.formula import Var, fold, parse, variables
+from veltman.formula import Algebra, Var, evaluate, fold, parse, variables
 from veltman.hilbert import SCHEMATA, instantiate, schema_metavars
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
@@ -578,6 +578,47 @@ class TestSharedGrid:
             x = np.arange(min(256, 1 << n), dtype=tables.dtype)
             out = tables.evaluate(f, {"p": x, "q": x[::-1]})
             assert out.dtype == tables.dtype == (np.uint8 if n <= 8 else np.uint16)
+
+    def test_lookups_equal_box_and_rhd(self):
+        """On seeded random frames of one to nine worlds, ``evaluate`` gives
+        the frame's own ``box``/``rhd`` on every entry.  Up to eight worlds
+        read the lookup tables; nine are past the table bound.  Masks come
+        in the frame's dtype, in int64 and as one-entry arrays; r is
+        sometimes unassigned.  Masks with bits above world n - 1, negative
+        or of 2^n or more, give the answer of ``box``/``rhd`` (which ignore
+        those bits) or, on the table path, raise ``IndexError``; never
+        another answer."""
+        rng = random.Random(1515)
+        draw = np.random.default_rng(1515)
+        for n in range(1, 10):
+            for _ in range(5):
+                fr = random_gen_frame(rng, n)
+                tables = TruthTables(fr)
+                top = np.full(1, tables.full, dtype=tables.dtype)
+                for _ in range(6):
+                    f = random_formula(rng, 3, ("p", "q", "r"))
+                    for dtype in (tables.dtype, np.int64):
+                        assignment = {v: draw.integers(0, 1 << n, rng.choice((1, 50)))
+                                      .astype(dtype) for v in "pqr"[:rng.randrange(2, 4)]}
+                        zero = np.zeros(1, dtype)
+                        expected = evaluate(f, Algebra(top, lambda v: assignment.get(v, zero),
+                                                       fr.box, fr.rhd))
+                        got = tables.evaluate(f, assignment)
+                        assert np.array_equal(*np.broadcast_arrays(got, expected)), (n, str(f))
+                assert ("_lookups" in vars(fr)) == (n <= 8)
+                good = {v: draw.integers(0, 1 << n, 16) for v in "pq"}
+                for f, v, bad in itertools.product(
+                        (parse("q |> p"), parse("[]p")), "pq",
+                        (-draw.integers(1, 1 << 10, 16), draw.integers(1 << n, 1 << 10, 16),
+                         draw.integers(0, 1 << 10, 16) + (1 << 40))):
+                    assignment = {**good, v: bad}
+                    expected = evaluate(f, Algebra(top, assignment.__getitem__, fr.box, fr.rhd))
+                    try:
+                        got = tables.evaluate(f, assignment)
+                    except IndexError:
+                        assert n <= 8
+                    else:
+                        assert np.array_equal(got, expected), (n, str(f), v, bad)
 
 
 def _shared_leaf_formula(rng):
