@@ -16,11 +16,11 @@ from .decide import (FRAME_CONDITIONS, CheckedTheorem, NoCountermodelUpTo,
                      countermodel_search, decide, enumerate_frames,
                      verdict_to_json)
 from .filtration import FiltrationResult, box_like, filtrate, verify_filtration
-from .formula import (MAX_DEPTH, Algebra, And, Bot, BOT, Box, Dia, Formula,
+from .formula import (MAX_DEPTH, Algebra, And, Bot, BOT, Box, Dag, Dia, Formula,
                       Impl, Neg, Or, ParseError, Rhd, Top, TOP, Var,
                       adequate_set, d_closure, evaluate, fold, is_adequate,
-                      normalize, parse, pretty, single_negation, subformulas,
-                      variables)
+                      normalize, parse, pretty, semantics, single_negation,
+                      subformulas, variables)
 from .hilbert import (LOGICS, SCHEMATA, Axiom, Logic, MP, Nec, ProofCheck,
                       ProofFormatError, ProofLine, ProofObject, Taut,
                       check_proof, format_proof, get_logic,

@@ -20,12 +20,13 @@ minimal unions, as masks of classes, of one projected generator per witness
 pair (w', u'), taking only the projections inside R~[[w]].  Truth of every
 formula in the adequate set is preserved from model to quotient.
 
-``verify_filtration`` checks this exhaustively on truth masks.  It lifts the
+``verify_filtration`` checks this exhaustively on truth masks, in one walk of
+the adequate set's list on the model and one on the quotient.  It lifts the
 quotient's mask of a formula to the model's worlds, as the join of the
 member masks of the classes where it holds, and XORs that with the model's
-mask: a set bit is a world where the two disagree.  Formulas are taken in
-the order of their printed text, all printed through one memo, and within
-a formula the lowest set bit, the first world of ``m.worlds``, is reported.
+mask: a set bit is a world where the two disagree.  Of the formulas that
+disagree, the least text (the first in ``str`` order) is reported, at its
+lowest set bit, the first world of ``m.worlds``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Partition, largest_autobisimulation
-from .formula import Bot, Box, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
+from .formula import Bot, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
 from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, validate
 
 
@@ -41,7 +42,7 @@ from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, v
 class FiltrationResult:
     quotient: GenModel
     partition: Partition
-    gamma: frozenset[Formula]
+    gamma: Dag
     origin: GenModel
     violations: tuple[Violation, ...]
 
@@ -63,7 +64,7 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     gamma = adequate_set(d)
     partition = largest_autobisimulation(m)
     fr, class_of = m.frame, partition.class_of
-    truths = [m._truth_mask(f) for f in gamma if box_like(f)]
+    truths = [m._truth_mask(f) for f in gamma.members if box_like(f)]
 
     class_ids = sorted(partition.classes)
     to_class = {fr.bit[w]: 1 << class_ids.index(cid) for w, cid in class_of.items()}
@@ -100,11 +101,19 @@ def verify_filtration(m: GenModel, result: FiltrationResult) -> tuple[World, For
     """First (world, formula) where model and quotient disagree, else None:
     the first formula in ``str`` order, and within it the first world of
     ``m.worlds``."""
-    q = result.quotient
-    members = {c: m.frame.mask(ws) for c, ws in result.partition.classes.items()}
+    q, gamma = result.quotient, result.gamma
+    classes = [m.frame.mask(result.partition.classes[c]) for c in q.worlds]
+    lifted: dict[int, int] = {}  # quotient mask -> the join of its classes
+    diffs = []  # the quotient's masks are not memoized: that would only cost hashing
+    for f, here, there in zip(gamma.members, gamma.values(m._step, m._truth),
+                              gamma.values(q._step)):
+        lift = lifted.get(there)
+        if lift is None:
+            lift = lifted[there] = sum(classes[b.bit_length() - 1] for b in bits(there))
+        if here != lift:
+            diffs.append((f, here ^ lift))
+    if not diffs:
+        return None
     texts: dict = {}
-    for f in sorted(result.gamma, key=lambda f: pretty(f, texts)):
-        lifted = sum(members[c] for c in q.frame.names(q._truth_mask(f)))
-        if diff := m._truth_mask(f) ^ lifted:
-            return (m.worlds[(diff & -diff).bit_length() - 1], f)
-    return None
+    f, diff = min(diffs, key=lambda fd: pretty(fd[0], texts))
+    return (m.worlds[(diff & -diff).bit_length() - 1], f)

@@ -22,9 +22,11 @@ Nesting is bounded: past ``MAX_DEPTH`` nodes on a root-to-leaf path of the
 tree, or ``MAX_DEPTH`` open parentheses, the parser raises ParseError.
 
 Everything computed on formulas is structural recursion, written once as
-:func:`fold`.  :func:`evaluate` is the one semantics: it reads a formula in a
-Boolean algebra with operators (:class:`Algebra`), such as a frame's complex
-algebra on world bitmasks, or truth-table columns.
+:func:`fold`, and run as one loop over a set listed children first by
+:meth:`Dag.values`.  The one semantics is the step both drive,
+:func:`semantics`: a node's value in a Boolean algebra with operators
+(:class:`Algebra`), such as a frame's complex algebra on world bitmasks, or
+truth-table columns.
 """
 
 from __future__ import annotations
@@ -350,12 +352,10 @@ class Algebra(NamedTuple):
     rhd: Callable[[Any, Any], Any]
 
 
-def evaluate(f: Formula, algebra: Algebra, memo: dict | None = None):
-    """The value of ``f`` in ``algebra``; ``<>`` is the dual of ``[]``.
-
-    ``memo`` is passed to :func:`fold`: it caches values, and seeded entries
-    override the value of their subformula.
-    """
+def semantics(algebra: Algebra) -> Callable[[Formula, tuple], Any]:
+    """The value of one node in ``algebra`` from the values of its children:
+    the step that :func:`fold` and :meth:`Dag.values` drive.  ``<>`` is the
+    dual of ``[]``."""
     full, atom, box, rhd = algebra
 
     def visit(g, v):
@@ -382,7 +382,16 @@ def evaluate(f: Formula, algebra: Algebra, memo: dict | None = None):
             return full ^ full
         raise TypeError(f"not a formula: {g!r}")
 
-    return fold(f, visit, memo)
+    return visit
+
+
+def evaluate(f: Formula, algebra: Algebra, memo: dict | None = None):
+    """The value of ``f`` in ``algebra``, folded with :func:`semantics`.
+
+    ``memo`` is passed to :func:`fold`: it caches values, and seeded entries
+    override the value of their subformula.
+    """
+    return fold(f, semantics(algebra), memo)
 
 
 def _wrap(child: Formula, text: str, strict_below: int) -> str:
@@ -471,36 +480,85 @@ def _pool(gamma: Iterable[Formula]) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def adequate_set(d: Iterable[Formula]) -> frozenset[Formula]:
+class Dag(frozenset):
+    """A set of formulas closed under subformulas that also lists them, as
+    ``members``, each after its children; ``kids[i]`` are the positions of
+    ``members[i].children``.  Equality, hashing and ``len`` are the set's."""
+
+    __slots__ = ("members", "kids")
+
+    def __new__(cls, members: Iterable[Formula], kids: Iterable[tuple[int, ...]]):
+        members = tuple(members)
+        out = super().__new__(cls, members)
+        out.members, out.kids = members, tuple(kids)
+        return out
+
+    def __reduce__(self):
+        return type(self), (self.members, self.kids)
+
+    def values(self, visit: Callable[[Formula, tuple], Any], memo: dict | None = None) -> list:
+        """:func:`fold` over every member in one loop: each member's value, in
+        ``members`` order.  ``memo`` is read and filled as by :func:`fold`."""
+        out: list = []
+        for g, k in zip(self.members, self.kids):
+            value = _MISSING if memo is None else memo.get(g, _MISSING)
+            if value is _MISSING:
+                value = visit(g, tuple([out[j] for j in k]))
+                if memo is not None:
+                    memo[g] = value
+            out.append(value)
+        return out
+
+
+def adequate_set(d: Iterable[Formula]) -> Dag:
     """Least superset of ``d`` closed under the five structure conditions:
     subformulas, single negation, membership of ``bot |> bot``, pairing of
     |>-components, and ``[]~A`` for every A in ``d``.
 
-    A worklist: each new member is normalized once, through one memo shared
-    by the whole worklist, so each distinct node is expanded once however
-    many members contain it; and a component new to the pool is paired with
-    every component already there.
+    A worklist over members interned by key, ``(type, positions of the
+    children)`` or ``(type, symbol)`` for a leaf, so that membership tests
+    and the pairings hash small tuples.  A new [] or |> member is
+    normalized, through one memo shared by the whole worklist, unless it
+    pairs two components, which is already normal; a component new to the
+    pool is paired with every component already there.
     """
     d = frozenset(d)
-    gamma: set[Formula] = set()
-    pool: set[Formula] = set()
+    ids: dict[tuple, int] = {}
+    members: list[Formula] = []
+    kids: list[tuple[int, ...]] = []
+    todo: list[int] = []
+
+    def member(f: Formula, k: tuple | None = None) -> int:
+        """The position of ``f``, added after its children (positions ``k``) if new."""
+        if k is None:
+            k = tuple([member(c) for c in f.children])
+        key = (type(f), *k) if k else (type(f), f.symbol)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(members)
+            members.append(f)
+            kids.append(k)
+            todo.append(i)
+        return i
+
+    for f in (*d, Rhd(BOT, BOT), *(Box(Neg(a)) for a in d)):
+        member(f)
+    pool: set[int] = set()
     normal: dict = {}
-    todo = [*d, Rhd(BOT, BOT), *(Box(Neg(a)) for a in d)]
     while todo:
-        g = todo.pop()
-        if g in gamma:
-            continue
-        gamma.add(g)
-        todo.extend(g.children)
-        todo.append(single_negation(g))
-        n = normalize(g, normal)
-        if isinstance(n, Rhd):
-            for c in n.children:
+        i = todo.pop()
+        g = members[i]
+        t = type(g)
+        if t is not Neg and (Neg, i) not in ids:
+            member(Neg(g), (i,))
+        if t is Box or (t is Rhd and not pool.issuperset(kids[i])):
+            for c in map(member, normalize(g, normal).children):
                 if c not in pool:
                     pool.add(c)
-                    todo.extend(Rhd(c, e) for e in pool)
-                    todo.extend(Rhd(e, c) for e in pool)
-    return frozenset(gamma)
+                    for e in pool:
+                        member(Rhd(members[c], members[e]), (c, e))
+                        member(Rhd(members[e], members[c]), (e, c))
+    return Dag(members, kids)
 
 
 def is_adequate(gamma: Iterable[Formula], d: Iterable[Formula]) -> bool:

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .formula import Algebra, Formula, evaluate
+from .formula import Algebra, Formula, fold, semantics
 
 World = str
 
@@ -501,16 +501,18 @@ class GenModel(_Model):
     def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
         super().__init__(frame, valuation)
         self._truth: dict[Formula, int] = {}
+        # the step closes over the frame and valuation, not over self: a
+        # model in a reference cycle would wait for the cyclic collector
+        valuation = self.valuation
+        self._step = semantics(Algebra((1 << len(frame.worlds)) - 1,
+                                       lambda name: frame.mask(valuation.get(name, ())),
+                                       frame.box, frame.rhd))
+
+    def __reduce__(self):  # the step is a closure: a copy builds its own
+        return type(self), (self.frame, self.valuation)
 
     def _truth_mask(self, f: Formula) -> int:
-        cached = self._truth.get(f)
-        if cached is not None:
-            return cached
-        frame = self.frame
-        algebra = Algebra((1 << len(frame.worlds)) - 1,
-                          lambda name: frame.mask(self.valuation.get(name, ())),
-                          frame.box, frame.rhd)
-        return evaluate(f, algebra, self._truth)
+        return fold(f, self._step, self._truth)
 
     def truth_set(self, f: Formula) -> frozenset[World]:
         mask = self._truth_mask(f)

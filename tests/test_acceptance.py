@@ -307,7 +307,7 @@ def test_criterion_08_refutation_fixtures(report):
 def test_criterion_09_wstar_composition(report):
     failures = []
     checked = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for fr in _il_frames(n):
             if not (check_property(fr, "M0gen").holds
                     and check_property(fr, "Wgen").holds):
@@ -324,7 +324,7 @@ def test_criterion_09_wstar_composition(report):
 def test_criterion_10_optimization_equivalence(report):
     failures = []
     total = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for fr in _il_frames(n):
             for pid in ("Rgen", "P0gen"):
                 total += 1

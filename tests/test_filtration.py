@@ -1,7 +1,10 @@
 """Filtration through an adequate set and its verification."""
 
 import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 from reference import (duplicated_model, filtration_s_by_scan, gen_truth_set, random_formula,
                        random_gen_frame, random_gen_model)
@@ -260,6 +263,36 @@ def test_quotient_worlds_match_partition_classes():
         assert sorted(res.quotient.worlds) == sorted(res.partition.classes)
         merged = sorted(w for ws in res.partition.to_json().values() for w in ws)
         assert merged == sorted(m.worlds)
+
+
+def test_model_and_quotient_are_freed_without_the_cyclic_collector():
+    """Forcing, filtration and its check leave no reference cycle through
+    the model or the quotient: with the cyclic collector off, both are
+    freed as soon as the last reference goes."""
+    m = _random_model(random.Random(5), 5)
+    gc.disable()
+    try:
+        m._truth_mask(parse("[]p |> q"))
+        res = filtrate(m, d_closure([parse("p |> q"), parse("<>~q")]))
+        assert verify_filtration(m, res) is None
+        refs = [weakref.ref(m), weakref.ref(res.quotient)]
+        del m, res
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_result_pickles_with_the_adequate_set_list():
+    """A filtration result and its models survive pickling: Γ keeps its
+    children-first list, and the copy checks as the original does."""
+    m = _random_model(random.Random(6), 4)
+    res = filtrate(m, d_closure([parse("p |> q"), parse("[]~p")]))
+    copy = pickle.loads(pickle.dumps(res))
+    assert copy.gamma == res.gamma
+    assert (copy.gamma.members, copy.gamma.kids) == (res.gamma.members, res.gamma.kids)
+    assert copy.quotient.to_json() == res.quotient.to_json()
+    assert copy.origin.truth_set(parse("p |> ~q")) == m.truth_set(parse("p |> ~q"))
+    assert verify_filtration(copy.origin, copy) is None
 
 
 def test_partition_is_the_largest_autobisimulation():

@@ -1,5 +1,6 @@
 """Syntax layer: parsing, printing, normalization, closure operators."""
 
+import functools
 import random
 from collections import Counter
 
@@ -230,6 +231,26 @@ class TestDClosure:
         assert d_closure(d) == d
 
 
+@functools.cache
+def _seed_sets():
+    """300 seed sets, each with its reference closure: every 50th a nested
+    chain []p_k |> ... ([]p1 |> p0), k = 1..6, every other one closed
+    under d_closure first."""
+    rng = random.Random(3)
+    out = []
+    for i in range(300):
+        if i % 50 == 49:
+            chain = Var("p0")
+            for j in range(1, i // 50 + 2):
+                chain = Rhd(Box(Var(f"p{j}")), chain)
+            seeds = [chain]
+        else:
+            seeds = [random_formula(rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
+        seeds = d_closure(seeds) if i % 2 else seeds
+        out.append((seeds, adequate_closure(seeds)))
+    return out
+
+
 class TestAdequateSet:
     def test_bot_rhd_bot_always_present(self):
         g = adequate_set(d_closure([]))
@@ -265,22 +286,13 @@ class TestAdequateSet:
         assert broken == len(g)
 
     def test_matches_the_reference_closure_on_300_seed_sets(self):
-        """Every 50th seed set is a nested chain []p_k |> ... ([]p1 |> p0),
-        k = 1..6; every other one is closed under d_closure first."""
-        rng = random.Random(3)
-        for i in range(300):
-            if i % 50 == 49:
-                chain = Var("p0")
-                for j in range(1, i // 50 + 2):
-                    chain = Rhd(Box(Var(f"p{j}")), chain)
-                seeds = [chain]
-            else:
-                seeds = [random_formula(rng, rng.randrange(1, 3)) for _ in range(rng.randrange(1, 3))]
-            if i % 2:
-                seeds = d_closure(seeds)
-            assert adequate_set(seeds) == adequate_closure(seeds), [str(f) for f in seeds]
+        for seeds, closure in _seed_sets():
+            assert adequate_set(seeds) == closure, [str(f) for f in seeds]
 
     def test_expands_each_distinct_node_once(self, monkeypatch):
+        """No node is normalized twice, and only members are: the worklist
+        normalizes [] and |> members that are not already pairs of
+        components, and their subformulas."""
         visits = Counter()
         expand = formula._expand
 
@@ -293,8 +305,21 @@ class TestAdequateSet:
         for j in range(1, 5):
             chain = Rhd(Box(Var(f"p{j}")), chain)
         g = adequate_set(d_closure([chain, parse("<>(p & q) -> []~r")]))
-        assert visits.keys() == g
+        assert visits.keys() <= g
         assert max(visits.values()) == 1
+
+    def test_members_list_the_reference_closure_children_first(self):
+        """On the seed sets checked against the reference closure: ``members``
+        lists the set without repeats, and ``kids[i]`` are the positions of
+        ``members[i].children``, each lower than i."""
+        for seeds, closure in _seed_sets():
+            g = adequate_set(seeds)
+            assert len(g.members) == len(g.kids) == len(set(g.members))
+            assert set(g.members) == closure
+            position = {f: i for i, f in enumerate(g.members)}
+            for i, (f, k) in enumerate(zip(g.members, g.kids)):
+                assert all(j < i for j in k), str(f)
+                assert k == tuple(position[c] for c in f.children), str(f)
 
     def test_fixpoint_for_fixed_d(self):
         # closure is relative to d: the output satisfies all five
