@@ -16,24 +16,32 @@ the partners of u among the successors of y are ``partners[u] &
 succ_mask[y]`` and "v has a Z-partner in g" is ``partners[v] & g``.
 
 ``largest_autobisimulation`` refines a partition, starting from atomic
-agreement.  Each round splits every block: a world joins the first earlier
-representative of its old block that passes the transfer clause both ways
-under "same old block", and otherwise becomes a representative itself.
-Comparing with one representative per block is enough because, when Z is
-an equivalence, "forth both ways under Z" is an equivalence too: it holds
-exactly when two worlds have the same inclusion-minimal pairs (class of u,
-upward closure of the class images of S_w(u)) over their R-successors u.
-So each round computes Z & ok(Z), the next iterate of the greatest
-fixpoint iteration, and the loop stops after at most |W| rounds, when the
-number of blocks stays the same.  Worlds are visited in order, so every
-class id is the least member of its class.
+agreement.  When Z is an equivalence, write [A] for the classes met by a
+world mask A and up(F) for the upward closure of a family F of class sets.
+An image g refines g' under Z iff [g] is inside [g'], so the S-image
+clause for (x, u) against (y, u') reads up([S_y(u')]) inside up([S_x(u)]),
+and forth both ways under Z holds iff, for every class c, the
+inclusion-minimal members of {up([S_x(u)]) : x R u, u in c} and of the
+same set for y are equal.  For a minimal member on one side, forth and back
+give a member inside it on the other side and one inside that on the first
+side, which minimality makes equal to the first; conversely every member
+contains a minimal one, which the other side has too.  So each round
+gives every world one signature, its old class and those (c, minimal
+closure) pairs, each closure as the ``antichain`` of its class-projected
+generators, and groups the worlds by it: Z & ok(Z), the next iterate of the
+greatest fixpoint iteration, with no pairwise test.  The loop stops after
+at most |W| rounds, when the number of classes stays the same.  Worlds are
+grouped in world order, so every class id is the least member of its
+class.  ``_forth_ok`` stays the clause of ``bisimulation_violation``,
+whose Z need not be an equivalence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .model import GenFrame, GenModel, World, bits
+from .model import GenFrame, GenModel, World, antichain, bits
 
 
 @dataclass(frozen=True)
@@ -104,25 +112,33 @@ def bisimulation_violation(m1: GenModel, m2: GenModel,
     return None
 
 
+def _signature(images, project) -> frozenset:
+    """The pairs (class of u, ``antichain`` of the class-projected generators
+    of S_w(u)) over the R-successors u of w in ``images``, keeping per class
+    only the families whose upward closure is inclusion-minimal: a family a
+    is dropped when another family b of the class has every member
+    containing a member of a."""
+    families: dict[int, set[tuple[int, ...]]] = {}
+    for bu, _, gens in images:
+        families.setdefault(project(bu), set()).add(antichain(map(project, gens)))
+    return frozenset((c, a) for c, fams in families.items() for a in fams
+                     if not any(b != a and all(any(h & ~g == 0 for h in a) for g in b)
+                                for b in fams))
+
+
 def largest_autobisimulation(m: GenModel) -> Partition:
     """Greatest autobisimulation of ``m`` as a partition of its worlds."""
     names = sorted(m.valuation)
-    fr, bit = m.frame, m.frame.bit
-    first: dict[frozenset[str], World] = {}
+    fr, bit, rows = m.frame, m.frame.bit, m.frame._rows
+    first: dict = {}
     class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
     while True:
-        old = class_of
-        blocks = _partners(((cid, w) for w, cid in old.items()), bit, bit)
-        same = {bit[w]: blocks[bit[cid]] for w, cid in old.items()}
-        reps: dict[World, list[World]] = {}
-        class_of = {}
-        for w in m.worlds:
-            block = reps.setdefault(old[w], [])
-            class_of[w] = next((r for r in block if _forth_ok(fr, fr, w, r, same)
-                                and _forth_ok(fr, fr, r, w, same)), w)
-            if class_of[w] == w:
-                block.append(w)
-        if sum(map(len, reps.values())) == len(reps):
+        to_class = {bit[w]: bit[cid] for w, cid in class_of.items()}
+        project = cache(lambda g: sum({to_class[b] for b in bits(g)}))
+        count, first = len(first), {}
+        class_of = {w: first.setdefault((cid, _signature(rows[w][2], project)), w)
+                    for w, cid in class_of.items()}
+        if len(first) == count:
             break
     blocks = _partners(((cid, w) for w, cid in class_of.items()), bit, bit)
     return Partition(class_of, {cid: frozenset(fr.names(blocks[bit[cid]]))

@@ -32,6 +32,7 @@ lowest set bit, the first world of ``m.worlds``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .bisim import Partition, largest_autobisimulation
 from .formula import Bot, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
@@ -69,6 +70,7 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     class_ids = sorted(partition.classes)
     to_class = {fr.bit[w]: 1 << class_ids.index(cid) for w, cid in class_of.items()}
 
+    @cache
     def project(g: int) -> int:
         return sum({to_class[b] for b in bits(g)})
 

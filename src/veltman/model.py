@@ -33,7 +33,7 @@ Empty generator sets are not representable: the constructor rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -73,8 +73,11 @@ def mask_order(g: int) -> tuple[int, list[int]]:
 
 def antichain(masks: Iterable[int]) -> tuple[int, ...]:
     """Drop duplicate and non-minimal masks; order by ``mask_order``."""
+    masks = set(masks)
+    if len(masks) < 2:
+        return tuple(masks)
     out: list[int] = []
-    for g in sorted(set(masks), key=mask_order):
+    for g in sorted(masks, key=mask_order):
         for h in out:
             if h & ~g == 0:
                 break
@@ -187,9 +190,11 @@ class GenFrame(_Frame):
         r = self.succ_mask[w]
         if v == 0 or v & ~r or not r & self.bit[u]:
             return False
-        for g in self.s.get(w, {}).get(u, ()):
-            if g & ~v == 0:
-                return True
+        for low, gens in self._buckets.get(w, {}).get(u, ()):
+            if low & v:
+                for g in gens:
+                    if g & ~v == 0:
+                        return True
         return False
 
     def s_holds(self, w: World, u: World, vs: Iterable[World]) -> bool:
@@ -204,6 +209,21 @@ class GenFrame(_Frame):
         return {w: (self.bit[w], r, tuple((b, u, self.gen_masks(w, u))
                                           for b, u in zip(bits(r), self.names(r))))
                 for w, r in self.succ_mask.items()}
+
+    @cached_property
+    def _buckets(self) -> dict:
+        """Per w and u: the generators of S_w(u) grouped by their lowest
+        world's bit, as (bit, generators) pairs.  A generator inside V has
+        its lowest world in V, so ``s_holds_mask`` scans only the groups of
+        worlds of V."""
+        out: dict = {}
+        for w, per_u in self.s.items():
+            for u, gens in per_u.items():
+                groups: dict = {}
+                for g in gens:
+                    groups.setdefault(g & -g, []).append(g)
+                out.setdefault(w, {})[u] = tuple(groups.items())
+        return out
 
     @cached_property
     def _typed_rows(self) -> dict:
@@ -496,7 +516,8 @@ class _Model:
 
 class GenModel(_Model):
     """Generalized frame plus valuation; forcing is memoized per formula as
-    a world bitmask in the frame's complex algebra."""
+    a world bitmask in the frame's complex algebra, and ``|>`` per pair of
+    masks, as members of an adequate set often share their truth masks."""
 
     def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
         super().__init__(frame, valuation)
@@ -506,7 +527,7 @@ class GenModel(_Model):
         valuation = self.valuation
         self._step = semantics(Algebra((1 << len(frame.worlds)) - 1,
                                        lambda name: frame.mask(valuation.get(name, ())),
-                                       frame.box, frame.rhd))
+                                       frame.box, cache(frame.rhd)))
 
     def __reduce__(self):  # the step is a closure: a copy builds its own
         return type(self), (self.frame, self.valuation)

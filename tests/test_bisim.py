@@ -139,14 +139,66 @@ class TestMatchesPairSetReference:
             self.assert_same(duplicated_model(m))
 
     def test_sixty_four_worlds_of_eight_copies(self):
+        """A random 8-world model, and the base of the benchmark's big
+        filtration models under three relabellings: two R-components, one
+        extra generator u S_w {v} per (w, u, v), closed, with p and q as
+        bits of each world's entry."""
         rng = random.Random(8)
         fr = random_gen_frame(rng, 8)
-        m = GenModel(fr, {p: [w for w in fr.worlds if rng.random() < 0.5]
-                          for p in ("p", "q")})
-        for suffix in ("_a", "_b", "_c"):
-            m = duplicated_model(m, suffix)
-        assert len(m.worlds) == 64
-        self.assert_same(m)
+        bases = [GenModel(fr, {p: [w for w in fr.worlds if rng.random() < 0.5]
+                               for p in ("p", "q")})]
+        r = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (2, 4), (5, 6), (5, 7), (6, 7)]
+        for _ in range(3):
+            ws = rng.sample([f"w{i}" for i in range(8)], 8)
+            fams: dict = {}
+            for w, u, v in [(0, 1, 2), (2, 3, 4), (5, 6, 7)]:
+                fams.setdefault(ws[w], {})[ws[u]] = [[ws[v]]]
+            fr = close_s(GenFrame(ws, [(ws[a], ws[b]) for a, b in r], fams))
+            bases.append(GenModel(fr, {
+                p: [ws[i] for i, x in enumerate((0, 1, 2, 3, 1, 0, 2, 1)) if x & b]
+                for p, b in (("p", 1), ("q", 2))}))
+        for m in bases:
+            for suffix in ("_a", "_b", "_c"):
+                m = duplicated_model(m, suffix)
+            assert len(m.worlds) == 64
+            self.assert_same(m)
+
+
+class TestMinimalImageFamilies:
+    """x has the R-successors u1 and u2 of one class and y only u3 of it;
+    all three are leaves without variables, as are the p-world a and the
+    q-world b.  The classes of the S-images of a successor are what the
+    transfer clauses compare."""
+
+    @staticmethod
+    def model(x_u1, x_u2, y_u3):
+        fr = close_s(GenFrame(
+            ["x", "y", "u1", "u2", "u3", "a", "a2", "b", "b2"],
+            [("x", v) for v in ("u1", "u2", "a", "b")] + [("y", v) for v in ("u3", "a2", "b2")],
+            {"x": {"u1": x_u1, "u2": x_u2}, "y": {"u3": y_u3}}))
+        return GenModel(fr, {"p": ["a", "a2"], "q": ["b", "b2"]})
+
+    @staticmethod
+    def assert_oracle(m):
+        part = largest_autobisimulation(m)
+        assert (part.class_of, part.classes) == pair_set_autobisimulation(m)
+        return part.class_of
+
+    def test_a_refined_family_is_dropped(self):
+        # S_x(u1) is generated by {u1} and {a}, S_x(u2) and S_y(u3) by the
+        # successor alone: up to classes the images of u2 are among those
+        # of u1, so u1's family is not minimal, and y matches x
+        m = self.model([["a"]], [], [])
+        class_of = self.assert_oracle(m)
+        assert class_of["x"] == class_of["y"] == "x"
+        assert class_of["u1"] == class_of["u2"] == class_of["u3"]
+
+    def test_incomparable_families_are_both_kept(self):
+        # S_x(u1) adds {a}, S_x(u2) adds {b}; y has only the family with {a}
+        m = self.model([["a"]], [["b"]], [["a2"]])
+        class_of = self.assert_oracle(m)
+        assert class_of["x"] == "x" and class_of["y"] == "y"
+        assert class_of["u1"] == class_of["u2"] == class_of["u3"]
 
 
 def _partitions(items):

@@ -13,6 +13,7 @@ import pytest
 from reference import (duplicated_model, gen_truth_set, ord_truth_set, random_formula,
                        random_gen_frame, random_gen_model, random_ord_model)
 
+from veltman.decide import _il_frames
 from veltman.formula import Box, Neg, Var, normalize, parse
 from veltman.model import (
     FrameError,
@@ -297,6 +298,30 @@ class TestSHolds:
                 for v2 in subsets:
                     if v1 <= v2 <= rw:
                         assert self.fr.s_holds("w", u, v2)
+
+
+def _s_holds_by_scan(fr, w, u, v):
+    """u S_w V on the stored generators, by scanning every one of them."""
+    r = fr.succ_mask[w]
+    return bool(v and not v & ~r and r & fr.bit[u]
+                and any(g & ~v == 0 for g in fr.gen_masks(w, u)))
+
+
+def test_s_holds_mask_matches_the_generator_scan():
+    rng = random.Random(23)
+    frames = itertools.chain(*map(_il_frames, range(1, 5)),
+                             (random_gen_frame(rng, rng.randrange(1, 7)) for _ in range(200)))
+    for fr in frames:
+        for w, u in itertools.product(fr.worlds, repeat=2):
+            for v in range(1 << len(fr.worlds)):
+                assert fr.s_holds_mask(w, u, v) == _s_holds_by_scan(fr, w, u, v), \
+                    (fr.to_json(), w, u, v)
+
+
+def test_closing_the_seven_wide_unclosed_frame_gives_a_legal_frame():
+    """close_s adds 1,460 generators to S_w(u); validate tests each minimal
+    union against them."""
+    assert validate(close_s(unclosed_wide_frame(7))) == []
 
 
 class TestForces:
