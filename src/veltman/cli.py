@@ -165,9 +165,10 @@ def cmd_check_proof(args) -> int:
     logic = hilbert.get_logic(args.logic)
     result = hilbert.check_proof(proof, logic)
     if result.accepted:
+        conclusion = pretty(proof.conclusion())
         _emit({"accepted": True, "logic": logic.name, "lines": len(proof.lines),
-               "conclusion": pretty(proof.conclusion())},
-              args.format, [f"accepted: {pretty(proof.conclusion())}"])
+               "conclusion": conclusion},
+              args.format, [f"accepted: {conclusion}"])
         return 0
     _emit({"accepted": False, "logic": logic.name, "line": result.line,
            "reason": result.reason},

@@ -183,137 +183,111 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"->|\|>|\[\]|<>|[~&|()]|[a-z][a-zA-Z0-9_]*")
-_WS = re.compile(r"\s*")
-
-_RESERVED = {"bot", "top"}
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        pos = _WS.match(text, pos).end()
-        if pos >= n:
-            break
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
-
+# The last alternative takes any other character as a token of its own, so
+# that findall skips only whitespace; such a token is a bad character.
+_TOKEN = re.compile(r"->|\|>|\[\]|<>|[~&|()]|[a-z][a-zA-Z0-9_]*|\S")
 
 MAX_DEPTH = 64
 
 _PREFIX = {"~": Neg, "[]": Box, "<>": Dia}
 # left-associative connectives; each class's ``level`` is its binding strength
 _INFIX = {"&": And, "|": Or, "|>": Rhd}
-_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_PUNCT = {*_PREFIX, *_INFIX, "->", "(", ")"}
+_CONSTANTS = {"bot": BOT, "top": TOP}
 
 
 class _Parser:
     """Recursive descent that recurses only into parentheses and, for the
-    left-associative levels, by precedence climbing.  Each parse method
-    returns a (node, depth) pair, so the nesting bound is checked as the
-    tree is built, before any deep recursion can start."""
+    left-associative levels, by precedence climbing; a chain of ``->`` is
+    collected by a loop and nested from the right.  ``parse_infix`` returns
+    a (node, depth) pair, so the nesting bound is checked as the tree is
+    built, before any deep recursion can start.
+
+    Tokens are plain strings, followed by None.  The parser keeps the index
+    ``i`` of the current token and computes text offsets only to report an
+    error."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text) + [(None, len(text))]
+        self.text = text
+        self.tokens = tokens = _TOKEN.findall(text)
+        # every token is punctuation or starts with [a-z], except a bad character
+        bad = {t for t in set(tokens) - _PUNCT if not "a" <= t[0] <= "z"}
+        if bad:
+            i = next(i for i, t in enumerate(tokens) if t in bad)
+            raise self.error(f"unexpected character {tokens[i]!r}", i)
+        tokens.append(None)
         self.i = 0
-        self.tok = self.tokens[0][0]  # current token, None at the end
         self.parens = 0
 
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
+    def error(self, message: str, i: int) -> ParseError:
+        """The error at token ``i``, positioned at its offset in the text."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[i])
 
-    def take(self) -> int:
-        """Consume the current token; returns its position."""
-        pos = self.tokens[self.i][1]
-        if self.tok is None:
-            raise ParseError("unexpected end of input", pos)
-        self.i += 1
-        self.tok = self.tokens[self.i][0]
-        return pos
-
-    def expect(self, tok: str) -> None:
-        got = self.tok
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}" if got else f"expected {tok!r}, got end of input",
-                             self.pos())
-        self.take()
-
-    @staticmethod
-    def nest(depth: int, pos: int) -> int:
-        """Depth of a new node whose deepest child has ``depth``."""
+    def nest(self, depth: int, i: int) -> int:
+        """Depth of a new node, built by token ``i``, whose deepest child has ``depth``."""
         if depth >= MAX_DEPTH:
-            raise ParseError(f"formula nesting exceeds {MAX_DEPTH}", pos)
+            raise self.error(f"formula nesting exceeds {MAX_DEPTH}", i)
         return depth + 1
 
-    def parse_imp(self):
-        """Right-associative: collect the chain, then nest from the right."""
-        parts = [self.parse_infix(_RHD)]
-        ops = []
-        while self.tok == "->":
-            ops.append(self.take())
-            parts.append(self.parse_infix(_RHD))
-        out, d = parts.pop()
-        while ops:
-            left, e = parts.pop()
-            out, d = Impl(left, out), self.nest(max(d, e), ops.pop())
-        return out, d
-
     def parse_infix(self, min_level: int):
-        out, d = self.parse_unary()
-        while self.tok in _INFIX and _INFIX[self.tok].level >= min_level:
-            cls = _INFIX[self.tok]
-            pos = self.take()
-            right, e = self.parse_infix(cls.level + 1)
-            out, d = cls(out, right), self.nest(max(d, e), pos)
-        return out, d
-
-    def parse_unary(self):
-        prefixes = []
-        while self.tok in _PREFIX:
-            prefixes.append((_PREFIX[self.tok], self.take()))
-        out, d = self.parse_atom()
-        while prefixes:
-            cls, pos = prefixes.pop()
-            out, d = cls(out), self.nest(d, pos)
-        return out, d
-
-    def parse_atom(self):
-        tok = self.tok
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
+        """Prefixes, then an atom or a parenthesized formula, then the
+        connectives that bind at least as tightly as ``min_level``."""
+        tokens, i = self.tokens, self.i
+        first = i
+        while tokens[i] in _PREFIX:
+            i += 1
+        prefixed, tok = i, tokens[i]
         if tok == "(":
             self.parens += 1
             if self.parens > MAX_DEPTH:
-                raise ParseError(f"parenthesis nesting exceeds {MAX_DEPTH}", self.pos())
-            self.take()
-            out = self.parse_imp()
-            self.expect(")")
+                raise self.error(f"parenthesis nesting exceeds {MAX_DEPTH}", i)
+            self.i = i + 1
+            out, d = self.parse_infix(_IMPL)
+            i = self.i
+            if tokens[i] != ")":
+                got = "end of input" if tokens[i] is None else repr(tokens[i])
+                raise self.error(f"expected ')', got {got}", i)
             self.parens -= 1
-            return out
-        if tok == "bot":
-            self.take()
-            return BOT, 1
-        if tok == "top":
-            self.take()
-            return TOP, 1
-        if _IDENT.fullmatch(tok):
-            self.take()
-            return Var(tok), 1
-        raise ParseError(f"unexpected token {tok!r}", self.pos())
+        elif tok is None:
+            raise self.error("unexpected end of input", i)
+        elif tok in _PUNCT:
+            raise self.error(f"unexpected token {tok!r}", i)
+        else:
+            out, d = _CONSTANTS.get(tok) or Var(tok), 1
+        i += 1
+        for j in range(prefixed - 1, first - 1, -1):
+            out, d = _PREFIX[tokens[j]](out), self.nest(d, j)
+        cls = _INFIX.get(tokens[i])
+        while cls is not None and cls.level >= min_level:
+            self.i = i + 1
+            right, e = self.parse_infix(cls.level + 1)
+            out, d = cls(out, right), self.nest(max(d, e), i)
+            i = self.i
+            cls = _INFIX.get(tokens[i])
+        if tokens[i] == "->" and min_level <= _IMPL:
+            # right-associative: collect the chain, then nest from the right
+            parts, ops = [(out, d)], []
+            while tokens[i] == "->":
+                ops.append(i)
+                self.i = i + 1
+                parts.append(self.parse_infix(_RHD))
+                i = self.i
+            out, d = parts.pop()
+            while ops:
+                left, e = parts.pop()
+                out, d = Impl(left, out), self.nest(max(d, e), ops.pop())
+        self.i = i
+        return out, d
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a Formula; raises ParseError with a position on bad input."""
     p = _Parser(text)
-    node, _ = p.parse_imp()
-    if p.tok is not None:
-        raise ParseError(f"trailing input {p.tok!r}", p.pos())
+    node, _ = p.parse_infix(_IMPL)
+    tok = p.tokens[p.i]
+    if tok is not None:
+        raise p.error(f"trailing input {tok!r}", p.i)
     return node
 
 

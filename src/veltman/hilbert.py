@@ -103,16 +103,20 @@ def _match(pattern: Formula, term: Formula, subst: dict[str, Formula]) -> bool:
     return all(_match(p, t, subst) for p, t in zip(pattern.children, term.children))
 
 
-def match_schema(schema_id: str, f: Formula) -> dict[str, Formula] | None:
+_NORMAL_SCHEMATA = {name: normalize(f) for name, f in SCHEMATA.items()}
+
+
+def match_schema(schema_id: str, f: Formula, memo: dict | None = None) -> dict[str, Formula] | None:
     """Match ``f`` against the schema modulo normalization.
 
     Returns a substitution on the schema's metavariables such that
     instantiating and normalizing reproduces ``normalize(f)``, or None.
+    ``memo`` is passed to :func:`normalize`.
     """
     if schema_id not in SCHEMATA:
         raise ValueError(f"unknown schema {schema_id!r}")
     subst: dict[str, Formula] = {}
-    if _match(normalize(SCHEMATA[schema_id]), normalize(f), subst):
+    if _match(_NORMAL_SCHEMATA[schema_id], normalize(f, memo), subst):
         return subst
     return None
 
@@ -120,10 +124,21 @@ def match_schema(schema_id: str, f: Formula) -> dict[str, Formula] | None:
 MAX_TAUT_ATOMS = 20
 
 
-def _skeleton_atoms(g: Formula, values: tuple) -> frozenset[Formula]:
-    if isinstance(g, (Var, Rhd)):
-        return frozenset((g,))
-    return frozenset().union(*values)
+def _skeleton_atoms(g: Formula) -> set[Formula]:
+    """The maximal |>-subformulas and the variables outside them, in one walk."""
+    atoms: set[Formula] = set()
+    seen: set[Formula] = set()
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        if h in seen:
+            continue
+        seen.add(h)
+        if type(h) is Var or type(h) is Rhd:
+            atoms.add(h)
+        else:
+            todo.extend(h.children)
+    return atoms
 
 
 def _column(i: int, rows: int) -> int:
@@ -136,17 +151,17 @@ def _column(i: int, rows: int) -> int:
     return out
 
 
-def is_classical_tautology(f: Formula) -> bool:
+def is_classical_tautology(f: Formula, memo: dict | None = None) -> bool:
     """Truth-table validity of the propositional skeleton of ``f``.
 
     The skeleton replaces each maximal |>-subformula of the normalized form
     with a fresh atom; identical subformulas share an atom.  Raises
     ValueError past ``MAX_TAUT_ATOMS`` distinct atoms.  All 2^n rows are evaluated
     at once: a value is the bitmask of the rows where it is true, atom i is
-    true in the rows whose bit i is set.
+    true in the rows whose bit i is set.  ``memo`` is passed to :func:`normalize`.
     """
-    g = normalize(f)
-    atoms = fold(g, _skeleton_atoms)
+    g = normalize(f, memo)
+    atoms = _skeleton_atoms(g)
     n = len(atoms)
     if n > MAX_TAUT_ATOMS:
         raise ValueError(f"propositional skeleton has {n} atoms, limit is {MAX_TAUT_ATOMS}")
@@ -202,16 +217,26 @@ class ProofCheck:
 
 
 def check_proof(proof: ProofObject, logic: Logic) -> ProofCheck:
-    """Verify every line; rejection names the first bad line (1-based)."""
+    """Verify every line; rejection names the first bad line (1-based).
+
+    Each line is normalized once, through one memo for the whole proof, and
+    modus ponens and necessitation compare the stored normal forms.  A taut
+    line past ``MAX_TAUT_ATOMS`` raises ValueError naming the line: the
+    limit is not a finding about the proof.
+    """
     if not proof.lines:
         return ProofCheck(False, 0, "empty proof")
+    memo: dict = {}
+    normal: list[Formula] = []
     for idx, line in enumerate(proof.lines, start=1):
         j = line.justification
+        n = normalize(line.formula, memo)
+        normal.append(n)
         if isinstance(j, Taut):
             try:
-                ok = is_classical_tautology(line.formula)
+                ok = is_classical_tautology(line.formula, memo)
             except ValueError as exc:
-                return ProofCheck(False, idx, str(exc))
+                raise ValueError(f"line {idx}: {exc}") from exc
             if not ok:
                 return ProofCheck(False, idx, "not a classical tautology")
         elif isinstance(j, Axiom):
@@ -219,21 +244,19 @@ def check_proof(proof: ProofObject, logic: Logic) -> ProofCheck:
                 return ProofCheck(False, idx, f"unknown schema {j.schema}")
             if j.schema not in logic.schemata:
                 return ProofCheck(False, idx, f"schema {j.schema} is not an axiom of {logic.name}")
-            if match_schema(j.schema, line.formula) is None:
+            if match_schema(j.schema, line.formula, memo) is None:
                 return ProofCheck(False, idx, f"not an instance of {j.schema}")
         elif isinstance(j, MP):
             for ref in (j.i, j.j):
                 if not 1 <= ref < idx:
                     return ProofCheck(False, idx, f"reference to line {ref} is out of range")
-            want = Impl(normalize(proof.lines[j.i - 1].formula), normalize(line.formula))
-            if normalize(proof.lines[j.j - 1].formula) != want:
+            if normal[j.j - 1] != Impl(normal[j.i - 1], n):
                 return ProofCheck(False, idx,
                                   f"line {j.j} is not an implication from line {j.i} to this line")
         elif isinstance(j, Nec):
             if not 1 <= j.i < idx:
                 return ProofCheck(False, idx, f"reference to line {j.i} is out of range")
-            want = Rhd(Neg(normalize(proof.lines[j.i - 1].formula)), BOT)
-            if normalize(line.formula) != want:
+            if n != Rhd(Neg(normal[j.i - 1]), BOT):
                 return ProofCheck(False, idx, f"not the necessitation of line {j.i}")
         else:
             return ProofCheck(False, idx, f"unknown justification {j!r}")
@@ -267,6 +290,8 @@ def parse_proof(text: str) -> ProofObject:
         except ParseError as exc:
             raise ProofFormatError(f"line {lineno}: {exc}") from exc
         lines.append(ProofLine(formula, _parse_justification(just_src, lineno)))
+    if not lines:
+        raise ProofFormatError("no proof lines")
     return ProofObject(tuple(lines))
 
 

@@ -255,6 +255,23 @@ class TestCheckProof:
         assert main(["check-proof", str(path)]) == 2
         assert capsys.readouterr().err == f"error: bad proof file: line 2: {rest}\n"
 
+    @pytest.mark.parametrize("text", ["", "# comment only\n"])
+    def test_no_proof_lines_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "proof.ilp"
+        path.write_text(text)
+        assert main(["check-proof", str(path)]) == 2
+        assert capsys.readouterr().err == "error: bad proof file: no proof lines\n"
+
+    def test_atom_limit_exit_2(self, tmp_path, capsys):
+        """A tautology past the truth-table limit is refused, not rejected."""
+        path = tmp_path / "proof.ilp"
+        conj = " & ".join(f"a{i}" for i in range(21))
+        path.write_text(f"1. {conj} -> a0 ; taut\n")
+        assert main(["check-proof", str(path), "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: line 1: propositional skeleton has 21 atoms, limit is 20\n"
+
     def test_logic_gate(self, tmp_path):
         path = tmp_path / "proof.ilp"
         path.write_text("1. (p |> q) -> ((p & []r) |> (q & []r)) ; ax M\n")

@@ -148,6 +148,13 @@ class TestTautology:
         with pytest.raises(ValueError, match="propositional skeleton has 21 atoms, limit is 20"):
             is_classical_tautology(parse(f"{conj} & a20 -> a0"))
 
+    def test_variables_under_rhd_are_not_atoms(self):
+        # 20 |>-atoms over 20 further variables: 20 skeleton atoms, not 40
+        conj = " & ".join(f"(b{i} |> b{i})" for i in range(20))
+        f = parse(f"{conj} -> (b0 |> b0)")
+        assert is_classical_tautology(f)
+        assert check_proof(ProofObject((ProofLine(f, Taut()),)), get_logic("IL")).accepted
+
 
 GOOD_PROOF = """\
 # derives p |> p
@@ -179,6 +186,14 @@ class TestCheckProof:
     def test_empty_proof_rejected(self):
         res = check_proof(ProofObject(()), get_logic("IL"))
         assert not res.accepted
+
+    def test_atom_limit_is_an_error_naming_the_line(self):
+        conj = " & ".join(f"a{i}" for i in range(21))
+        lines = (ProofLine(parse("p -> p"), Taut()),
+                 ProofLine(parse(f"{conj} -> a0"), Taut()))
+        with pytest.raises(ValueError, match="^line 2: propositional skeleton has 21 atoms, "
+                                             "limit is 20$"):
+            check_proof(ProofObject(lines), get_logic("IL"))
 
     def test_forward_reference_rejected(self):
         lines = (ProofLine(parse("[](p -> p)"), Nec(2)),
@@ -242,6 +257,11 @@ class TestProofFiles:
     def test_comment_and_blank_lines_skipped(self):
         text = "\n# comment only\n\n1. p -> p ; taut\n"
         assert len(parse_proof(text).lines) == 1
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# comment only\n  # another\n"])
+    def test_no_proof_lines_rejected(self, text):
+        with pytest.raises(ProofFormatError, match="no proof lines"):
+            parse_proof(text)
 
     def test_nonsequential_index_rejected(self):
         with pytest.raises(ProofFormatError):
