@@ -240,6 +240,7 @@ def check_proof(proof: ProofObject, logic: Logic) -> ProofCheck:
             if not ok:
                 return ProofCheck(False, idx, "not a classical tautology")
         elif isinstance(j, Axiom):
+            # parse_proof refuses these; a proof built in code may still name one
             if j.schema not in SCHEMATA:
                 return ProofCheck(False, idx, f"unknown schema {j.schema}")
             if j.schema not in logic.schemata:
@@ -273,7 +274,8 @@ _INDEX_RE = re.compile(r"[0-9]+")
 
 
 def parse_proof(text: str) -> ProofObject:
-    """Parse the proof file format into a ProofObject."""
+    """Parse the proof file format into a ProofObject.  An ``ax`` line that
+    names no schema of ``SCHEMATA`` is a format error."""
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -300,6 +302,8 @@ def _parse_justification(src: str, lineno: int) -> Justification:
     if parts == ["taut"]:
         return Taut()
     if len(parts) == 2 and parts[0] == "ax":
+        if parts[1] not in SCHEMATA:
+            raise ProofFormatError(f"line {lineno}: unknown schema {parts[1]!r}")
         return Axiom(parts[1])
     if len(parts) == 3 and parts[0] == "mp" and all(map(_INDEX_RE.fullmatch, parts[1:])):
         return MP(int(parts[1]), int(parts[2]))

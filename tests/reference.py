@@ -13,6 +13,24 @@ largest autobisimulation is the greatest fixpoint over world pairs, with
 its own copy of the transfer clause, independent of ``veltman.bisim``.  The
 S-clause of filtration scans every set of successor classes, and the
 adequate set is a naive fixpoint over the whole set.
+
+This is the one copy of each oracle and generator; every test module
+imports them from here.  The seeded generators, each drawing from the
+``random.Random`` it is given:
+
+- ``random_r(rng, worlds)``: a transitive irreflexive R;
+- ``random_gen_frame(rng, n)`` and ``random_gen_model(rng, max_worlds,
+  variables)``: legal generalized frames and models, via ``close_s``;
+- ``random_ord_model(rng, max_worlds, variables)``: legal ordinary models;
+- ``random_formula(rng, depth, variables, stop=0.25)``: formulas of modal
+  depth <= depth over the variables, bot and top, ending in a leaf early
+  with probability ``stop``;
+- ``duplicated_model(m)``: a model next to a relabeled copy of itself.
+
+The subset helpers ``subsets`` and ``images``, the six frame conditions
+in ``BRUTE`` and the |>-table probe ``rhd_table_mismatch`` (an embedding
+against the ordinary forcing on every pair of world subsets) are shared
+the same way.
 """
 
 import itertools
@@ -241,21 +259,23 @@ def random_ord_model(rng: random.Random, max_worlds=4, variables=("p", "q")):
     return OrdModel(fr, val)
 
 
-def random_formula(rng: random.Random, depth: int, variables=("p", "q")):
-    """Structured random formula of modal depth <= depth."""
+def random_formula(rng: random.Random, depth: int, variables=("p", "q"), stop=0.25):
+    """Structured random formula of modal depth <= depth: a leaf (a
+    variable, bot or top) at depth 0 or with probability ``stop``, else a
+    connective over random formulas of depth - 1."""
     leaves = [Var(v) for v in variables] + [BOT, TOP]
-    if depth == 0 or rng.random() < 0.25:
+    if depth == 0 or rng.random() < stop:
         return rng.choice(leaves)
     k = rng.randrange(7)
     if k == 0:
-        return Neg(random_formula(rng, depth - 1, variables))
+        return Neg(random_formula(rng, depth - 1, variables, stop))
     if k == 1:
-        return Box(random_formula(rng, depth - 1, variables))
+        return Box(random_formula(rng, depth - 1, variables, stop))
     if k == 2:
-        return Dia(random_formula(rng, depth - 1, variables))
+        return Dia(random_formula(rng, depth - 1, variables, stop))
     ctor = (And, Or, Impl, Rhd)[k - 3]
-    return ctor(random_formula(rng, depth - 1, variables),
-                random_formula(rng, depth - 1, variables))
+    return ctor(random_formula(rng, depth - 1, variables, stop),
+                random_formula(rng, depth - 1, variables, stop))
 
 
 def duplicated_model(m: GenModel, suffix="_c") -> GenModel:
@@ -320,6 +340,22 @@ def filtration_s_by_scan(m: GenModel, class_of, r_pairs):
         if found:
             out.setdefault(cw, {})[cu] = found
     return out
+
+
+def rhd_table_mismatch(om: OrdModel, gm: GenModel):
+    """First pair of world subsets X, Y, in ``subsets`` order, on which the
+    generalized |>-clause of ``gm`` and the reference ordinary forcing of
+    ``om`` disagree on X |> Y, as two sorted lists; None when they agree on
+    every pair.  With ``gm`` the embedding of ``om`` this pins agreement for
+    every formula by induction."""
+    probe = Rhd(Var("a"), Var("b"))
+    for x in subsets(om.worlds):
+        for y in subsets(om.worlds):
+            val = {"a": x, "b": y}
+            if (ord_truth_set(OrdModel(om.frame, val), probe)
+                    != GenModel(gm.frame, val).truth_set(probe)):
+                return (sorted(x), sorted(y))
+    return None
 
 
 def _forces(worlds, succ, val, rhd_at, f):

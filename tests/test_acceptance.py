@@ -5,7 +5,6 @@ The summary lines bypass pytest's capture so they show up in a plain
 ``pytest -v`` run; the assertions carry the same failure details.
 """
 
-import itertools
 import json
 import random
 import time
@@ -15,16 +14,16 @@ import pytest
 
 from reference import (BRUTE, duplicated_model, gen_truth_set,
                        ord_truth_set, random_formula, random_gen_model,
-                       random_ord_model)
+                       random_ord_model, rhd_table_mismatch)
 
 from veltman.bisim import largest_autobisimulation
 from veltman.decide import (FRAME_CONDITIONS, NoCountermodelUpTo, Refuted,
                             SearchBudget, _il_frames, countermodel_search,
                             verdict_to_json)
 from veltman.filtration import filtrate, verify_filtration
-from veltman.formula import Box, Dia, Rhd, Var, d_closure, normalize, parse
+from veltman.formula import Box, Dia, d_closure, normalize, parse
 from veltman.hilbert import LOGICS, check_proof, get_logic, parse_proof
-from veltman.model import GenModel, OrdModel, gen_of_ordinary, validate
+from veltman.model import gen_of_ordinary, validate
 from veltman.properties import (PROPERTY_IDS, check_property,
                                 correspondence_bench, schema_frame_valid)
 
@@ -184,22 +183,6 @@ def test_criterion_05_abbreviation_fidelity(report):
     assert not failures, failures[:5]
 
 
-def _rhd_table_mismatch(om: OrdModel, gm: GenModel):
-    """First subset pair where the embedding disagrees with the reference
-    ordinary forcing on X |> Y."""
-    worlds = om.worlds
-    subsets = [frozenset(c) for r in range(len(worlds) + 1)
-               for c in itertools.combinations(worlds, r)]
-    probe = Rhd(Var("a"), Var("b"))
-    for x in subsets:
-        for y in subsets:
-            val = {"a": x, "b": y}
-            if (ord_truth_set(OrdModel(om.frame, val), probe)
-                    != GenModel(gm.frame, val).truth_set(probe)):
-                return (sorted(x), sorted(y))
-    return None
-
-
 def test_criterion_06_embedding_fidelity(report):
     rng = random.Random(806)
     failures = []
@@ -208,7 +191,7 @@ def test_criterion_06_embedding_fidelity(report):
         gm = gen_of_ordinary(om)
         # full |> truth table over subset pairs: with identical valuations
         # this pins agreement for every formula, any depth, by induction
-        bad = _rhd_table_mismatch(om, gm)
+        bad = rhd_table_mismatch(om, gm)
         if bad is not None:
             failures.append((i, "table", bad))
             continue

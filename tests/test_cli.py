@@ -272,6 +272,15 @@ class TestCheckProof:
         assert out.out == ""
         assert out.err == "error: line 1: propositional skeleton has 21 atoms, limit is 20\n"
 
+    def test_unknown_schema_exit_2(self, tmp_path, capsys):
+        """An unknown schema name is bad input; a known schema outside the
+        logic stays a rejection (test_logic_gate)."""
+        path = tmp_path / "proof.ilp"
+        path.write_text("1. p -> p ; ax Foo\n")
+        assert main(["check-proof", str(path)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: bad proof file: line 1: unknown schema 'Foo'\n")
+
     def test_logic_gate(self, tmp_path):
         path = tmp_path / "proof.ilp"
         path.write_text("1. (p |> q) -> ((p & []r) |> (q & []r)) ; ax M\n")
@@ -469,6 +478,41 @@ def test_check_model_errors_do_not_depend_on_the_hash_seed(tmp_path, doc, first)
                               env=dict(os.environ, PYTHONHASHSEED=seed),
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (2, f"error: bad model: {first}\n"), seed
+
+
+def _gen(s, **extra):
+    return {"kind": "gen", "worlds": ["w", "u"], "R": [["w", "u"]], "S": s, **extra}
+
+
+def _ord(s, **extra):
+    return {"kind": "ord", "worlds": ["w", "u"], "R": [["w", "u"]], "S": s, **extra}
+
+
+@pytest.mark.parametrize("doc, argv, rc, out, err", [
+    (_gen({"x": {}}), ["check-model", "MODEL"], 2, "",
+     "error: bad model: S family keyed by unknown world x\n"),
+    (_gen({"w": {"x": [["u"]]}}), ["check-model", "MODEL"], 2, "",
+     "error: bad model: S family for w keyed by unknown world x\n"),
+    (_gen({"w": {"u": [["u", "x"]]}}), ["check-model", "MODEL"], 2, "",
+     "error: bad model: S-image for (w, u) mentions an unknown world\n"),
+    (_ord({"x": []}), ["check-model", "MODEL"], 2, "",
+     "error: bad model: S relation keyed by unknown world x\n"),
+    (_ord({"w": [["u", "x"]]}), ["check-model", "MODEL"], 2, "",
+     "error: bad model: S_w pair (u, x) mentions an unknown world\n"),
+    (_gen({}, valuation={"p": ["x"]}), ["model-check", "MODEL", "p"], 2, "",
+     "error: bad model: valuation of p mentions an unknown world\n"),
+    (_ord({"w": [["u", "u"]]}), ["check-model", "MODEL", "--closure"], 2, "",
+     "error: bad model: --closure applies to generalized models only\n"),
+    (None, ["parse", "bot", "--format", "json"], 0,
+     '{\n  "ast": {\n    "op": "bot"\n  },\n  "formula": "bot"\n}\n', ""),
+], ids=["S-key", "S-family-key", "S-image", "ord-S-key", "ord-S-pair", "valuation",
+        "closure-on-ord", "bot-leaf-json"])
+def test_input_checks_exit_code_and_output(tmp_path, capsys, doc, argv, rc, out, err):
+    """Each input check, in process: its exit code and exact output."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path) if a == "MODEL" else a for a in argv]) == rc
+    assert capsys.readouterr() == (out, err)
 
 
 def test_usage_error_exit_code():

@@ -36,6 +36,8 @@ from veltman.formula import (
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
+# the variables of the random formulas here
+VARS = ("p", "q", "r", "s")
 
 
 class TestParse:
@@ -138,24 +140,10 @@ class TestPretty:
         assert "(" in pretty(f)
 
 
-def _random_formula(rng: random.Random, depth: int):
-    if depth == 0 or rng.random() < 0.2:
-        return rng.choice([p, q, r, Var("s"), BOT, TOP])
-    k = rng.randrange(7)
-    if k == 0:
-        return Neg(_random_formula(rng, depth - 1))
-    if k == 1:
-        return Box(_random_formula(rng, depth - 1))
-    if k == 2:
-        return Dia(_random_formula(rng, depth - 1))
-    ctor = (And, Or, Impl, Rhd)[k - 3]
-    return ctor(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-
-
 def test_parse_pretty_roundtrip_1000():
     rng = random.Random(20240901)
     for _ in range(1000):
-        f = _random_formula(rng, 6)
+        f = random_formula(rng, 6, VARS, stop=0.2)
         assert parse(pretty(f)) == f
 
 
@@ -190,7 +178,7 @@ class TestNormalize:
     def test_idempotent_random(self):
         rng = random.Random(7)
         for _ in range(300):
-            f = _random_formula(rng, 6)
+            f = random_formula(rng, 6, VARS, stop=0.2)
             n = normalize(f)
             assert normalize(n) == n
 
@@ -285,6 +273,21 @@ class TestAdequateSet:
                 broken += 1
         assert broken == len(g)
 
+    def test_is_adequate_needs_bot_rhd_bot(self):
+        """{p, ~p} is closed under subformulas and single negation and has no
+        |>-member and nothing to box: only bot |> bot is missing."""
+        gamma = frozenset({p, Neg(p)})
+        assert not is_adequate(gamma, ())
+        assert is_adequate(gamma | adequate_set(()), ())
+
+    def test_is_adequate_needs_every_pool_pairing(self):
+        """Without q |> p and its negation every other condition holds, but
+        q and p are both components of p |> q."""
+        d = d_closure([Rhd(p, q)])
+        g = adequate_set(d)
+        assert Rhd(q, p) in g - d
+        assert not is_adequate(g - {Rhd(q, p), Neg(Rhd(q, p))}, d)
+
     def test_matches_the_reference_closure_on_300_seed_sets(self):
         for seeds, closure in _seed_sets():
             assert adequate_set(seeds) == closure, [str(f) for f in seeds]
@@ -333,7 +336,7 @@ class TestAdequateSet:
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_normalize_has_no_sugar(seed):
-    f = _random_formula(random.Random(seed), 5)
+    f = random_formula(random.Random(seed), 5, VARS, stop=0.2)
     n = normalize(f)
     assert not any(isinstance(s, (Box, Dia)) for s in subformulas(n))
 
@@ -341,6 +344,6 @@ def test_normalize_has_no_sugar(seed):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_variables_match_pretty(seed):
-    f = _random_formula(random.Random(seed), 5)
+    f = random_formula(random.Random(seed), 5, VARS, stop=0.2)
     for v in variables(f):
         assert v in pretty(f)

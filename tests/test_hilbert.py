@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from reference import classical_tautology
+from reference import classical_tautology, random_formula
 
 from veltman.formula import And, Impl, Neg, Or, Rhd, Var, normalize, parse, pretty
 from veltman.hilbert import (
@@ -77,27 +77,12 @@ class TestMatchSchema:
         assert match_schema("J5", parse("<>p |> q")) is None
 
 
-def _random_formula(rng: random.Random, depth: int):
-    from veltman.formula import BOT, TOP, And, Box, Dia, Impl, Neg, Or, Rhd
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice([p, q, r, BOT, TOP])
-    k = rng.randrange(7)
-    if k == 0:
-        return Neg(_random_formula(rng, depth - 1))
-    if k == 1:
-        return Box(_random_formula(rng, depth - 1))
-    if k == 2:
-        return Dia(_random_formula(rng, depth - 1))
-    ctor = (And, Or, Impl, Rhd)[k - 3]
-    return ctor(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-
-
 def test_every_schema_recognizes_its_random_instances():
     rng = random.Random(991)
     for schema_id in sorted(SCHEMATA):
         vars_needed = schema_metavars(schema_id)
         for _ in range(500):
-            subst = {v: _random_formula(rng, 3) for v in vars_needed}
+            subst = {v: random_formula(rng, 3, ("p", "q", "r")) for v in vars_needed}
             inst = instantiate(schema_id, subst)
             assert match_schema(schema_id, inst) is not None, (schema_id, pretty(inst))
 
@@ -195,6 +180,13 @@ class TestCheckProof:
                                              "limit is 20$"):
             check_proof(ProofObject(lines), get_logic("IL"))
 
+    def test_unknown_schema_rejected(self):
+        """A proof built in code may name any schema; the checker rejects
+        one that is not in SCHEMATA."""
+        res = check_proof(ProofObject((ProofLine(parse("p -> p"), Axiom("Foo")),)),
+                          get_logic("IL"))
+        assert (res.accepted, res.line, res.reason) == (False, 1, "unknown schema Foo")
+
     def test_forward_reference_rejected(self):
         lines = (ProofLine(parse("[](p -> p)"), Nec(2)),
                  ProofLine(parse("p -> p"), Taut()))
@@ -270,6 +262,10 @@ class TestProofFiles:
     def test_bad_justification_rejected(self):
         with pytest.raises(ProofFormatError):
             parse_proof("1. p -> p ; because\n")
+
+    def test_unknown_schema_is_a_format_error(self):
+        with pytest.raises(ProofFormatError, match="^line 2: unknown schema 'Foo'$"):
+            parse_proof("1. p -> p ; taut\n2. p -> p ; ax Foo\n")
 
     def test_bad_formula_rejected(self):
         with pytest.raises(ProofFormatError):

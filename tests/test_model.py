@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 from reference import (duplicated_model, gen_truth_set, ord_truth_set, random_formula,
-                       random_gen_frame, random_gen_model, random_ord_model)
+                       random_gen_frame, random_gen_model, random_ord_model, random_r,
+                       rhd_table_mismatch)
 
 from veltman.decide import _il_frames
-from veltman.formula import Box, Neg, Var, normalize, parse
+from veltman.formula import Box, normalize, parse
 from veltman.model import (
     FrameError,
     GenFrame,
@@ -231,32 +232,12 @@ class TestCloseS:
                              {"u": {"v": [["w"]]}}))
 
 
-def _random_r(rng: random.Random, worlds):
-    # random strict order fragment, transitively closed
-    order = list(worlds)
-    rng.shuffle(order)
-    pairs = set()
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            if rng.random() < 0.4:
-                pairs.add((a, b))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return pairs
-
-
 def test_close_s_always_legal_1000_random_candidates():
     rng = random.Random(42)
     for _ in range(1000):
         n = rng.randrange(1, 6)
         worlds = [f"w{i}" for i in range(n)]
-        pairs = _random_r(rng, worlds)
+        pairs = random_r(rng, worlds)
         succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
         fams = {}
         for w in worlds:
@@ -358,43 +339,11 @@ class TestForces:
         assert not m2.forces("w", parse("p |> q"))
 
 
-def _random_model(rng: random.Random, max_worlds=4):
-    n = rng.randrange(1, max_worlds + 1)
-    worlds = [f"w{i}" for i in range(n)]
-    pairs = _random_r(rng, worlds)
-    succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
-    fams = {}
-    for w in worlds:
-        for u in succ[w]:
-            if rng.random() < 0.4 and succ[w]:
-                size = rng.randrange(1, len(succ[w]) + 1)
-                fams.setdefault(w, {}).setdefault(u, []).append(
-                    rng.sample(succ[w], size))
-    fr = close_s(GenFrame(worlds, pairs, fams))
-    val = {v: [w for w in worlds if rng.random() < 0.5] for v in ("p", "q")}
-    return GenModel(fr, val)
-
-
-def _random_formula(rng: random.Random, depth: int):
-    from veltman.formula import BOT, TOP, And, Box, Dia, Impl, Neg, Or, Rhd
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice([Var("p"), Var("q"), BOT, TOP])
-    k = rng.randrange(7)
-    if k == 0:
-        return Neg(_random_formula(rng, depth - 1))
-    if k == 1:
-        return Box(_random_formula(rng, depth - 1))
-    if k == 2:
-        return Dia(_random_formula(rng, depth - 1))
-    ctor = (And, Or, Impl, Rhd)[k - 3]
-    return ctor(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
-
-
 def test_box_dia_abbreviations_semantically_faithful():
     rng = random.Random(2718)
     for _ in range(300):
-        m = _random_model(rng)
-        f = _random_formula(rng, 3)
+        m = random_gen_model(rng, 4, ("p", "q"))
+        f = random_formula(rng, 3)
         boxed, diad = Box(f), __import__("veltman.formula", fromlist=["Dia"]).Dia(f)
         for w in m.worlds:
             assert m.forces(w, boxed) == m.forces(w, normalize(boxed))
@@ -404,8 +353,8 @@ def test_box_dia_abbreviations_semantically_faithful():
 def test_forces_agrees_with_normalized_formula():
     rng = random.Random(3141)
     for _ in range(300):
-        m = _random_model(rng)
-        f = _random_formula(rng, 4)
+        m = random_gen_model(rng, 4, ("p", "q"))
+        f = random_formula(rng, 4)
         nf = normalize(f)
         for w in m.worlds:
             assert m.forces(w, f) == m.forces(w, nf)
@@ -438,63 +387,16 @@ class TestOrdinary:
         assert validate(g) == []
 
 
-def _random_ord_model(rng: random.Random, max_worlds=4):
-    n = rng.randrange(1, max_worlds + 1)
-    worlds = [f"w{i}" for i in range(n)]
-    pairs = _random_r(rng, worlds)
-    succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
-    s = {}
-    for w in worlds:
-        rel = {(u, u) for u in succ[w]}
-        rel |= {(u, v) for u in succ[w] for v in succ[w]
-                if (u, v) in pairs}
-        for u in succ[w]:
-            for v in succ[w]:
-                if rng.random() < 0.3:
-                    rel.add((u, v))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        if rel:
-            s[w] = sorted(rel)
-    fr = OrdFrame(worlds, pairs, s)
-    val = {v: [w for w in worlds if rng.random() < 0.5] for v in ("p", "q")}
-    return OrdModel(fr, val)
-
-
-def _rhd_tables_agree(om, gm):
-    """The embedding's |>-clause agrees with the reference ordinary forcing
-    on every pair of world subsets used as [A], [B]."""
-    worlds = sorted(om.worlds)
-    subsets = [frozenset(c) for k in range(len(worlds) + 1)
-               for c in itertools.combinations(worlds, k)]
-    a, b = Var("p"), Var("q")
-    from veltman.formula import Rhd
-    probe = Rhd(a, b)
-    for ta in subsets:
-        for tb in subsets:
-            val = {"p": sorted(ta), "q": sorted(tb)}
-            if (ord_truth_set(OrdModel(om.frame, val), probe)
-                    != GenModel(gm.frame, val).truth_set(probe)):
-                return False
-    return True
-
-
 def test_embedding_preserves_forcing():
     rng = random.Random(1618)
     for _ in range(60):
-        om = _random_ord_model(rng)
+        om = random_ord_model(rng)
         assert validate(om) == [], "random ordinary model must be legal"
         gm = gen_of_ordinary(om)
         assert validate(gm) == []
-        assert _rhd_tables_agree(om, gm)
+        assert rhd_table_mismatch(om, gm) is None
         for _ in range(20):
-            f = _random_formula(rng, 3)
+            f = random_formula(rng, 3)
             assert ord_truth_set(om, f) == gm.truth_set(f)
 
 

@@ -1,9 +1,9 @@
 """Frame condition checkers, schema validity sweep, correspondence bench.
 
-The reference implementations here quantify naively over full monotone
-closures, all subsets, all choice sets, and all hitting sets; the module
-under test restricts quantifiers to generators / minimal families. The
-cross-checks pin the equivalence at small sizes.
+The reference frame conditions (``reference.BRUTE``) quantify naively over
+full monotone closures, all subsets, all choice sets, and all hitting sets;
+the module under test restricts quantifiers to generators / minimal
+families. The cross-checks pin the equivalence at small sizes.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import _forces, gen_truth_set, random_formula, random_gen_frame
+from reference import BRUTE, _forces, gen_truth_set, random_formula, random_gen_frame, subsets
 
 from veltman import properties
 from veltman.decide import _il_frames, enumerate_frames
@@ -33,13 +33,6 @@ from veltman.properties import (
     s_preimage,
     schema_frame_valid,
 )
-
-
-def subsets(xs):
-    xs = sorted(xs)
-    for k in range(len(xs) + 1):
-        for c in itertools.combinations(xs, k):
-            yield frozenset(c)
 
 
 def mgen_failing_frame():
@@ -126,95 +119,6 @@ class TestChoiceSets:
                     for z in subsets(fr.successors(x)):
                         if fr.s_holds(x, u, z):
                             assert c & fr.mask(z)
-
-
-# naive reference checkers, quantifying over everything
-
-
-def _images(fr, w, u):
-    return [v for v in subsets(fr.successors(w)) if fr.s_holds(w, u, v)]
-
-
-def brute_mgen(fr):
-    for w in fr.worlds:
-        ru = {u: set(fr.successors(u)) for u in fr.worlds}
-        for u in fr.successors(w):
-            for v_img in _images(fr, w, u):
-                if not any(fr.s_holds(w, u, vp)
-                           and all(ru[x] <= ru[u] for x in vp)
-                           for vp in subsets(v_img)):
-                    return False
-    return True
-
-
-def brute_m0gen(fr):
-    for w in fr.worlds:
-        for u in fr.successors(w):
-            for x in fr.successors(u):
-                for v_img in _images(fr, w, x):
-                    ru = set(fr.successors(u))
-                    if not any(fr.s_holds(w, u, vp)
-                               and all(set(fr.successors(y)) <= ru for y in vp)
-                               for vp in subsets(v_img)):
-                        return False
-    return True
-
-
-def brute_pgen(fr):
-    for w in fr.worlds:
-        for wp in fr.successors(w):
-            for u in fr.successors(wp):
-                for v_img in _images(fr, w, u):
-                    if not any(fr.s_holds(wp, u, vp) for vp in subsets(v_img)):
-                        return False
-    return True
-
-
-def brute_p0gen(fr):
-    all_worlds = set(fr.worlds)
-    for w in fr.worlds:
-        for x in fr.successors(w):
-            for u in fr.successors(x):
-                for v_img in _images(fr, w, u):
-                    for z in subsets(all_worlds):
-                        if not all(set(fr.successors(v)) & z for v in v_img):
-                            continue
-                        if not any(fr.s_holds(x, u, zp) for zp in subsets(z)):
-                            return False
-    return True
-
-
-def brute_rgen(fr):
-    for w in fr.worlds:
-        for x in fr.successors(w):
-            rx = frozenset(fr.successors(x))
-            for u in fr.successors(x):
-                images_xu = _images(fr, x, u)
-                all_cs = [c for c in subsets(rx)
-                          if all(c & z for z in images_xu)]
-                for v_img in _images(fr, w, u):
-                    for c in all_cs:
-                        if not any(fr.s_holds(w, x, uu)
-                                   and all(set(fr.successors(y)) <= c for y in uu)
-                                   for uu in subsets(v_img)):
-                            return False
-    return True
-
-
-def brute_wgen(fr):
-    for w in fr.worlds:
-        for u in fr.successors(w):
-            for v_img in _images(fr, w, u):
-                pre = {y for y in fr.successors(w) if fr.s_holds(w, y, v_img)}
-                if not any(fr.s_holds(w, u, vp)
-                           and not any(set(fr.successors(y)) & pre for y in vp)
-                           for vp in subsets(v_img)):
-                    return False
-    return True
-
-
-BRUTE = {"Mgen": brute_mgen, "M0gen": brute_m0gen, "Pgen": brute_pgen,
-         "P0gen": brute_p0gen, "Rgen": brute_rgen, "Wgen": brute_wgen}
 
 
 class TestCheckProperty:
