@@ -29,11 +29,14 @@ contains a minimal one, which the other side has too.  So each round
 gives every world one signature, its old class and those (c, minimal
 closure) pairs, each closure as the ``antichain`` of its class-projected
 generators, and groups the worlds by it: Z & ok(Z), the next iterate of the
-greatest fixpoint iteration, with no pairwise test.  The loop stops after
-at most |W| rounds, when the number of classes stays the same.  Worlds are
-grouped in world order, so every class id is the least member of its
-class.  ``_forth_ok`` stays the clause of ``bisimulation_violation``,
-whose Z need not be an equivalence.
+greatest fixpoint iteration, with no pairwise test.  The (c, minimal
+closure) pairs depend only on the world's projected row, the class of each
+successor u with the classes of each generator of S_w(u), so they are
+computed once per distinct row in a round: bisimilar copies share rows.
+The loop stops after at most |W| rounds, when the number of classes stays
+the same.  Worlds are grouped in world order, so every class id is the
+least member of its class.  ``_forth_ok`` stays the clause of
+``bisimulation_violation``, whose Z need not be an equivalence.
 """
 
 from __future__ import annotations
@@ -112,15 +115,15 @@ def bisimulation_violation(m1: GenModel, m2: GenModel,
     return None
 
 
-def _signature(images, project) -> frozenset:
-    """The pairs (class of u, ``antichain`` of the class-projected generators
-    of S_w(u)) over the R-successors u of w in ``images``, keeping per class
-    only the families whose upward closure is inclusion-minimal: a family a
-    is dropped when another family b of the class has every member
-    containing a member of a."""
+def _signature(row) -> frozenset:
+    """The pairs (class c of u, ``antichain`` of the classes of each
+    generator of S_w(u)) over the entries ``(c, *classes of generators)`` of
+    a world's projected row, keeping per class only the families whose
+    upward closure is inclusion-minimal: a family a is dropped when another
+    family b of the class has every member containing a member of a."""
     families: dict[int, set[tuple[int, ...]]] = {}
-    for bu, _, gens in images:
-        families.setdefault(project(bu), set()).add(antichain(map(project, gens)))
+    for c, *gens in row:
+        families.setdefault(c, set()).add(antichain(gens))
     return frozenset((c, a) for c, fams in families.items() for a in fams
                      if not any(b != a and all(any(h & ~g == 0 for h in a) for g in b)
                                 for b in fams))
@@ -134,9 +137,13 @@ def largest_autobisimulation(m: GenModel) -> Partition:
     class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
     while True:
         to_class = {bit[w]: bit[cid] for w, cid in class_of.items()}
-        project = cache(lambda g: sum({to_class[b] for b in bits(g)}))
+        # a one-world generator is a key of to_class, and no key maps to 0
+        project = cache(lambda g: to_class.get(g) or sum({to_class[b] for b in bits(g)}))
+        row = {w: tuple([(project(bu), *map(project, gens)) for bu, _, gens in rows[w][2]])
+               for w in class_of}
+        signature = {r: _signature(r) for r in set(row.values())}
         count, first = len(first), {}
-        class_of = {w: first.setdefault((cid, _signature(rows[w][2], project)), w)
+        class_of = {w: first.setdefault((cid, signature[row[w]]), w)
                     for w, cid in class_of.items()}
         if len(first) == count:
             break

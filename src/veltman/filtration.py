@@ -17,8 +17,10 @@ R~[[w]] is read off world masks: the class projection, joined over w' in
 [w], of each R[w'] cut to the truth mask of a box-like formula failing at w'.
 The quotient's S families store the minimal V~ satisfying clause 2: the
 minimal unions, as masks of classes, of one projected generator per witness
-pair (w', u'), taking only the projections inside R~[[w]].  Truth of every
-formula in the adequate set is preserved from model to quotient.
+pair (w', u'), taking only the projections inside R~[[w]].  Pairs with the
+same projections give one factor, since a repeated factor cannot change
+the minimal unions (h | h = h).  Truth of every formula in the adequate set
+is preserved from model to quotient.
 
 ``verify_filtration`` checks this exhaustively on truth masks, in one walk of
 the adequate set's list on the model and one on the quotient.  It lifts the
@@ -84,9 +86,9 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     for cw in class_ids:
         inside = succ[cw]
         for cu in (class_ids[b.bit_length() - 1] for b in bits(inside)):
-            choices = [[v for v in map(project, fr.gen_masks(w, u)) if v & ~inside == 0]
-                       for w in sorted(partition.classes[cw])
-                       for u in fr.names(fr.succ_mask[w]) if class_of[u] == cu]
+            choices = {tuple(v for v in map(project, fr.gen_masks(w, u)) if v & ~inside == 0)
+                       for w in partition.classes[cw]
+                       for u in fr.names(fr.succ_mask[w]) if class_of[u] == cu}
             if unions := minimal_unions(choices):
                 s.setdefault(cw, {})[cu] = unions
 

@@ -17,6 +17,8 @@ clauses of an ordinary frame, which keeps S_w as a set of world pairs.
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
 bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``,
 which reads them through the lookup tables they build, ``GenFrame._lookups``.
+``rhd(a, b)`` reads one table per right operand b, ``GenFrame._blocked(b)``:
+the worlds w, per R-successor u, where no generator of S_w(u) lies inside b.
 
 JSON interchange format::
 
@@ -72,13 +74,18 @@ def mask_order(g: int) -> tuple[int, list[int]]:
 
 
 def antichain(masks: Iterable[int]) -> tuple[int, ...]:
-    """Drop duplicate and non-minimal masks; order by ``mask_order``."""
+    """Drop duplicate and non-minimal masks; order by ``mask_order``.  A
+    mask can contain only a distinct kept mask of smaller size, so each
+    mask is tested against the masks kept before its size began."""
     masks = set(masks)
     if len(masks) < 2:
         return tuple(masks)
     out: list[int] = []
+    smaller, size = [], 0
     for g in sorted(masks, key=mask_order):
-        for h in out:
+        if g.bit_count() != size:
+            size, smaller = g.bit_count(), out[:]
+        for h in smaller:
             if h & ~g == 0:
                 break
         else:
@@ -145,9 +152,9 @@ class GenFrame(_Frame):
     """Generalized Veltman frame.  S is stored once: ``s[w][u]`` is the
     ``antichain`` of world masks generating S_w(u), bit i standing for
     ``worlds[i]``.  ``box`` and ``rhd`` read world bitmasks with only ``&``,
-    ``|``, ``==`` and ``*``: a Python int is one truth set of any width, a
-    numpy array of unsigned integers a grid of them, and the result keeps
-    the operand's dtype."""
+    ``|``, ``^``, ``==``, ``!=`` and ``*``: a Python int is one truth set
+    of any width, a numpy array of unsigned integers a grid of them, and the
+    result keeps the operand's dtype."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
@@ -265,19 +272,34 @@ class GenFrame(_Frame):
             out = out | ((x & succ) == succ) * bw
         return out
 
-    def rhd(self, a, b):
-        """Worlds w such that every R-successor of w in ``a`` has some
-        S_w-image inside ``b``."""
-        out = a & b & 0
-        for bw, _, images in self._rows_for(out):
-            good = True
+    def _blocked(self, b):
+        """The step of ``rhd`` for a right operand ``b``: per world u that
+        is some world's R-successor, by u's bit, the mask of the worlds w
+        with u in R[w] where u is blocked, no generator of S_w(u) lying
+        inside ``b``.  On Python ints a pair is dropped at its first
+        generator inside ``b`` (only a Python bool is ``False``), so every
+        entry is nonzero; on arrays every pair is kept."""
+        table: dict = {}
+        for bw, _, images in self._rows_for(b & 0):
             for bu, _, gens in images:
-                ok = (a & bu) == 0
+                blocked = True
                 for g in gens:
-                    ok = ok | ((b & g) == g)
-                good = good & ok
-            out = out | good * bw
-        return out
+                    blocked = blocked & ((b & g) != g)
+                    if blocked is False:
+                        break
+                else:
+                    table[bu] = table.get(bu, 0) | blocked * bw
+        return table
+
+    def rhd(self, a, b, blocked=None):
+        """Worlds w such that every R-successor of w in ``a`` has some
+        S_w-image inside ``b``: the worlds in no entry at a u in ``a`` of
+        the table ``blocked(b)``, by default ``_blocked(b)``; a model passes
+        its memo of ``_blocked``."""
+        out = a & b & 0
+        for bu, ws in (blocked or self._blocked)(b).items():
+            out = out | ((a & bu) == bu) * ws
+        return out ^ ((1 << len(self.worlds)) - 1)
 
     def _key(self):
         s = tuple(sorted((w, tuple(sorted(per_u.items()))) for w, per_u in self.s.items()))
@@ -516,8 +538,10 @@ class _Model:
 
 class GenModel(_Model):
     """Generalized frame plus valuation; forcing is memoized per formula as
-    a world bitmask in the frame's complex algebra, and ``|>`` per pair of
-    masks, as members of an adequate set often share their truth masks."""
+    a world bitmask in the frame's complex algebra, ``|>`` per pair of masks
+    and its table ``GenFrame._blocked`` per right operand mask, each on first
+    use: members of an adequate set often share their truth masks, and share
+    few distinct right operands."""
 
     def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
         super().__init__(frame, valuation)
@@ -525,9 +549,11 @@ class GenModel(_Model):
         # the step closes over the frame and valuation, not over self: a
         # model in a reference cycle would wait for the cyclic collector
         valuation = self.valuation
+        blocked = cache(frame._blocked)
+        rhd = cache(lambda a, b: frame.rhd(a, b, blocked))
         self._step = semantics(Algebra((1 << len(frame.worlds)) - 1,
                                        lambda name: frame.mask(valuation.get(name, ())),
-                                       frame.box, cache(frame.rhd)))
+                                       frame.box, rhd))
 
     def __reduce__(self):  # the step is a closure: a copy builds its own
         return type(self), (self.frame, self.valuation)

@@ -19,18 +19,23 @@ imports them from here.  The seeded generators, each drawing from the
 ``random.Random`` it is given:
 
 - ``random_r(rng, worlds)``: a transitive irreflexive R;
-- ``random_gen_frame(rng, n)`` and ``random_gen_model(rng, max_worlds,
-  variables)``: legal generalized frames and models, via ``close_s``;
+- ``random_gen_frame(rng, n, extra=0.4, close=True)`` and
+  ``random_gen_model(rng, max_worlds, variables, worlds=None)``: legal
+  generalized frames and models, via ``close_s``; with ``close`` false the
+  unclosed candidate frames ``close_s`` is tested on;
 - ``random_ord_model(rng, max_worlds, variables)``: legal ordinary models;
 - ``random_formula(rng, depth, variables, stop=0.25)``: formulas of modal
   depth <= depth over the variables, bot and top, ending in a leaf early
   with probability ``stop``;
-- ``duplicated_model(m)``: a model next to a relabeled copy of itself.
+- ``duplicated_model(m)``: a model next to a relabeled copy of itself,
+  and ``copied_model(m, doublings)``: 2^doublings copies;
+- ``random_masks(rng)``: world masks with nested chains and repeats.
 
-The subset helpers ``subsets`` and ``images``, the six frame conditions
-in ``BRUTE`` and the |>-table probe ``rhd_table_mismatch`` (an embedding
-against the ordinary forcing on every pair of world subsets) are shared
-the same way.
+The subset helpers ``subsets`` and ``images``, the mask oracle
+``minimal_masks`` (the minimal members of a mask collection, pair by pair),
+the six frame conditions in ``BRUTE`` and the |>-table probe
+``rhd_table_mismatch`` (an embedding against the ordinary forcing on every
+pair of world subsets) are shared the same way.
 """
 
 import itertools
@@ -190,25 +195,30 @@ def random_r(rng: random.Random, worlds):
     return pairs
 
 
-def random_gen_frame(rng: random.Random, n: int) -> GenFrame:
-    """Random legal generalized frame on worlds w0..w(n-1): a random R,
-    random extra generators, then close_s."""
+def random_gen_frame(rng: random.Random, n: int, extra=0.4, close=True) -> GenFrame:
+    """Random generalized frame on worlds w0..w(n-1): a random R and, with
+    probability ``extra`` for each u in R[w], one random generator of
+    S_w(u); then ``close_s``, or with ``close`` false the unclosed
+    candidate frame, whose S need not be legal."""
     worlds = [f"w{i}" for i in range(n)]
     pairs = random_r(rng, worlds)
     succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
     fams = {}
     for w in worlds:
         for u in succ[w]:
-            if succ[w] and rng.random() < 0.4:
+            if succ[w] and rng.random() < extra:
                 size = rng.randrange(1, len(succ[w]) + 1)
                 fams.setdefault(w, {}).setdefault(u, []).append(
                     rng.sample(succ[w], size))
-    return close_s(GenFrame(worlds, pairs, fams))
+    frame = GenFrame(worlds, pairs, fams)
+    return close_s(frame) if close else frame
 
 
-def random_gen_model(rng: random.Random, max_worlds=6, variables=("p", "q", "r")):
-    """Random legal generalized model, legality via close_s."""
-    fr = random_gen_frame(rng, rng.randrange(1, max_worlds + 1))
+def random_gen_model(rng: random.Random, max_worlds=6, variables=("p", "q", "r"), worlds=None):
+    """Random legal generalized model, legality via close_s, on ``worlds``
+    worlds if given, else on 1 to ``max_worlds`` drawn from ``rng``."""
+    n = rng.randrange(1, max_worlds + 1) if worlds is None else worlds
+    fr = random_gen_frame(rng, n)
     val = {v: [w for w in fr.worlds if rng.random() < 0.5] for v in variables}
     return GenModel(fr, val)
 
@@ -292,6 +302,42 @@ def duplicated_model(m: GenModel, suffix="_c") -> GenModel:
                      for u in fr.successors(w)} for w in fr.worlds}})
     return GenModel(merged, {p: sorted(ws) + sorted(ren[w] for w in ws)
                              for p, ws in m.valuation.items()})
+
+
+def copied_model(m: GenModel, doublings: int) -> GenModel:
+    """``duplicated_model`` applied ``doublings`` times: 2^doublings
+    relabeled copies of ``m``, all bisimilar, the first with m's names."""
+    for i in range(doublings):
+        m = duplicated_model(m, f"_{i}")
+    return m
+
+
+def random_masks(rng: random.Random) -> list[int]:
+    """Random world masks, 3 to 70 worlds wide, with nested chains (each
+    link a superset of the last) and repeats, shuffled; sometimes the
+    empty mask."""
+    width = rng.choice((3, 6, 12, 70))
+    out = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(0, 30))]
+    for _ in range(rng.randrange(0, 4)):
+        g = 1 << rng.randrange(width)
+        for _ in range(rng.randrange(1, 6)):
+            out.append(g)
+            g |= rng.getrandbits(width) & rng.getrandbits(width)
+    out += rng.choices(out, k=len(out) // 3) if out else []
+    if rng.random() < 0.1:
+        out.append(0)
+    rng.shuffle(out)
+    return out
+
+
+def minimal_masks(masks):
+    """The inclusion-minimal members of a collection of world masks, each
+    once, by comparing every pair; sorted by size, then by the list of
+    member indices."""
+    masks = set(masks)
+    low = [g for g in masks if not any(h != g and h & g == h for h in masks)]
+    return sorted(low, key=lambda g: (bin(g).count("1"),
+                                      [i for i in range(g.bit_length()) if g >> i & 1]))
 
 
 def pair_set_autobisimulation(m: GenModel):

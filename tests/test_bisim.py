@@ -4,8 +4,8 @@ import itertools
 import random
 
 import pytest
-from reference import (duplicated_model, pair_set_autobisimulation, random_gen_frame,
-                       random_gen_model)
+from reference import (copied_model, duplicated_model, pair_set_autobisimulation,
+                       random_gen_frame, random_gen_model)
 
 from veltman.bisim import (
     bisimulation_violation,
@@ -162,6 +162,49 @@ class TestMatchesPairSetReference:
                 m = duplicated_model(m, suffix)
             assert len(m.worlds) == 64
             self.assert_same(m)
+
+    def test_copies_with_one_copy_changed(self):
+        """4 or 8 copies of a random model, the last copy changed: a
+        variable flipped at one world, or one generator dropped whose loss
+        closing S again does not undo.  Worlds of the changed copy can share
+        a projected row with worlds of the others while their old classes
+        differ; one signature per distinct row must keep them apart."""
+        rng = random.Random(20)
+        split = {"flip": 0, "drop": 0}
+        for trial in range(120):
+            fr = random_gen_frame(rng, rng.randrange(3, 6), extra=1.0)
+            doublings = 2 + trial % 2
+            m = copied_model(GenModel(fr, {p: [w for w in fr.worlds if rng.random() < 0.5]
+                                           for p in "pq"}), doublings)
+            last = "".join(f"_{i}" for i in range(doublings))
+            drop = _droppable(rng, fr) if trial % 2 else None
+            if drop:
+                w, u, g = drop
+                changed = GenModel(_dropped(m.frame, w + last, u + last,
+                                            frozenset(v + last for v in g)), m.valuation)
+            else:
+                w, p = rng.choice(fr.worlds) + last, rng.choice("pq")
+                changed = GenModel(m.frame, {**m.valuation, p: m.valuation[p] ^ {w}})
+            self.assert_same(changed)
+            split["drop" if drop else "flip"] += (len(largest_autobisimulation(changed).classes)
+                                                  > len(largest_autobisimulation(m).classes))
+        assert split["flip"] >= 40 and split["drop"] >= 10, split
+
+
+def _dropped(fr, w, u, g):
+    """``fr`` without the generator g of S_w(u), with S closed again."""
+    fams = {x: {v: [h for h in fr.gens(x, v) if (x, v, h) != (w, u, g)]
+                for v in fr.successors(x)} for x in fr.worlds}
+    return close_s(GenFrame(fr.worlds, fr.pairs, fams))
+
+
+def _droppable(rng, fr):
+    """A generator (w, u, g) of S_w(u) in ``fr``, the first in random order
+    whose loss ``_dropped`` does not undo, or None."""
+    picks = [(w, u, g) for w in fr.worlds for u in sorted(fr.successors(w))
+             for g in fr.gens(w, u)]
+    rng.shuffle(picks)
+    return next((pick for pick in picks if _dropped(fr, *pick) != fr), None)
 
 
 class TestMinimalImageFamilies:

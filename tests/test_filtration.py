@@ -6,8 +6,8 @@ import pickle
 import random
 import weakref
 
-from reference import (duplicated_model, filtration_s_by_scan, gen_truth_set, random_formula,
-                       random_gen_frame, random_gen_model)
+from reference import (copied_model, duplicated_model, filtration_s_by_scan, gen_truth_set,
+                       random_formula, random_gen_model)
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
@@ -103,7 +103,7 @@ class TestFiltrateSmall:
         # a model and its disjoint union with a copy have the same quotient
         rng = random.Random(31)
         for _ in range(100):
-            m = _random_model(rng, rng.randrange(2, 6))
+            m = random_gen_model(rng, variables=("p", "q"), worlds=rng.randrange(2, 6))
             d = d_closure([parse(s) for s in rng.sample(SEED_POOL, rng.randrange(1, 4))])
             assert (filtrate(duplicated_model(m), d).quotient.to_json()
                     == filtrate(m, d).quotient.to_json()), m.to_json()
@@ -189,13 +189,6 @@ def test_first_disagreement_matches_the_reference_on_300_corrupted_quotients():
     assert found > 200
 
 
-def _random_model(rng, n_worlds):
-    fr = random_gen_frame(rng, n_worlds)
-    val = {v: [w for w in fr.worlds if rng.random() < 0.5]
-           for v in ("p", "q")}
-    return GenModel(fr, val)
-
-
 SEED_POOL = ["p", "q", "p & q", "p |> q", "[]p", "<>q", "~p", "p -> q",
              "q |> p", "p | q", "[]~p", "p |> p"]
 
@@ -203,7 +196,7 @@ SEED_POOL = ["p", "q", "p & q", "p |> q", "[]p", "<>q", "~p", "p -> q",
 def test_verify_filtration_on_200_random_pairs():
     rng = random.Random(2024)
     for trial in range(200):
-        m = _random_model(rng, rng.randrange(2, 6))
+        m = random_gen_model(rng, variables=("p", "q"), worlds=rng.randrange(2, 6))
         seeds = [parse(s) for s in
                  rng.sample(SEED_POOL, rng.randrange(1, 5))]
         d = d_closure(seeds)
@@ -229,6 +222,46 @@ def test_quotient_s_matches_the_scan_on_300_random_models():
         assert q.to_json() == want.to_json(), (trial, m.to_json())
 
 
+def test_truth_sets_match_the_reference_on_4_and_8_copies():
+    """Forcing reads |> through one blocked table per right operand; on a
+    random model and on 4 and 8 relabelled copies of it, every member of
+    the adequate set has the reference truth set."""
+    rng = random.Random(20)
+    for trial in range(40):
+        base = random_gen_model(rng, 4, ("p", "q"))
+        gamma = adequate_set(d_closure([parse(s) for s in rng.sample(SEED_POOL, 2)]))
+        for m in (base, copied_model(base, 2), copied_model(base, 3)):
+            for f in gamma:
+                assert m.truth_set(f) == gen_truth_set(m, f), (trial, str(f), m.to_json())
+
+
+def two_choice_star():
+    """w sees the leaves u1, u2, a (p) and b (q); u1 and u2 are bisimilar,
+    and S_w(u1) has the image {a}, S_w(u2) the image {b}: two distinct
+    choices for the one pair of classes ([w], [u1])."""
+    leaves = ["u1", "u2", "a", "b"]
+    fr = close_s(GenFrame(["w", *leaves], [("w", x) for x in leaves],
+                          {"w": {"u1": [["a"]], "u2": [["b"]]}}))
+    return GenModel(fr, {"p": ["a"], "q": ["b"]})
+
+
+def test_quotient_s_matches_the_scan_on_4_and_8_copies():
+    """S~ is built from the distinct choices per pair of classes; on 4 and
+    8 copies each choice repeats, and S~ is still the scan's, also where a
+    pair of classes has two distinct choices."""
+    rng = random.Random(41)
+    for trial in range(60):
+        base = two_choice_star() if trial % 4 == 0 else random_gen_model(rng, 5)
+        m = copied_model(base, 2 + trial % 2)
+        d = d_closure([parse(s) for s in rng.sample(SEED_POOL, rng.randrange(1, 4))])
+        res = filtrate(m, d)
+        q = res.quotient
+        s = filtration_s_by_scan(m, res.partition.class_of, q.frame.pairs)
+        want = GenModel(GenFrame(q.worlds, q.frame.pairs, s), q.valuation)
+        assert q.to_json() == want.to_json(), (trial, m.to_json())
+        assert verify_filtration(m, res) is None
+
+
 def test_twenty_spoke_star_keeps_singleton_images():
     spokes = [f"u{i:02d}" for i in range(20)]
     m = GenModel(close_s(GenFrame(["w", *spokes], [("w", u) for u in spokes], {})),
@@ -247,7 +280,7 @@ def test_twenty_spoke_star_keeps_singleton_images():
 def test_refiltration_does_not_grow():
     rng = random.Random(99)
     for _ in range(40):
-        m = _random_model(rng, rng.randrange(2, 6))
+        m = random_gen_model(rng, variables=("p", "q"), worlds=rng.randrange(2, 6))
         d = d_closure([parse(rng.choice(SEED_POOL))])
         res = filtrate(m, d)
         again = filtrate(res.quotient, d)
@@ -258,7 +291,7 @@ def test_refiltration_does_not_grow():
 def test_quotient_worlds_match_partition_classes():
     rng = random.Random(7)
     for _ in range(30):
-        m = _random_model(rng, 4)
+        m = random_gen_model(rng, variables=("p", "q"), worlds=4)
         res = filtrate(m, d_closure([Var("p")]))
         assert sorted(res.quotient.worlds) == sorted(res.partition.classes)
         merged = sorted(w for ws in res.partition.to_json().values() for w in ws)
@@ -269,7 +302,7 @@ def test_model_and_quotient_are_freed_without_the_cyclic_collector():
     """Forcing, filtration and its check leave no reference cycle through
     the model or the quotient: with the cyclic collector off, both are
     freed as soon as the last reference goes."""
-    m = _random_model(random.Random(5), 5)
+    m = random_gen_model(random.Random(5), variables=("p", "q"), worlds=5)
     gc.disable()
     try:
         m._truth_mask(parse("[]p |> q"))
@@ -285,7 +318,7 @@ def test_model_and_quotient_are_freed_without_the_cyclic_collector():
 def test_result_pickles_with_the_adequate_set_list():
     """A filtration result and its models survive pickling: Γ keeps its
     children-first list, and the copy checks as the original does."""
-    m = _random_model(random.Random(6), 4)
+    m = random_gen_model(random.Random(6), variables=("p", "q"), worlds=4)
     res = filtrate(m, d_closure([parse("p |> q"), parse("[]~p")]))
     copy = pickle.loads(pickle.dumps(res))
     assert copy.gamma == res.gamma

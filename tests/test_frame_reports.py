@@ -26,7 +26,7 @@ import json
 import random
 from pathlib import Path
 
-from reference import random_gen_model, random_r
+from reference import random_gen_frame, random_gen_model, random_r
 
 from veltman.decide import _il_frames
 from veltman.model import FrameError, GenFrame, OrdFrame, close_s, validate
@@ -38,20 +38,6 @@ FIXTURE = Path(__file__).parent / "fixtures" / "frame_reports.json"
 def _digest(frame) -> str:
     doc = json.dumps(frame.to_json(), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-
-def _candidate(rng: random.Random, lo: int = 1, hi: int = 6) -> GenFrame:
-    n = rng.randrange(lo, hi)
-    worlds = [f"w{i}" for i in range(n)]
-    pairs = random_r(rng, worlds)
-    succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
-    fams = {}
-    for w in worlds:
-        for u in succ[w]:
-            if succ[w] and rng.random() < 0.5:
-                size = rng.randrange(1, len(succ[w]) + 1)
-                fams.setdefault(w, {}).setdefault(u, []).append(rng.sample(succ[w], size))
-    return GenFrame(worlds, pairs, fams)
 
 
 def _unclosed_r(rng: random.Random, worlds: list[str]) -> list[tuple[str, str]]:
@@ -113,7 +99,7 @@ def records() -> list[dict]:
         out.append({"frame": label, "digest": _digest(fr), "reports": reports})
     rng = random.Random(42)
     for i in range(300):
-        fr = _candidate(rng)
+        fr = random_gen_frame(rng, rng.randrange(1, 6), extra=0.5, close=False)
         out.append({"candidate": i, "digest": _digest(fr),
                     "violations": _violations(fr), "closed": close_s(fr).to_json()})
     rng = random.Random(13)
@@ -126,7 +112,7 @@ def records() -> list[dict]:
         out.append({"illegal ord": i, "digest": _digest(fr), "violations": _violations(fr)})
     rng = random.Random(5)
     for i in range(10):
-        fr = _candidate(rng, 12, 21)
+        fr = random_gen_frame(rng, rng.randrange(12, 21), extra=0.5, close=False)
         out.append({"large candidate": i, "digest": _digest(fr),
                     "closed": close_s(fr).to_json()})
     # witnesses are tuples; compare in their JSON form

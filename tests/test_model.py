@@ -9,19 +9,21 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
-from reference import (duplicated_model, gen_truth_set, ord_truth_set, random_formula,
-                       random_gen_frame, random_gen_model, random_ord_model, random_r,
-                       rhd_table_mismatch)
+from reference import (duplicated_model, gen_truth_set, minimal_masks, ord_truth_set,
+                       random_formula, random_gen_frame, random_gen_model, random_masks,
+                       random_ord_model, rhd_table_mismatch)
 
 from veltman.decide import _il_frames
-from veltman.formula import Box, normalize, parse
+from veltman.formula import Box, Rhd, Var, normalize, parse
 from veltman.model import (
     FrameError,
     GenFrame,
     GenModel,
     OrdFrame,
     OrdModel,
+    antichain,
     close_s,
     gen_of_ordinary,
     model_from_json,
@@ -235,18 +237,7 @@ class TestCloseS:
 def test_close_s_always_legal_1000_random_candidates():
     rng = random.Random(42)
     for _ in range(1000):
-        n = rng.randrange(1, 6)
-        worlds = [f"w{i}" for i in range(n)]
-        pairs = random_r(rng, worlds)
-        succ = {w: sorted(v for (a, v) in pairs if a == w) for w in worlds}
-        fams = {}
-        for w in worlds:
-            for u in succ[w]:
-                if succ[w] and rng.random() < 0.5:
-                    size = rng.randrange(1, len(succ[w]) + 1)
-                    fams.setdefault(w, {}).setdefault(u, []).append(
-                        rng.sample(succ[w], size))
-        closed = close_s(GenFrame(worlds, pairs, fams))
+        closed = close_s(random_gen_frame(rng, rng.randrange(1, 6), extra=0.5, close=False))
         assert validate(closed) == []
 
 
@@ -337,6 +328,29 @@ class TestForces:
         assert m.forces("w", parse("p |> q"))
         m2 = GenModel(fr, {"p": ["u"], "q": []})
         assert not m2.forces("w", parse("p |> q"))
+
+
+def test_rhd_matches_the_reference_on_every_mask_pair_of_unclosed_frames():
+    """``GenFrame.rhd`` through its blocked table, on Python ints and on a
+    numpy grid of every pair, against the reference forcing of ``a |> b``;
+    unclosed candidate frames include successors with no S-image at all."""
+    rng = random.Random(20)
+    probe = Rhd(Var("a"), Var("b"))
+    for _ in range(100):
+        fr = random_gen_frame(rng, rng.randrange(1, 5), extra=0.5, close=False)
+        masks = range(1 << len(fr.worlds))
+        want = [[fr.mask(gen_truth_set(GenModel(fr, {"a": fr.names(a), "b": fr.names(b)}), probe))
+                 for b in masks] for a in masks]
+        assert [[fr.rhd(a, b) for b in masks] for a in masks] == want, fr.to_json()
+        grid = np.arange(len(masks), dtype=np.uint8)
+        assert fr.rhd(grid[:, None], grid[None, :]).tolist() == want, fr.to_json()
+
+
+def test_antichain_matches_the_pairwise_oracle_on_2000_collections():
+    rng = random.Random(21)
+    for _ in range(2000):
+        masks = random_masks(rng)
+        assert list(antichain(masks)) == minimal_masks(masks), masks
 
 
 def test_box_dia_abbreviations_semantically_faithful():
