@@ -17,8 +17,9 @@ R~[[w]] is read off world masks: the class projection, joined over w' in
 [w], of each R[w'] cut to the truth mask of a box-like formula failing at w'.
 The quotient's S families store the minimal V~ satisfying clause 2: the
 minimal unions, as masks of classes, of one projected generator per witness
-pair (w', u'), taking only the projections inside R~[[w]].  Pairs with the
-same projections give one factor, since a repeated factor cannot change
+pair (w', u'), taking only the projections inside R~[[w]].  The pairs of
+[w] are grouped by the class of u' in one walk.  Pairs with the same
+projections give one factor, since a repeated factor cannot change
 the minimal unions (h | h = h).  Truth of every formula in the adequate set
 is preserved from model to quotient.
 
@@ -85,12 +86,15 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     s: dict[World, dict[World, tuple[int, ...]]] = {}
     for cw in class_ids:
         inside = succ[cw]
-        for cu in (class_ids[b.bit_length() - 1] for b in bits(inside)):
-            choices = {tuple(v for v in map(project, fr.gen_masks(w, u)) if v & ~inside == 0)
-                       for w in partition.classes[cw]
-                       for u in fr.names(fr.succ_mask[w]) if class_of[u] == cu}
-            if unions := minimal_unions(choices):
-                s.setdefault(cw, {})[cu] = unions
+        choices: dict[int, set] = {}  # per class bit of u, over the pairs w R u
+        for w in partition.classes[cw]:
+            for u in fr.names(fr.succ_mask[w]):
+                if (cu := to_class[fr.bit[u]]) & inside:
+                    choices.setdefault(cu, set()).add(
+                        tuple(v for v in map(project, fr.gen_masks(w, u)) if v & ~inside == 0))
+        for cu in bits(inside):
+            if unions := minimal_unions(choices.get(cu, ())):
+                s.setdefault(cw, {})[class_ids[cu.bit_length() - 1]] = unions
 
     frame = GenFrame.from_masks(class_ids, succ, s)
     valuation = {

@@ -21,6 +21,11 @@ Identifiers match ``[a-z][a-zA-Z0-9_]*``; ``bot`` and ``top`` are reserved.
 Nesting is bounded: past ``MAX_DEPTH`` nodes on a root-to-leaf path of the
 tree, or ``MAX_DEPTH`` open parentheses, the parser raises ParseError.
 
+Formulas are hash-consed (Filliatre and Conchon, 2006): every node is built
+through one intern table, so equal formulas are one object, compared and
+hashed by identity.  Sets of formulas therefore iterate in an order that
+changes from process to process; whatever is printed is sorted first.
+
 Everything computed on formulas is structural recursion, written once as
 :func:`fold`, and run as one loop over a set listed children first by
 :meth:`Dag.values`.  The one semantics is the step both drive,
@@ -32,46 +37,84 @@ truth-table columns.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
-from operator import is_
 from typing import Any, Callable, Iterable, NamedTuple
 
 # Binding strength used by the printer; higher binds tighter.
 _ATOM, _UNARY, _AND, _OR, _RHD, _IMPL = 100, 90, 80, 70, 60, 50
 
 
-class Formula:
-    """Base class for AST nodes.  Nodes are immutable and compare structurally.
+# Every node is made through one intern table keyed by (type, *children), or
+# (type, name) for a variable: equal formulas are one object, so equality is
+# identity and hashing is the object's own, both in C.  The table is split
+# in two generations, so that throwaway formulas churn only a small dict.
+# New nodes go to _young; when it is full, the nodes that only the table
+# holds are dropped and the rest move to _old, which is swept the same way
+# once it has doubled since its last sweep.  A parent is always inserted
+# after its children, so a walk from the newest entry drops a dead parent
+# before it looks at the children the parent held.  Only one thread may
+# build formulas at a time: two that miss on one key would build two nodes.
+_young: dict[tuple, Formula] = {}
+_old: dict[tuple, Formula] = {}
+_YOUNG_SIZE = 1 << 13
+_MIN_OLD = 1 << 16
+_old_at = _MIN_OLD
+# what sys.getrefcount reads for a dict value that only the dict holds
+_ALONE = (lambda d: sys.getrefcount(d[0]))({0: object()})
+
+
+def _collect(table: dict) -> None:
+    """Drop the entries of ``table`` whose node no one else holds."""
+    keys = list(table)
+    for i in range(len(keys) - 1, -1, -1):
+        key, keys[i] = keys[i], None  # the list must not keep the children alive
+        if sys.getrefcount(table[key]) == _ALONE:
+            del table[key]
+
+
+def _sweep() -> None:
+    global _old_at
+    _collect(_young)
+    _old.update(_young)
+    _young.clear()
+    if len(_old) >= _old_at:
+        _collect(_old)
+        _old_at = max(_MIN_OLD, 2 * len(_old))
+
+
+class _Interned(type):
+    def __call__(cls, *args):
+        key = (cls, *args)
+        node = _young.get(key) or _old.get(key)
+        if node is None:
+            if len(_young) >= _YOUNG_SIZE:
+                _sweep()
+            node = _young[key] = super().__call__(*args)
+        return node
+
+
+class Formula(metaclass=_Interned):
+    """Base class for AST nodes.  Nodes are immutable and interned: building
+    a formula equal to an existing one returns that object, so ``==`` and
+    ``hash`` are the object's identity.  Build nodes positionally; a copy or
+    a pickle is interned again on loading.
 
     Every node has ``children`` (its immediate subformulas, in order), a
-    printing ``symbol`` and a binding ``level`` (higher binds tighter).  The
-    hash is computed on first use and then kept on the node.
+    printing ``symbol`` and a binding ``level`` (higher binds tighter).
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     children: tuple = ()
     level = _ATOM
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.children == other.children
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.symbol, self.children))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __reduce__(self):
+        return type(self), self.children
 
     def rebuild(self, children) -> Formula:
-        """The same connective over ``children``; ``self`` when they are unchanged."""
-        if all(map(is_, children, self.children)):
-            return self
-        return type(self)(*children)
+        """The same connective over ``children``: ``self`` when they are
+        unchanged, as nodes are interned."""
+        return type(self)(*children) if children else self
 
     def __str__(self) -> str:
         return pretty(self)
@@ -94,7 +137,7 @@ class _Binary(Formula):
         return (self.left, self.right)
 
 
-# eq=False: equality and the cached hash come from Formula
+# eq=False: equality and hashing are identity, as the nodes are interned
 _node = dataclass(frozen=True, eq=False, slots=True)
 
 
@@ -106,13 +149,8 @@ class Var(Formula):
     def symbol(self) -> str:
         return self.name
 
-    def __eq__(self, other):
-        if type(other) is not Var:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __reduce__(self):
+        return Var, (self.name,)
 
 
 @_node
@@ -489,27 +527,24 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
     subformulas, single negation, membership of ``bot |> bot``, pairing of
     |>-components, and ``[]~A`` for every A in ``d``.
 
-    A worklist over members interned by key, ``(type, positions of the
-    children)`` or ``(type, symbol)`` for a leaf, so that membership tests
-    and the pairings hash small tuples.  A new [] or |> member is
-    normalized, through one memo shared by the whole worklist, unless it
-    pairs two components, which is already normal; a component new to the
-    pool is paired with every component already there.
+    A worklist over members, each numbered by its position.  A new [] or
+    |> member is normalized, through one memo shared by the whole worklist,
+    unless it pairs two components, which is already normal; a component
+    new to the pool is paired with every component already there.
     """
     d = frozenset(d)
-    ids: dict[tuple, int] = {}
+    ids: dict[Formula, int] = {}
     members: list[Formula] = []
     kids: list[tuple[int, ...]] = []
     todo: list[int] = []
 
     def member(f: Formula, k: tuple | None = None) -> int:
         """The position of ``f``, added after its children (positions ``k``) if new."""
-        if k is None:
-            k = tuple([member(c) for c in f.children])
-        key = (type(f), *k) if k else (type(f), f.symbol)
-        i = ids.get(key)
+        i = ids.get(f)
         if i is None:
-            i = ids[key] = len(members)
+            if k is None:
+                k = tuple([member(c) for c in f.children])
+            i = ids[f] = len(members)
             members.append(f)
             kids.append(k)
             todo.append(i)
@@ -523,7 +558,7 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
         i = todo.pop()
         g = members[i]
         t = type(g)
-        if t is not Neg and (Neg, i) not in ids:
+        if t is not Neg:
             member(Neg(g), (i,))
         if t is Box or (t is Rhd and not pool.issuperset(kids[i])):
             for c in map(member, normalize(g, normal).children):

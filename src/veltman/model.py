@@ -68,9 +68,15 @@ def bits(x: int) -> list[int]:
     return out
 
 
-def mask_order(g: int) -> tuple[int, list[int]]:
-    """Sort key of a world mask: size, then members in world order."""
-    return g.bit_count(), bits(g)
+_FLIP = str.maketrans("01", "10")
+
+
+def mask_order(g: int) -> tuple[int, str]:
+    """Sort key of a world mask: size, then members in world order.  Of
+    two masks of one size, the first to hold the lowest world where they
+    differ comes first: its bit reads 0 in the complemented binary digits,
+    lowest first."""
+    return g.bit_count(), bin(g)[:1:-1].translate(_FLIP)
 
 
 def antichain(masks: Iterable[int]) -> tuple[int, ...]:

@@ -32,7 +32,8 @@ imports them from here.  The seeded generators, each drawing from the
 - ``random_masks(rng)``: world masks with nested chains and repeats.
 
 The subset helpers ``subsets`` and ``images``, the mask oracle
-``minimal_masks`` (the minimal members of a mask collection, pair by pair),
+``minimal_masks`` (the minimal members of a mask collection, pair by pair,
+in the order of the sort key ``mask_key``),
 the six frame conditions in ``BRUTE`` and the |>-table probe
 ``rhd_table_mismatch`` (an embedding against the ordinary forcing on every
 pair of world subsets) are shared the same way.
@@ -330,14 +331,18 @@ def random_masks(rng: random.Random) -> list[int]:
     return out
 
 
+def mask_key(g):
+    """Sort key of a world mask: its size, then the list of its member
+    indices."""
+    return bin(g).count("1"), [i for i in range(g.bit_length()) if g >> i & 1]
+
+
 def minimal_masks(masks):
     """The inclusion-minimal members of a collection of world masks, each
-    once, by comparing every pair; sorted by size, then by the list of
-    member indices."""
+    once, by comparing every pair; sorted by ``mask_key``."""
     masks = set(masks)
     low = [g for g in masks if not any(h != g and h & g == h for h in masks)]
-    return sorted(low, key=lambda g: (bin(g).count("1"),
-                                      [i for i in range(g.bit_length()) if g >> i & 1]))
+    return sorted(low, key=mask_key)
 
 
 def pair_set_autobisimulation(m: GenModel):

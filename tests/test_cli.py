@@ -480,6 +480,45 @@ def test_check_model_errors_do_not_depend_on_the_hash_seed(tmp_path, doc, first)
         assert (proc.returncode, proc.stderr) == (2, f"error: bad model: {first}\n"), seed
 
 
+def _ci_filtrate_model():
+    """The 256-world model CI filtrates: 32 relabelled copies of an 8-world
+    model, which filtrate into 8 classes."""
+    base = {"a": "bcdefgh", "b": "cd", "c": "", "d": "", "e": "fgh", "f": "g", "g": "", "h": ""}
+    val = {"p": "dh", "q": "gh"}
+
+    def ws(xs, i):
+        return [f"{x}{i:02d}" for x in xs]
+
+    return {"kind": "gen", "worlds": [w for i in range(32) for w in ws(base, i)],
+            "R": [[f"{x}{i:02d}", y] for i in range(32) for x, ys in base.items()
+                  for y in ws(ys, i)],
+            "S": {f"a{i:02d}": {f"b{i:02d}": [[f"e{i:02d}"]], f"e{i:02d}": [[f"b{i:02d}"]]}
+                  for i in range(32)},
+            "valuation": {p: [w for i in range(32) for w in ws(xs, i)] for p, xs in val.items()}}
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["filtrate", "MODEL", "p |> q", "[]p -> <>q", "--closure", "--format", "json"], 0),
+    (["check-proof", str(Path(__file__).parent / "proofs" / "ax_m.ilp"), "--logic", "ILM",
+      "--format", "json"], 0),
+    (["search", "(p |> q) -> (p & []r |> q & []r)", "--max-worlds", "3", "--format", "json"], 1),
+], ids=["filtrate-256", "check-proof", "search"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, argv, rc):
+    """Formulas hash by identity, so sets of them iterate in a different
+    order in each process; the printed answer must not follow it."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_ci_filtrate_model()))
+    argv = [str(path) if a == "MODEL" else a for a in argv]
+    runs = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "veltman.cli", *argv],
+                              env=dict(os.environ, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True)
+        runs.add((proc.returncode, proc.stdout))
+    assert len(runs) == 1, runs
+    assert runs.pop()[0] == rc
+
+
 def _gen(s, **extra):
     return {"kind": "gen", "worlds": ["w", "u"], "R": [["w", "u"]], "S": s, **extra}
 

@@ -1,6 +1,8 @@
 """Syntax layer: parsing, printing, normalization, closure operators."""
 
+import copy
 import functools
+import pickle
 import random
 from collections import Counter
 
@@ -15,6 +17,7 @@ from veltman.formula import (
     And,
     Bot,
     Box,
+    Dag,
     Dia,
     Impl,
     Neg,
@@ -158,6 +161,92 @@ def test_shared_memo_gives_the_plain_results_on_500_formulas():
         text = pretty(f, texts)
         assert text == pretty(f)
         assert parse(text) == f
+
+
+class TestInterning:
+    """Every node is built through one table: equal formulas are one object."""
+
+    def test_parse_of_pretty_and_rebuild_return_the_same_object_on_500_formulas(self):
+        rng = random.Random(2106)
+        for _ in range(500):
+            f = random_formula(rng, rng.randrange(0, 6), VARS, stop=0.2)
+            assert parse(pretty(f)) is f
+            assert f.rebuild(list(f.children)) is f
+
+    def test_two_independent_builds_are_one_object(self):
+        for seed in range(200):
+            f = random_formula(random.Random(seed), 5, VARS, stop=0.2)
+            g = random_formula(random.Random(seed), 5, VARS, stop=0.2)
+            assert f is g
+            assert all(a is b for a, b in zip(subformula_list(f), subformula_list(g)))
+        assert Var("".join(["p"])) is p and Bot() is BOT and Top() is TOP
+
+    def test_pickle_and_copies_return_the_interned_object(self):
+        rng = random.Random(2107)
+        for _ in range(100):
+            f = random_formula(rng, 5, VARS, stop=0.2)
+            assert pickle.loads(pickle.dumps(f)) is f
+            assert copy.deepcopy(f) is f
+            assert copy.copy(f) is f
+
+    def test_dag_equality_is_the_set_equality(self):
+        d = d_closure([parse("p |> []q"), parse("<>(q & r)")])
+        g = adequate_set(d)
+        again = adequate_set(list(d)[::-1])
+        assert g == again == frozenset(g.members) and hash(g) == hash(again)
+        loaded = pickle.loads(pickle.dumps(g))
+        assert type(loaded) is Dag and loaded == g
+        assert all(a is b for a, b in zip(loaded.members, g.members))
+        assert loaded.kids == g.kids
+        assert g != adequate_set(d | {parse("s")})
+
+    @pytest.mark.parametrize("build, positional", [
+        (lambda: Var(name="p"), lambda: Var("p")),
+        (lambda: Neg(arg=p), lambda: Neg(p)),
+        (lambda: Box(arg=p), lambda: Box(p)),
+        (lambda: Rhd(left=p, right=q), lambda: Rhd(p, q)),
+        (lambda: And(p, right=q), lambda: And(p, q)),
+    ], ids=["var", "neg", "box", "rhd", "and"])
+    def test_keyword_construction_interns_or_raises(self, build, positional):
+        """A keyword build never gives a second object equal to an interned one."""
+        try:
+            g = build()
+        except TypeError:
+            return
+        assert g is positional()
+
+    def test_table_stays_bounded_over_100000_throwaway_formulas(self):
+        """Nodes that only the table holds are dropped, a parent before the
+        children it held; a formula held by a caller keeps its identity."""
+        text = "[](p -> q) |> <>(r & ~s)"
+        held = parse(text)
+        formula._sweep()  # what earlier tests still hold moves out of the young table
+        old = len(formula._old)
+        for i in range(100_000):
+            Impl(Var(f"tmp{i}"), Neg(Var(f"tmp{i + 1}")))
+        assert len(formula._young) <= formula._YOUNG_SIZE
+        formula._sweep()
+        assert len(formula._old) < formula._old_at
+        # of 300,000 nodes, only those under construction at a sweep are kept
+        assert len(formula._old) - old < 1000
+        chain = Var("deep")
+        for _ in range(50):
+            chain = And(Neg(chain), chain)
+        del chain
+        formula._sweep()
+        assert (Var, "deep") not in formula._old
+        assert held is parse(text)
+        assert all(a is b for a, b in zip(subformula_list(held), subformula_list(parse(text))))
+
+
+def subformula_list(f):
+    """The nodes of ``f``, root first, with repeats."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        todo.extend(g.children)
+    return out
 
 
 class TestNormalize:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import (duplicated_model, gen_truth_set, minimal_masks, ord_truth_set,
+from reference import (duplicated_model, gen_truth_set, mask_key, minimal_masks, ord_truth_set,
                        random_formula, random_gen_frame, random_gen_model, random_masks,
                        random_ord_model, rhd_table_mismatch)
 
@@ -26,6 +26,7 @@ from veltman.model import (
     antichain,
     close_s,
     gen_of_ordinary,
+    mask_order,
     model_from_json,
     validate,
 )
@@ -351,6 +352,23 @@ def test_antichain_matches_the_pairwise_oracle_on_2000_collections():
     for _ in range(2000):
         masks = random_masks(rng)
         assert list(antichain(masks)) == minimal_masks(masks), masks
+
+
+def test_mask_order_sorts_like_the_member_list_key():
+    """Every mask of width <= 12, and 3,000 random masks each at widths 30
+    and 256, of varied density."""
+    rng = random.Random(2112)
+    collections = [list(range(1 << 12))]
+    for width in (30, 256):
+        masks = []
+        for _ in range(3000):
+            g = rng.getrandbits(width)
+            for _ in range(rng.randrange(4)):
+                g &= rng.getrandbits(width)
+            masks.append(g)
+        collections.append(masks)
+    for masks in collections:
+        assert sorted(masks, key=mask_order) == sorted(masks, key=mask_key)
 
 
 def test_box_dia_abbreviations_semantically_faithful():
