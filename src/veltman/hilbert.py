@@ -141,14 +141,19 @@ def _skeleton_atoms(g: Formula) -> set[Formula]:
     return atoms
 
 
-def _column(i: int, rows: int) -> int:
-    """Bitmask of the rows (0 .. rows-1) whose bit i is set."""
-    half = 1 << i
-    out, width = ((1 << half) - 1) << half, 2 * half
+def _column(vector: int, size: int, block: int, rows: int) -> int:
+    """The rows 0 .. rows-1 of a table digit below ``size`` that holds each
+    value for ``block`` rows, as a bitmask: bit r is bit (r // block) % size
+    of ``vector``.  One period of size * block bits, doubled until it covers
+    ``rows``."""
+    if block > 1:
+        ones = (1 << block) - 1
+        vector = sum([ones << d * block for d in range(size) if vector >> d & 1])
+    width = size * block
     while width < rows:
-        out |= out << width
+        vector |= vector << width
         width *= 2
-    return out
+    return vector if width == rows else vector & ((1 << rows) - 1)
 
 
 def is_classical_tautology(f: Formula, memo: dict | None = None) -> bool:
@@ -167,7 +172,8 @@ def is_classical_tautology(f: Formula, memo: dict | None = None) -> bool:
         raise ValueError(f"propositional skeleton has {n} atoms, limit is {MAX_TAUT_ATOMS}")
     rows = 1 << n
     full = (1 << rows) - 1
-    columns = {a: _column(i, rows) for i, a in enumerate(atoms)}
+    # atom i is row bit i: a digit of two values, each held for 2^i rows
+    columns = {a: _column(0b10, 2, 1 << i, rows) for i, a in enumerate(atoms)}
     return evaluate(g, Algebra(full, None, None, None), columns) == full
 
 

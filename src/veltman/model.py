@@ -15,8 +15,11 @@ appear only at the boundary: the derived views ``pairs``, ``successors``,
 clauses of an ordinary frame, which keeps S_w as a set of world pairs.
 
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
-bitmasks, the only encoding of ``[]`` and ``|>``, also used by ``properties``,
-which reads them through the lookup tables they build, ``GenFrame._lookups``.
+bitmasks, the encoding of ``[]`` and ``|>`` that every model reads.
+``properties`` reads them through the lookup tables they build,
+``GenFrame._lookups``, when it walks valuations for a witness; it decides
+frame validity with its own per-world step, which reads R and S by world
+index from ``GenFrame._index_rows``.
 ``rhd(a, b)`` reads one table per right operand b, ``GenFrame._blocked(b)``:
 the worlds w, per R-successor u, where no generator of S_w(u) lies inside b.
 
@@ -222,6 +225,21 @@ class GenFrame(_Frame):
         return {w: (self.bit[w], r, tuple((b, u, self.gen_masks(w, u))
                                           for b, u in zip(bits(r), self.names(r))))
                 for w, r in self.succ_mask.items()}
+
+    @cached_property
+    def _index_rows(self) -> tuple:
+        """``_rows`` by world index, for the skeleton table: per world, in
+        world order, the indices of R[w] and, for each u in R[w], the index
+        of u, those of the one-world generators of S_w(u) and the others
+        as tuples of indices."""
+        def index(x):
+            return tuple(b.bit_length() - 1 for b in bits(x))
+
+        return tuple((index(r), tuple((bu.bit_length() - 1,
+                                       tuple(g.bit_length() - 1 for g in gens if g & g - 1 == 0),
+                                       tuple(index(g) for g in gens if g & g - 1))
+                                      for bu, _, gens in images))
+                     for _, r, images in self._rows.values())
 
     @cached_property
     def _buckets(self) -> dict:

@@ -37,14 +37,7 @@ or transversal Z.  keep is V cut to the worlds with R inside R[u] (Mgen,
 M0gen), inside C (Rgen) or off the preimage (Wgen), each by ``GenFrame.box``,
 V inside R[w'] (Pgen) or Z inside R[x] (P0gen).
 
-``frame_validates`` evaluates on numpy arrays of world bitmasks in the
-smallest unsigned dtype that holds one (uint8 up to eight worlds), in chunks
-of at most ``SWEEP_ROWS`` rows.  Each ``[]`` or ``|>`` node is one lookup
-in the frame's tables of ``GenFrame.box``/``rhd``, built by those methods
-once per frame and kept on it (``GenFrame._lookups``), so the frame lists
-that search shares pay for them once.  A frame whose 4^n pairs of masks
-exceed one pass (more than eight worlds) is evaluated by ``box``/``rhd``
-themselves.  It decides validity on the skeleton of a formula f: f with
+``frame_validates`` decides validity on the skeleton of a formula f: f with
 each maximal modal-free subformula (a leaf) replaced by a fresh variable.
 The decision is exact:
 
@@ -56,11 +49,25 @@ The decision is exact:
   world on each of them.
 
 That table has |I|^n <= (2^k)^n rows and does not depend on the frame, so it
-is built once per (formula, size) and kept for the next call.  Only on a
-failing frame is f walked on the table of its valuations, whose digits are
-the sorted variables, each a world mask, for the lexicographically first
-failing one.  One loop, ``_first_failure``, walks both tables in passes that
-fix the first digits and read the last from one shared read-only grid.
+is built once per (formula, size) and kept for the next call.  It is
+bit-sliced, as ``hilbert.is_classical_tautology`` slices its truth table:
+each value is one Python int per world, bit r set when it holds there on row
+r, and one loop over the skeleton, each node after its children, evaluates
+it on a frame with its own per-world step for ``[]`` and ``|>``, which
+reads R and S by world index from ``GenFrame._index_rows``.  Where |I|^n
+exceeds ``SWEEP_ROWS``, the table is walked in passes that fix the first
+worlds' vectors.
+
+Only on a failing frame is f walked on the table of its valuations, whose
+digits are the sorted variables, each a world mask, for the
+lexicographically first failing one: ``_first_failure`` evaluates it on
+numpy arrays of world bitmasks in the smallest unsigned dtype that holds
+one (uint8 up to eight worlds), in passes of at most ``SWEEP_ROWS`` rows
+that fix the first digits and read the last from one shared read-only
+grid.  Each ``[]`` or ``|>`` node is one lookup in the frame's tables of
+``GenFrame.box``/``rhd``, built by those methods once per frame and kept on
+it (``GenFrame._lookups``).  A frame whose 4^n pairs of masks exceed one
+pass (more than eight worlds) is evaluated by ``box``/``rhd`` themselves.
 """
 
 from __future__ import annotations
@@ -72,8 +79,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .formula import Algebra, Box, Dia, Formula, Rhd, Var, evaluate, fold, variables
-from .hilbert import SCHEMATA, instantiate, schema_metavars
+from .formula import (Algebra, And, Box, Dia, Formula, Impl, Neg, Or, Rhd, Var, evaluate, fold,
+                      variables)
+from .hilbert import SCHEMATA, _column, instantiate, schema_metavars
 from .model import GenFrame, World, bits, minimal_unions
 
 PROPERTY_IDS = ("Mgen", "M0gen", "Pgen", "P0gen", "Rgen", "Wgen")
@@ -188,9 +196,9 @@ class Falsification:
 class TruthTables:
     """Bitmask evaluation of formulas on one frame, in the frame's own
     ``box`` and ``rhd``.  ``evaluate`` maps numpy arrays of variable masks
-    to the array of truth-set masks, one entry per row (a valuation, or a
-    row of the skeleton table).  ``dtype`` is the smallest unsigned integer
-    type that holds a world mask (uint8 up to eight worlds); the top element
+    to the array of truth-set masks, one entry per row (a valuation).
+    ``dtype`` is the smallest unsigned integer type that holds a world mask
+    (uint8 up to eight worlds); the top element
     and unassigned variables are read-only one-entry arrays of it that
     broadcast, so a formula without assigned variables yields a one-entry
     array, and masks of ``dtype`` give masks of ``dtype``.
@@ -232,13 +240,12 @@ def _ends(worlds: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.full(1, full, dtype=dtype)), _read_only(np.zeros(1, dtype=dtype))
 
 
-# Rows per array pass: bounds a table walk's memory for any number of
+# Rows per pass of a table walk: bounds its memory for any number of
 # variables; up to four variables on four worlds is one pass.
 SWEEP_ROWS = 1 << 16
 
-# The skeleton table keeps one column of up to SWEEP_ROWS masks per leaf;
-# past this many leaves frame_validates decides on the table of valuations.  At
-# most 64, since ``_image`` packs a leaf vector into a uint64.
+# Past this many leaves frame_validates decides on the table of valuations.
+# At most 64, since ``_image`` packs a leaf vector into a uint64.
 MAX_LEAVES = 64
 
 
@@ -246,25 +253,202 @@ MAX_LEAVES = 64
 def _grid(size: int, digits: int) -> np.ndarray:
     """Every tuple of ``digits`` digits below ``size``, in lexicographic
     order: row j is the column of the j-th digit, one entry per tuple, in the
-    smallest unsigned dtype that holds a digit.  Every table pass reads
-    its last digits from it, so it is shared and read-only; the last few
-    are kept."""
+    smallest unsigned dtype that holds a digit.  Every pass of the table of
+    valuations reads its last digits from it, so it is shared and
+    read-only; the last few are kept."""
     grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
     return _read_only(grid.reshape(digits, size ** digits))
 
 
-def _plan(at: list[np.ndarray], size: int, start: np.ndarray, rows: int):
-    """The passes of a table: a row picks one of ``size`` values per digit,
-    in lexicographic order, and its names' masks are the OR of the columns
-    ``at[p][:, i]`` of its values.  Returns (outer, inner, grid): the arrays
-    of the first digits, which a pass fixes, and each name's column over the
-    ``grid`` of the last digits, as many as fit in ``rows`` rows, or, where
-    no last digit sets the name, its one-entry zero row of ``start``."""
+def _skeleton(f: Formula) -> tuple[list[tuple], list[Formula]]:
+    """The skeleton of ``f``, ``f`` with each maximal modal-free subformula
+    (a leaf) replaced by a fresh variable, as a list of steps, each after
+    its children, and the leaves in order of first use.  A step is
+    (None, j, j, ()) for leaf j and (type, i, j, done) for a connective
+    whose children are the steps at i and, if binary, j; ``done`` are the
+    steps that no later step reads, so a walk can drop their values."""
+    at: dict[Formula, int] = {}
+    leaves: list[Formula] = []
+    steps: list[tuple] = []
+
+    def leaf(g):
+        if g not in at:
+            at[g] = len(steps)
+            steps.append((None, len(leaves), len(leaves)))
+            leaves.append(g)
+        return at[g]
+
+    def visit(g, kids):
+        if type(g) not in (Box, Dia, Rhd) and all(k is None for k in kids):
+            return None  # modal-free
+        kids = [leaf(c) if k is None else k for c, k in zip(g.children, kids)]
+        steps.append((type(g), kids[0], kids[-1]))
+        return len(steps) - 1
+
+    if fold(f, visit, {}) is None:
+        leaf(f)
+    last = {}  # each step's last reader
+    for s, (kind, i, j) in enumerate(steps):
+        if kind is not None:
+            last[i] = last[j] = s
+    done: list[list[int]] = [[] for _ in steps]
+    for i, s in last.items():
+        done[s].append(i)
+    return [(*step, tuple(d)) for step, d in zip(steps, done)], leaves
+
+
+@lru_cache(maxsize=1)
+def _image(f: Formula, rows: int):
+    """The skeleton steps of ``f``, |I| and I, the distinct leaf vectors
+    over the per-world truth table (one row per assignment of the variables
+    at one world), in order of their codes with leaf j at bit j: per leaf,
+    the int whose bit d is its value in vector d.  None when the per-world
+    table exceeds ``rows`` rows or there are more than ``MAX_LEAVES``
+    leaves."""
+    vs = sorted(variables(f))
+    steps, leaves = _skeleton(f)
+    if len(leaves) > MAX_LEAVES or 1 << len(vs) > rows:
+        return None
+    # leaves have no modal nodes, so no box or rhd
+    algebra = Algebra(np.uint8(1), dict(zip(vs, _grid(2, len(vs)))).__getitem__, None, None)
+    # the leaf vector of each row, leaf j at bit j
+    packed = sum(evaluate(leaf, algebra).astype(np.uint64) << np.uint64(j)
+                 for j, leaf in enumerate(leaves))
+    codes = np.array(sorted(set(np.atleast_1d(packed).tolist())), dtype=np.uint64)
+    vectors = [int.from_bytes(np.packbits((codes >> np.uint64(j) & np.uint64(1)).astype(bool),
+                                          bitorder="little").tobytes(), "little")
+               for j in range(len(leaves))]
+    return steps, len(codes), vectors
+
+
+@lru_cache(maxsize=1)
+def _table(f: Formula, worlds: int, rows: int):
+    """The frame-independent table that decides ``f`` on frames of
+    ``worlds`` worlds in passes of at most ``rows`` rows, or None where
+    ``_image`` is None: (steps, size, vectors, fixed, columns, full).
+
+    A row picks one of the ``size`` leaf vectors of I per world, with world
+    0 the leading digit.  A pass fixes the vectors of the first ``fixed``
+    worlds and runs over those of the rest, as many as fit in ``rows``
+    rows; its rows are the bits of ``full``.  ``columns[j][q]`` is leaf j's
+    int at world fixed + q, bit r set when the leaf holds there on row r;
+    at a fixed world the leaf holds on every row or on none.  The one
+    cached table is keyed by the pass size too, so a change of
+    ``SWEEP_ROWS`` rebuilds it."""
+    found = _image(f, rows)
+    if found is None:
+        return None
+    steps, size, vectors = found
     inside = 0
-    while inside < len(at) and size ** (inside + 1) <= rows:
+    while inside < worlds and size ** (inside + 1) <= rows:
+        inside += 1
+    width = size ** inside
+    columns = [[_column(v, size, size ** q, width) for q in reversed(range(inside))]
+               for v in vectors]
+    return steps, size, vectors, worlds - inside, columns, (1 << width) - 1
+
+
+def _holds(view: tuple, steps: list[tuple], leaves: list[list[int]], full: int) -> bool:
+    """One pass of the skeleton table on a frame: is the root true at every
+    world on every row?  Each step's value is one int per world whose bit r
+    is its truth there on row r, ``leaves[j]`` leaf j's, and is dropped
+    after its last reader; ``view`` is the frame's ``_index_rows``.  ``[]x``
+    at w is the AND of x[u] over u in R[w], and ``a |> b`` the AND over u
+    in R[w] of ~a[u] | OR over the generators g of S_w(u) of the AND of
+    b[v] over v in g.
+
+    This step encodes the frame's algebra apart from ``GenFrame.box``/``rhd``
+    on purpose.  Through ``semantics``, with one int of n x rows bits per
+    node, the modal nodes have to slice out each world's rows: that variant
+    decided only 1.1 to 1.5 times as fast as the numpy lookup tables that
+    decided before, where this loop is two to six times as fast on the
+    4-world search frames."""
+    out: list = []
+    for kind, i, j, done in steps:
+        if kind is None:
+            out.append(leaves[i])
+            continue
+        a = out[i]
+        if kind is Neg:
+            x = [full ^ p for p in a]
+        elif kind is And:
+            x = [p & q for p, q in zip(a, out[j])]
+        elif kind is Or:
+            x = [p | q for p, q in zip(a, out[j])]
+        elif kind is Impl:
+            x = [(full ^ p) | q for p, q in zip(a, out[j])]
+        elif kind is Box:
+            x = []
+            for succ, _ in view:
+                y = full
+                for u in succ:
+                    y &= a[u]
+                x.append(y)
+        elif kind is Dia:
+            x = []
+            for succ, _ in view:
+                y = 0
+                for u in succ:
+                    y |= a[u]
+                x.append(y)
+        else:  # Rhd
+            b, x = out[j], []
+            for _, images in view:
+                y = full
+                for u, singles, others in images:
+                    z = 0
+                    for v in singles:
+                        z |= b[v]
+                    for g in others:
+                        t = full
+                        for v in g:
+                            t &= b[v]
+                        z |= t
+                    y &= (full ^ a[u]) | z
+                x.append(y)
+        out.append(x)
+        for k in done:
+            out[k] = None
+    return out[-1] == [full] * len(view)
+
+
+def _skeleton_valid(frame: GenFrame, table, on_chunk: Callable[[], None] | None) -> bool:
+    """Is the skeleton of ``_table`` true at every world of ``frame`` on
+    every row?  Passes run in lexicographic order of their fixed digits,
+    ``on_chunk`` is called before each, and the walk stops at the first
+    failing pass."""
+    steps, size, vectors, fixed, columns, full = table
+    view = frame._index_rows
+    for prefix in product(range(size), repeat=fixed):
+        if on_chunk is not None:
+            on_chunk()
+        leaves = columns if not prefix else [
+            [full if v >> d & 1 else 0 for d in prefix] + col for v, col in zip(vectors, columns)]
+        if not _holds(view, steps, leaves, full):
+            return False
+    return True
+
+
+@lru_cache(maxsize=4)
+def _valuations(count: int, worlds: int, rows: int):
+    """The passes of the table of valuations of ``count`` variables on
+    ``worlds`` worlds: a row picks one world mask per sorted variable, in
+    lexicographic order.  Returns (outer, inner, grid): the arrays of the
+    first variables, which a pass fixes and ORs in, and each variable's
+    column over the ``grid`` of the last, as many as fit in ``rows`` rows,
+    or, for a variable that a pass fixes, a one-entry zero row.  Variable
+    j's array is one-hot at row j, a window onto one strip, so the arrays
+    take linear space.  Shared, so read-only; the last few are kept."""
+    size = 1 << worlds
+    dtype = np.min_scalar_type(size - 1)
+    strip = _read_only(np.outer(np.arange(2 * count + 1) == count, np.arange(size)).astype(dtype))
+    at = [strip[count - j:2 * count - j] for j in range(count)]
+    start = np.zeros((count, 1), dtype)
+    inside = 0
+    while inside < count and size ** (inside + 1) <= rows:
         inside += 1
     grid = _grid(size, inside)
-    last = at[len(at) - inside:]
+    last = at[count - inside:]
     used = np.flatnonzero(np.hstack((start, *last)).any(axis=1))
     inner = list(_read_only(start))
     # a broadcast OR per inner digit, last digit first, so that each step's
@@ -274,80 +458,13 @@ def _plan(at: list[np.ndarray], size: int, start: np.ndarray, rows: int):
         cols = (a[used][:, :, None] | cols[:, None, :]).reshape(len(used), size * cols.shape[1])
     for i, col in zip(used, _read_only(cols)):
         inner[i] = col
-    return at[:len(at) - inside], inner, grid
-
-
-def _skeleton(f: Formula) -> tuple[Formula, dict[Formula, Var]]:
-    """``f`` with each maximal modal-free subformula (a leaf) replaced by a
-    fresh variable ``l0``, ``l1``, ..., and the map from leaves to those."""
-    leaves: dict[Formula, Var] = {}
-
-    def visit(g, kids):
-        if type(g) not in (Box, Dia, Rhd) and all(k is None for k in kids):
-            return None  # modal-free
-        return g.rebuild([leaves.setdefault(c, Var(f"l{len(leaves)}")) if k is None else k
-                          for c, k in zip(g.children, kids)])
-
-    out = fold(f, visit, {})
-    return out or leaves.setdefault(f, Var("l0")), leaves
-
-
-@lru_cache(maxsize=1)
-def _image(f: Formula, rows: int):
-    """The skeleton of ``f``, the names of its fresh variables and I, the
-    distinct leaf vectors over the per-world truth table (one row per
-    assignment of the variables at one world), as a (leaves, |I|) array of
-    0/1.  None when the per-world table exceeds ``rows`` rows or there are
-    more than ``MAX_LEAVES`` leaves."""
-    vs = sorted(variables(f))
-    skeleton, leaves = _skeleton(f)
-    if len(leaves) > MAX_LEAVES or 1 << len(vs) > rows:
-        return None
-    # leaves have no modal nodes, so no box or rhd
-    algebra = Algebra(np.uint8(1), dict(zip(vs, _grid(2, len(vs)))).__getitem__, None, None)
-    # the leaf vector of each row, leaf j at bit j
-    packed = sum(evaluate(leaf, algebra).astype(np.uint64) << np.uint64(j)
-                 for j, leaf in enumerate(leaves))
-    codes = np.array(sorted(set(np.atleast_1d(packed).tolist())), dtype=np.uint64)
-    image = codes >> np.arange(len(leaves), dtype=np.uint64)[:, None] & np.uint64(1)
-    return skeleton, [v.name for v in leaves.values()], image
-
-
-@lru_cache(maxsize=1)
-def _table(f: Formula, worlds: int, rows: int):
-    """The frame-independent table that decides ``f`` on frames of
-    ``worlds`` worlds in passes of at most ``rows`` rows, or None where
-    ``_image`` is None: (skeleton, names, plan).  A row picks one leaf
-    vector of I per world; its leaf masks take bit p from the vector of
-    world p.  The one cached table is keyed by the pass size too, so a
-    change of ``SWEEP_ROWS`` rebuilds it; it is shared, so read-only."""
-    found = _image(f, rows)
-    if found is None:
-        return None
-    skeleton, names, image = found
-    dtype = np.min_scalar_type((1 << worlds) - 1)
-    at = [_read_only((image << np.uint64(p)).astype(dtype)) for p in range(worlds)]
-    return skeleton, names, _plan(at, image.shape[1], np.zeros((len(names), 1), dtype), rows)
-
-
-@lru_cache(maxsize=4)
-def _valuations(count: int, worlds: int, rows: int):
-    """The plan of the table of valuations of ``count`` variables on
-    ``worlds`` worlds, whose digits are the sorted variables, each a world
-    mask: variable j's array is one-hot at row j, a window onto one strip,
-    so the arrays take linear space.  Shared, so read-only; the last few
-    are kept."""
-    masks = np.arange(1 << worlds)
-    dtype = np.min_scalar_type(masks[-1])
-    strip = _read_only(np.outer(np.arange(2 * count + 1) == count, masks).astype(dtype))
-    return _plan([strip[count - j:2 * count - j] for j in range(count)], len(masks),
-                 np.zeros((count, 1), dtype), rows)
+    return at[:count - inside], inner, grid
 
 
 def _first_failure(tables: TruthTables, f: Formula, names: list[str], plan,
                    on_chunk: Callable[[], None] | None):
-    """The digits and truth mask of the first row of a ``_plan`` table on
-    which ``f``, with ``names`` read from the row, fails at some world, or
+    """The digits and truth mask of the first row of a ``_valuations`` table
+    on which ``f``, with ``names`` read from the row, fails at some world, or
     None.  Passes run in lexicographic order of their fixed digits, and
     ``on_chunk`` is called before each."""
     outer, inner, grid = plan
@@ -386,10 +503,10 @@ def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
     n = len(frame.worlds)
     if n > cap:
         raise FrameSizeError(f"frame has {n} worlds, cap is {cap}")
-    tables = TruthTables(frame)
     table = _table(f, n, SWEEP_ROWS)
-    if table is not None and _first_failure(tables, *table, on_chunk) is None:
+    if table is not None and _skeleton_valid(frame, table, on_chunk):
         return True
+    tables = TruthTables(frame)
     vs = sorted(variables(f))
     failure = _first_failure(tables, f, vs, _valuations(len(vs), n, SWEEP_ROWS), on_chunk)
     if failure is None:

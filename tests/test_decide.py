@@ -298,10 +298,12 @@ class TestCountermodelSearch:
         assert '"verdict": "refuted"' in runs[0][0]
 
     def test_lookup_tables_are_built_once_per_shared_frame(self, monkeypatch):
-        """Search shares its frame lists, and each frame keeps its ``[]``
-        and ``|>`` lookup tables: after one search has swept every frame up
-        to four worlds, a search for another formula calls neither
-        ``GenFrame.box`` nor ``rhd``.  The tables are read-only."""
+        """Search shares its frame lists, and a theorem is decided on the
+        skeleton table alone: after one search has swept every frame up to
+        four worlds, a search for another theorem calls neither
+        ``GenFrame.box`` nor ``rhd`` and reads no ``[]``/``|>`` lookup
+        tables, which only the witness walk of a failing frame builds.
+        Those tables are read-only."""
         budget = SearchBudget(max_worlds=4)
         assert countermodel_search(parse("p |> p"), "IL", budget) == NoCountermodelUpTo(4)
         calls = []
@@ -312,9 +314,11 @@ class TestCountermodelSearch:
 
         for name in ("box", "rhd"):
             monkeypatch.setattr(GenFrame, name, counted(name))
+        monkeypatch.setattr(GenFrame, "_lookups", property(lambda self: calls.append("_lookups")))
         f = parse("[](p -> q) -> (p & r) |> (q | <>r)")
         assert countermodel_search(f, "IL", budget) == NoCountermodelUpTo(4)
         assert calls == []
+        monkeypatch.undo()
         box, rhd = list(enumerate_frames(4))[-1]._lookups
         for table in (box.__self__, rhd.args[0]):
             with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Syntax layer: parsing, printing, normalization, closure operators."""
 
 import copy
-import functools
 import pickle
 import random
 from collections import Counter
@@ -308,11 +307,12 @@ class TestDClosure:
         assert d_closure(d) == d
 
 
-@functools.cache
-def _seed_sets():
+@pytest.fixture(scope="module")
+def seed_sets():
     """300 seed sets, each with its reference closure: every 50th a nested
     chain []p_k |> ... ([]p1 |> p0), k = 1..6, every other one closed
-    under d_closure first."""
+    under d_closure first.  Module-scoped, so its formulas are released
+    when this module's tests end, not kept for the rest of the test run."""
     rng = random.Random(3)
     out = []
     for i in range(300):
@@ -377,8 +377,8 @@ class TestAdequateSet:
         assert Rhd(q, p) in g - d
         assert not is_adequate(g - {Rhd(q, p), Neg(Rhd(q, p))}, d)
 
-    def test_matches_the_reference_closure_on_300_seed_sets(self):
-        for seeds, closure in _seed_sets():
+    def test_matches_the_reference_closure_on_300_seed_sets(self, seed_sets):
+        for seeds, closure in seed_sets:
             assert adequate_set(seeds) == closure, [str(f) for f in seeds]
 
     def test_expands_each_distinct_node_once(self, monkeypatch):
@@ -400,11 +400,11 @@ class TestAdequateSet:
         assert visits.keys() <= g
         assert max(visits.values()) == 1
 
-    def test_members_list_the_reference_closure_children_first(self):
+    def test_members_list_the_reference_closure_children_first(self, seed_sets):
         """On the seed sets checked against the reference closure: ``members``
         lists the set without repeats, and ``kids[i]`` are the positions of
         ``members[i].children``, each lower than i."""
-        for seeds, closure in _seed_sets():
+        for seeds, closure in seed_sets:
             g = adequate_set(seeds)
             assert len(g.members) == len(g.kids) == len(set(g.members))
             assert set(g.members) == closure

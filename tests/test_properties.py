@@ -16,7 +16,7 @@ from reference import BRUTE, _forces, gen_truth_set, random_formula, random_gen_
 
 from veltman import properties
 from veltman.decide import _il_frames, enumerate_frames
-from veltman.formula import Algebra, Var, evaluate, fold, parse, variables
+from veltman.formula import Algebra, Box, Neg, Or, Rhd, Var, evaluate, fold, parse, variables
 from veltman.hilbert import SCHEMATA, instantiate, schema_metavars
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
@@ -317,18 +317,21 @@ class TestChunkedSweep:
         """The leaves p & q and p | q take three vectors, so four worlds make
         81 table rows: one pass by default, 27 passes of three rows at
         ``SWEEP_ROWS`` = 7.  The cached table follows ``SWEEP_ROWS`` both
-        ways, and every pass evaluates the skeleton, not the valuations."""
+        ways, and every pass evaluates the skeleton, each leaf an int of as
+        many bits as the pass has rows, not the valuations."""
         f = parse("[](p & q) -> [](p | q)")
         fr = close_s(GenFrame(["w0", "w1", "w2", "w3"],
                               [("w0", "w1"), ("w0", "w2"), ("w0", "w3"), ("w1", "w2")], {}))
         rows = []
-        evaluate = TruthTables.evaluate
+        holds = properties._holds
 
-        def spy(tables, g, assignment):
-            rows.append(next(iter(assignment.values())).size)
-            return evaluate(tables, g, assignment)
+        def spy(view, steps, leaves, full):
+            rows.append(full.bit_length())
+            return holds(view, steps, leaves, full)
 
-        monkeypatch.setattr(TruthTables, "evaluate", spy)
+        monkeypatch.setattr(properties, "_holds", spy)
+        monkeypatch.setattr(TruthTables, "evaluate",
+                            lambda *args: pytest.fail("walked the valuations"))
 
         def passes():
             calls = []
@@ -369,8 +372,8 @@ class TestChunkedSweep:
         calls, decision = [], []
         assert isinstance(frame_validates(fr, f, on_chunk=lambda: calls.append(1)),
                           Falsification)
-        assert properties._first_failure(TruthTables(fr), *properties._table(f, 3, 7),
-                                         lambda: decision.append(1)) is not None
+        assert properties._skeleton_valid(fr, properties._table(f, 3, 7),
+                                          lambda: decision.append(1)) is False
         assert (len(decision), len(calls)) == (2, 37)
 
         class Stop(Exception):
@@ -569,8 +572,7 @@ class TestSkeletonTable:
             n = rng.randrange(1, 5 if k <= 2 else 4)
             fr = random_gen_frame(rng, n)
             assert properties._table(f, n, properties.SWEEP_ROWS) is not None
-            image = properties._image(f, properties.SWEEP_ROWS)[2]
-            smaller += image.shape[1] < 1 << k
+            smaller += properties._image(f, properties.SWEEP_ROWS)[1] < 1 << k
             result = frame_validates(fr, f)
             expected = _brute_first_failure(fr, f)
             if result is True:
@@ -581,22 +583,68 @@ class TestSkeletonTable:
         assert min(outcomes.values()) >= 60, outcomes
         assert smaller >= 100, smaller
 
+    @pytest.mark.parametrize("src, size, worlds", [
+        ("[]bot", 1, 4),
+        ("<>top -> [][]bot", 1, 4),
+        ("(top |> <>top) | <><>top", 1, 4),
+        ("(p |> q) -> p |> (q & []~p)", 4, 4),
+        ("<>p & <>q -> <>(p & q) | r", 8, 4),
+        ("p |> q -> <>p | []q | r", 8, 4),
+        ("(a |> b) & (c |> d) -> ((a | c) |> (b | d))", 16, 3),
+    ])
+    def test_bit_table_decision_matches_a_brute_scan(self, src, size, worlds):
+        """The decision alone, one pass of the skeleton table as ints per
+        world, says valid on exactly the labelled IL frames, up to
+        ``worlds`` worlds, where the brute scan finds no failure: with
+        |I| = ``size`` leaf vectors, from variable-free formulas (one
+        vector) to the 16 of four independent variables.  Each formula but
+        the last, an IL theorem, holds on some frames and fails on others."""
+        f = parse(src)
+        assert properties._image(f, properties.SWEEP_ROWS)[1] == size
+        outcomes = set()
+        for n in range(1, worlds + 1):
+            table = properties._table(f, n, properties.SWEEP_ROWS)
+            assert table[3] == 0  # no fixed worlds: one pass
+            for fr in _il_frames(n):
+                valid = properties._skeleton_valid(fr, table, None)
+                assert valid == (_brute_first_failure(fr, f) is True), (src, fr.to_json())
+                outcomes.add(valid)
+        assert outcomes == ({True} if size == 16 else {True, False})
+
+    def test_passes_give_the_one_pass_verdicts(self):
+        """On seeded random frames of one to five worlds, the table walked in
+        passes of at most seven rows decides as the one-pass table does."""
+        rng = random.Random(2222)
+        outcomes = {True: 0, False: 0}
+        split = 0
+        for _ in range(200):
+            n = rng.randrange(1, 6)
+            fr, f = random_gen_frame(rng, n), random_formula(rng, 3, ("p", "q"))
+            whole = properties._skeleton_valid(fr, properties._table(f, n, properties.SWEEP_ROWS),
+                                               None)
+            table = properties._table(f, n, 7)
+            assert properties._skeleton_valid(fr, table, None) == whole, (str(f), fr.to_json())
+            outcomes[whole] += 1
+            split += table[3] > 0
+        assert min(outcomes.values()) >= 40, outcomes
+        assert split >= 60, split
+
     def test_k4_k_instance_reaches_evaluate_with_256_rows(self, monkeypatch):
         """K with A = p & q and B = r | s: four variables, but the leaves
-        A -> B, A and B take four vectors, so a 4-world frame is decided on
-        4^4 = 256 rows rather than 16^4 = 65,536 valuations."""
+        A -> B, A and B take four vectors, so a 4-world frame is decided in
+        one pass of 4^4 = 256 rows rather than 16^4 = 65,536 valuations."""
         f = instantiate("K", {"A": parse("p & q"), "B": parse("r | s")})
         sizes = []
-        evaluate = TruthTables.evaluate
+        holds = properties._holds
 
-        def spy(tables, g, assignment):
-            sizes.append({a.size for a in assignment.values()})
-            return evaluate(tables, g, assignment)
+        def spy(view, steps, leaves, full):
+            sizes.append(full.bit_length())
+            return holds(view, steps, leaves, full)
 
-        monkeypatch.setattr(TruthTables, "evaluate", spy)
+        monkeypatch.setattr(properties, "_holds", spy)
         frames = list(enumerate_frames(4))
         assert all(frame_validates(fr, f) is True for fr in frames)
-        assert sizes == [{256}] * len(frames)
+        assert sizes == [256] * len(frames)
 
     def test_shared_table_stays_bounded_over_many_formulas(self):
         """Each formula has its own 4096-row table on four worlds; after 300
@@ -615,6 +663,29 @@ class TestSkeletonTable:
         assert properties._table.cache_info().currsize == 1
         assert properties._image.cache_info().currsize == 1
         assert after - before < 2 ** 20, after - before
+
+    def test_long_skeletons_stay_small(self):
+        """Four variables make 16^4 = 65,536 rows on four worlds, 8 KiB per
+        world and step, and the skeleton here has about 800 steps.  Each
+        value is dropped after its last reader, so the walk keeps a few of
+        them, not 25 MiB."""
+        a, b, c, d = (Var(v) for v in "abcd")
+        term, f = a, Box(a)
+        for i in range(400):
+            term = Box(term) if i % 2 else Rhd(term, b)
+            f = Or(f, term)
+        f = Or(Or(f, Box(c)), Or(Box(d), Neg(Box(d))))
+        fr = list(enumerate_frames(4))[-1]
+        assert properties._image(f, properties.SWEEP_ROWS)[1] == 16
+        assert properties._table(f, 4, properties.SWEEP_ROWS)[5].bit_length() == 16 ** 4
+        tracemalloc.start()
+        try:
+            result = frame_validates(fr, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is True
+        assert peak < 2 ** 21, peak
 
     def test_past_max_leaves_the_valuations_decide(self, monkeypatch):
         """With the table refused, the valuation sweep gives the same
