@@ -11,7 +11,9 @@ classes, the quotient is assembled from three clauses:
   3. a variable from the adequate set holds at [w] iff it holds at w; every
      other variable is false everywhere.
 
-A formula counts as box-like when its normalized form is  ~A |> bot.
+A formula counts as box-like when its normalized form is  ~A |> bot;
+``filtrate`` folds only those members of the adequate set, found by two
+type tests each.
 
 R~[[w]] is read off world masks: the class projection, joined over w' in
 [w], of each R[w'] cut to the truth mask of a box-like formula failing at w'.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .bisim import Partition, largest_autobisimulation
-from .formula import Bot, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
+from .formula import BOT, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
 from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, validate
 
 
@@ -53,9 +55,10 @@ class FiltrationResult:
 
 def box_like(f: Formula) -> bool:
     """``normalize(f)`` is ~A |> bot; as ``normalize`` rewrites only [] and
-    <> (to a negation), the top two nodes of ``f`` decide it."""
-    return isinstance(f, Box) or (isinstance(f, Rhd) and isinstance(f.left, (Neg, Dia))
-                                  and isinstance(f.right, Bot))
+    <> (to a negation), the top two nodes of ``f`` decide it.  ``filtrate``
+    runs the same test inline over Γ."""
+    t = type(f)
+    return t is Box or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)
 
 
 def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
@@ -68,7 +71,9 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     gamma = adequate_set(d)
     partition = largest_autobisimulation(m)
     fr, class_of = m.frame, partition.class_of
-    truths = [m._truth_mask(f) for f in gamma.members if box_like(f)]
+    truths = [m._truth_mask(f) for f in gamma.members  # box_like(f), inline
+              if (t := type(f)) is Box
+              or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)]
 
     class_ids = sorted(partition.classes)
     to_class = {fr.bit[w]: 1 << class_ids.index(cid) for w, cid in class_of.items()}

@@ -28,7 +28,9 @@ changes from process to process; whatever is printed is sorted first.
 
 Everything computed on formulas is structural recursion, written once as
 :func:`fold`, and run as one loop over a set listed children first by
-:meth:`Dag.values`.  The one semantics is the step both drive,
+:meth:`Dag.values`; both visit each distinct subformula once, so a formula
+that shares subtrees costs its distinct nodes.  The one semantics is the
+step both drive,
 :func:`semantics`: a node's value in a Boolean algebra with operators
 (:class:`Algebra`), such as a frame's complex algebra on world bitmasks, or
 truth-table columns.
@@ -332,18 +334,44 @@ def parse(text: str) -> Formula:
 _MISSING = object()
 
 
+def _count_readers(g: Formula, readers: dict) -> None:
+    """Add each proper subformula of ``g`` not yet in ``readers``, children
+    first, and count the child slots of distinct nodes that read it."""
+    for c in g.children:
+        if c in readers:
+            readers[c] += 1
+        else:
+            _count_readers(c, readers)
+            readers[c] = 1
+
+
 def fold(f: Formula, visit: Callable[[Formula, tuple], Any], memo: dict | None = None):
     """Structural recursion, bottom-up: ``visit(g, values)`` gets a node and
     the values of its children, in order.
 
-    Without ``memo`` each child's value is dropped once its parent's is
-    computed.  With ``memo`` every distinct subformula is visited once and its
-    value kept there; an entry already in ``memo`` stands for its subtree,
-    which is not entered.  One ``memo`` may serve many calls with the same
-    ``visit``, so work on subtrees shared across formulas is done once.
+    Every distinct subformula is visited once, so a formula that shares
+    subtrees costs its distinct nodes, not its tree.  Without ``memo`` each
+    value is dropped once the last of its parents has read it.  With ``memo``
+    every value is kept there; an entry already in ``memo`` stands for its
+    subtree, which is not entered.  One ``memo`` may serve many calls with
+    the same ``visit``, so work on subtrees shared across formulas is done
+    once.
     """
     if memo is None:
-        return visit(f, tuple([fold(c, visit) for c in f.children]))
+        readers: dict = {}
+        _count_readers(f, readers)
+        readers[f] = 0
+        values: dict = {}
+        for g in readers:
+            kids = g.children
+            n = len(kids)  # children read by arity, as in Dag.values
+            values[g] = visit(g, (values[kids[0]], values[kids[1]]) if n == 2
+                              else (values[kids[0]],) if n else ())
+            for c in kids:
+                left = readers[c] = readers[c] - 1
+                if not left:
+                    del values[c]
+        return values[f]
     out = memo.get(f, _MISSING)
     if out is _MISSING:
         out = memo[f] = visit(f, tuple([fold(c, visit, memo) for c in f.children]))
@@ -495,7 +523,8 @@ def _pool(gamma: Iterable[Formula]) -> frozenset[Formula]:
 class Dag(frozenset):
     """A set of formulas closed under subformulas that also lists them, as
     ``members``, each after its children; ``kids[i]`` are the positions of
-    ``members[i].children``.  Equality, hashing and ``len`` are the set's."""
+    ``members[i].children``, so a walk reads each child's value from a list
+    by position.  Equality, hashing and ``len`` are the set's."""
 
     __slots__ = ("members", "kids")
 
@@ -510,15 +539,18 @@ class Dag(frozenset):
 
     def values(self, visit: Callable[[Formula, tuple], Any], memo: dict | None = None) -> list:
         """:func:`fold` over every member in one loop: each member's value, in
-        ``members`` order.  ``memo`` is read and filled as by :func:`fold`."""
+        ``members`` order.  ``memo`` is read and filled as by :func:`fold`.
+        The children's values are read by arity, as no node has more than two."""
         out: list = []
+        append = out.append
         for g, k in zip(self.members, self.kids):
             value = _MISSING if memo is None else memo.get(g, _MISSING)
             if value is _MISSING:
-                value = visit(g, tuple([out[j] for j in k]))
+                n = len(k)
+                value = visit(g, (out[k[0]], out[k[1]]) if n == 2 else (out[k[0]],) if n else ())
                 if memo is not None:
                     memo[g] = value
-            out.append(value)
+            append(value)
         return out
 
 
@@ -530,7 +562,10 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
     A worklist over members, each numbered by its position.  A new [] or
     |> member is normalized, through one memo shared by the whole worklist,
     unless it pairs two components, which is already normal; a component
-    new to the pool is paired with every component already there.
+    new to the pool is paired with every component already there.  Pairings
+    are most of the set, and owe only their negation: a new one is added
+    with its ``Neg`` at once, off the worklist, at a few dict and list
+    operations each.
     """
     d = frozenset(d)
     ids: dict[Formula, int] = {}
@@ -564,9 +599,18 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
             for c in map(member, normalize(g, normal).children):
                 if c not in pool:
                     pool.add(c)
+                    a = members[c]
                     for e in pool:
-                        member(Rhd(members[c], members[e]), (c, e))
-                        member(Rhd(members[e], members[c]), (e, c))
+                        b = members[e]
+                        for f, k in ((Rhd(a, b), (c, e)), (Rhd(b, a), (e, c))):
+                            # a new pairing is normal and its Neg is new: both
+                            # are added at once, and neither owes anything more
+                            if f not in ids:
+                                n = ids[f] = len(members)
+                                neg = Neg(f)
+                                ids[neg] = n + 1
+                                members += f, neg
+                                kids += k, (n,)
     return Dag(members, kids)
 
 

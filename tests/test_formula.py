@@ -7,12 +7,13 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import adequate_closure, random_formula
+from reference import adequate_closure, random_formula, random_gen_frame
 
 from veltman import formula
 from veltman.formula import (
     BOT,
     TOP,
+    Algebra,
     And,
     Bot,
     Box,
@@ -28,10 +29,12 @@ from veltman.formula import (
     Var,
     adequate_set,
     d_closure,
+    fold,
     is_adequate,
     normalize,
     parse,
     pretty,
+    semantics,
     single_negation,
     subformulas,
     variables,
@@ -413,6 +416,24 @@ class TestAdequateSet:
                 assert all(j < i for j in k), str(f)
                 assert k == tuple(position[c] for c in f.children), str(f)
 
+    def test_pairing_path_matches_the_reference_on_pools_of_20_or_more(self):
+        """Where the pool reaches 20 or more components, pairings and their
+        negations are most of the set, and none goes through the worklist:
+        the set is still the reference closure, listed children first."""
+        rng = random.Random(2301)
+        checked = 0
+        while checked < 12:
+            seeds = [random_formula(rng, 3, VARS, stop=0.1) for _ in range(6)]
+            g = adequate_set(seeds)
+            if len(formula._pool(g)) < 20:
+                continue
+            checked += 1
+            assert g == adequate_closure(seeds), [str(f) for f in seeds]
+            assert len(g.members) == len(g)
+            position = {f: i for i, f in enumerate(g.members)}
+            assert all(k == tuple(position[c] for c in f.children) and all(j < i for j in k)
+                       for i, (f, k) in enumerate(zip(g.members, g.kids)))
+
     def test_fixpoint_for_fixed_d(self):
         # closure is relative to d: the output satisfies all five
         # conditions (nothing left to add for this d) and is deterministic
@@ -420,6 +441,57 @@ class TestAdequateSet:
         g = adequate_set(d)
         assert is_adequate(g, d)
         assert adequate_set(d) == g
+
+
+class TestDagValues:
+    """``Dag.values`` is :func:`fold` over every member, in ``members`` order."""
+
+    def test_values_equal_fold_without_memo_with_an_empty_one_and_a_seeded_one(self, seed_sets):
+        """Each value is a truth mask on a random frame paired with the
+        member's text, so a child read from the wrong position shows."""
+        rng = random.Random(2302)
+        for seeds, _ in seed_sets:
+            gamma = adequate_set(seeds)
+            fr = random_gen_frame(rng, rng.randrange(1, 5))
+            val = {v: fr.mask(w for w in fr.worlds if rng.random() < 0.5)
+                   for v in sorted(f.name for f in gamma if type(f) is Var)}
+            step = semantics(Algebra(fr.mask(fr.worlds), val.__getitem__, fr.box, fr.rhd))
+
+            def visit(g, v):
+                return (step(g, tuple(x for x, _ in v)),
+                        formula._show(g, tuple(t for _, t in v)))
+
+            folded: dict = {}  # the values of fold(f, visit, {}), shared across members
+            want = [fold(f, visit, folded) for f in gamma.members]
+            assert gamma.values(visit) == want
+            memo: dict = {}
+            assert gamma.values(visit, memo) == want
+            assert memo == folded and memo.keys() == set(gamma)
+            # a seeded entry stands for its subtree, as in fold
+            seeded = {f: (rng.getrandbits(4), f"x{i}")
+                      for i, f in enumerate(rng.sample(gamma.members, len(gamma) // 4))}
+            reference = dict(seeded)
+            want = [fold(f, visit, reference) for f in gamma.members]
+            memo = dict(seeded)
+            assert gamma.values(visit, memo) == want
+            assert memo == reference and memo.keys() == set(gamma)
+
+
+def test_fold_without_memo_visits_each_distinct_node_once():
+    """g = []p rebuilt twenty times as g & (g | q) is a tree of 5 * 2^20 - 3
+    nodes over 43 distinct ones: each is visited once, as with a memo."""
+    g = Box(p)
+    for _ in range(20):
+        g = And(g, Or(g, q))
+    visits = Counter()
+
+    def visit(f, v):
+        visits[f] += 1
+        return 1 + sum(v)
+
+    plain, memoized, distinct = fold(g, visit), fold(g, visit, {}), len(subformulas(g))
+    assert plain == memoized == 5 * 2 ** 20 - 3
+    assert len(visits) == distinct == 43 and set(visits.values()) == {2}
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -16,7 +16,7 @@ from reference import BRUTE, _forces, gen_truth_set, random_formula, random_gen_
 
 from veltman import properties
 from veltman.decide import _il_frames, enumerate_frames
-from veltman.formula import Algebra, Box, Neg, Or, Rhd, Var, evaluate, fold, parse, variables
+from veltman.formula import Algebra, And, Box, Neg, Or, Rhd, Var, evaluate, fold, parse, variables
 from veltman.hilbert import SCHEMATA, instantiate, schema_metavars
 from veltman.model import GenFrame, GenModel, close_s, validate
 from veltman.properties import (
@@ -421,6 +421,41 @@ class TestChunkedSweep:
         assert len(result.valuation) == 1024
         assert peak < 16 * 2 ** 20, peak
 
+
+def test_shared_subformulas_are_walked_once(monkeypatch):
+    """g = []p rebuilt twenty times as g & (g | q) has 2^20 paths to []p
+    but 43 distinct nodes: the witness walk makes one [] lookup, not 2^20,
+    and ~g fails where ~[]p does.  h, built the same way from p alone, makes
+    h | ~h one modal-free leaf, whose image reads p and q once each."""
+    p, q = Var("p"), Var("q")
+    g, h = Box(p), p
+    for _ in range(20):
+        g, h = And(g, Or(g, q)), And(h, Or(h, q))
+    fr = list(enumerate_frames(2, "IL"))[-1]
+    tables = TruthTables(fr)
+    lookups, box = [], tables._box
+    tables._box = lambda x: lookups.append(1) or box(x)
+    masks = np.arange(4, dtype=tables.dtype)
+    truth = tables.evaluate(Neg(g), {"p": masks, "q": masks[::-1]})
+    assert len(lookups) == 1
+    assert (truth == tables.evaluate(Neg(Box(p)), {"p": masks})).all()
+    # the formulas stay out of the assertions: a tree of 2^20 nodes prints for minutes
+    found, plain = frame_validates(fr, Neg(g)), frame_validates(fr, Neg(Box(p)))
+    assert (found.world, found.valuation["p"]) == (plain.world, plain.valuation["p"])
+
+    reads = []
+
+    def counting(f, algebra, memo=None):
+        atom = algebra.atom
+        return evaluate(f, algebra._replace(atom=lambda name: reads.append(name) or atom(name)),
+                        memo)
+
+    monkeypatch.setattr(properties, "evaluate", counting)
+    properties._image.cache_clear()
+    leaf = Box(Or(h, Neg(h)))
+    size = properties._image(leaf, properties.SWEEP_ROWS)[1]
+    valid = frame_validates(fr, leaf)
+    assert sorted(reads) == ["p", "q"] and size == 1 and valid is True
 
 def _brute_first_failure(fr, f):
     """The first failing (valuation, world) by a plain scan: valuations in
