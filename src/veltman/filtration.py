@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .bisim import Partition, largest_autobisimulation
-from .formula import BOT, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, pretty
+from .formula import BOT, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, fold, pretty
 from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, validate
 
 
@@ -71,7 +71,8 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     gamma = adequate_set(d)
     partition = largest_autobisimulation(m)
     fr, class_of = m.frame, partition.class_of
-    truths = [m._truth_mask(f) for f in gamma.members  # box_like(f), inline
+    memo: dict = {}  # local, so Γ does not outlive the call in m's memo
+    truths = [fold(f, m._step, memo) for f in gamma.members  # box_like(f), inline
               if (t := type(f)) is Box
               or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)]
 
@@ -117,9 +118,8 @@ def verify_filtration(m: GenModel, result: FiltrationResult) -> tuple[World, For
     q, gamma = result.quotient, result.gamma
     classes = [m.frame.mask(result.partition.classes[c]) for c in q.worlds]
     lifted: dict[int, int] = {}  # quotient mask -> the join of its classes
-    diffs = []  # the quotient's masks are not memoized: that would only cost hashing
-    for f, here, there in zip(gamma.members, gamma.values(m._step, m._truth),
-                              gamma.values(q._step)):
+    diffs = []
+    for f, here, there in zip(gamma.members, gamma.values(m._step), gamma.values(q._step)):
         lift = lifted.get(there)
         if lift is None:
             lift = lifted[there] = sum(classes[b.bit_length() - 1] for b in bits(there))

@@ -537,20 +537,15 @@ class Dag(frozenset):
     def __reduce__(self):
         return type(self), (self.members, self.kids)
 
-    def values(self, visit: Callable[[Formula, tuple], Any], memo: dict | None = None) -> list:
+    def values(self, visit: Callable[[Formula, tuple], Any]) -> list:
         """:func:`fold` over every member in one loop: each member's value, in
-        ``members`` order.  ``memo`` is read and filled as by :func:`fold`.
-        The children's values are read by arity, as no node has more than two."""
+        ``members`` order.  The children's values are read by arity, as no
+        node has more than two."""
         out: list = []
         append = out.append
         for g, k in zip(self.members, self.kids):
-            value = _MISSING if memo is None else memo.get(g, _MISSING)
-            if value is _MISSING:
-                n = len(k)
-                value = visit(g, (out[k[0]], out[k[1]]) if n == 2 else (out[k[0]],) if n else ())
-                if memo is not None:
-                    memo[g] = value
-            append(value)
+            n = len(k)
+            append(visit(g, (out[k[0]], out[k[1]]) if n == 2 else (out[k[0]],) if n else ()))
         return out
 
 

@@ -276,13 +276,16 @@ class GenFrame(_Frame):
 
     @cached_property
     def _lookups(self):
-        """``box`` and ``rhd`` as lookups in read-only uint8 tables, for up to
-        eight worlds.  The tables are built by those methods, so a lookup
-        keeps their one encoding: entry x of the box table is ``box(x)``
-        (2^n entries), entry ``(a << 8) | b`` of the rhd table is
-        ``rhd(a, b)`` (a below 2^n, b below 256).  A mask with bits above
-        world n - 1 reads as in ``box``/``rhd``, which ignore those bits, or
-        falls outside its table and raises ``IndexError``."""
+        """``box`` and ``rhd`` as lookups in read-only uint8 tables, or None
+        past eight worlds, where a mask no longer fits the byte b of this
+        layout.  The tables are built by those methods, so a lookup keeps
+        their one encoding: entry x of the box table is ``box(x)`` (2^n
+        entries), entry ``(a << 8) | b`` of the rhd table is ``rhd(a, b)``
+        (a below 2^n, b below 256).  A mask with bits above world n - 1
+        reads as in ``box``/``rhd``, which ignore those bits, or falls
+        outside its table and raises ``IndexError``."""
+        if len(self.worlds) > 8:
+            return None
         xs = np.arange(1 << len(self.worlds), dtype=np.uint8)
         box = self.box(xs)
         rhd = self.rhd(xs[:, None], np.arange(256, dtype=np.uint8)[None, :]).ravel()
@@ -562,10 +565,12 @@ class _Model:
 
 class GenModel(_Model):
     """Generalized frame plus valuation; forcing is memoized per formula as
-    a world bitmask in the frame's complex algebra, ``|>`` per pair of masks
-    and its table ``GenFrame._blocked`` per right operand mask, each on first
-    use: members of an adequate set often share their truth masks, and share
-    few distinct right operands."""
+    a world bitmask in the frame's complex algebra, ``[]`` per mask, ``|>``
+    per pair of masks and its table ``GenFrame._blocked`` per right operand
+    mask, each on first use: members of an adequate set often share their
+    truth masks, and share few distinct right operands.  The operator memos
+    hold only masks, so a formula walked through a memo of its own, as
+    filtration walks the adequate set, leaves no formula on the model."""
 
     def __init__(self, frame: GenFrame, valuation: Mapping[str, Iterable[World]]):
         super().__init__(frame, valuation)
@@ -577,7 +582,7 @@ class GenModel(_Model):
         rhd = cache(lambda a, b: frame.rhd(a, b, blocked))
         self._step = semantics(Algebra((1 << len(frame.worlds)) - 1,
                                        lambda name: frame.mask(valuation.get(name, ())),
-                                       frame.box, rhd))
+                                       cache(frame.box), rhd))
 
     def __reduce__(self):  # the step is a closure: a copy builds its own
         return type(self), (self.frame, self.valuation)

@@ -54,27 +54,31 @@ bit-sliced, as ``hilbert.is_classical_tautology`` slices its truth table:
 each value is one Python int per world, bit r set when it holds there on row
 r, and one loop over the skeleton, each node after its children, evaluates
 it on a frame with its own per-world step for ``[]`` and ``|>``, which
-reads R and S by world index from ``GenFrame._index_rows``.  Where |I|^n
-exceeds ``SWEEP_ROWS``, the table is walked in passes that fix the first
-worlds' vectors.
+reads R and S by world index from ``GenFrame._index_rows``.
 
 Only on a failing frame is f walked on the table of its valuations, whose
 digits are the sorted variables, each a world mask, for the
 lexicographically first failing one: ``_first_failure`` evaluates it on
 numpy arrays of world bitmasks in the smallest unsigned dtype that holds
-one (uint8 up to eight worlds), in passes of at most ``SWEEP_ROWS`` rows
-that fix the first digits and read the last from one shared read-only
-grid.  Each ``[]`` or ``|>`` node is one lookup in the frame's tables of
-``GenFrame.box``/``rhd``, built by those methods once per frame and kept on
-it (``GenFrame._lookups``).  A frame whose 4^n pairs of masks exceed one
-pass (more than eight worlds) is evaluated by ``box``/``rhd`` themselves.
+one (uint8 up to eight worlds).  Each ``[]`` or ``|>`` node is one lookup
+in the frame's tables of ``GenFrame.box``/``rhd``, built by those methods
+once per frame and kept on it (``GenFrame._lookups``); past eight worlds
+there are none, and ``box``/``rhd`` evaluate it themselves.
+
+Both tables have one pass plan.  A row is a tuple of digits, the leading
+one first: a world's leaf vector in the skeleton table, a variable's world
+mask in the table of valuations.  ``_split`` says how many of the last
+digits fit in ``SWEEP_ROWS`` rows, and ``_passes`` runs over the others,
+fixed, in lexicographic order, calling ``on_chunk`` before each pass; so
+memory is bounded whatever the number of worlds or variables, and the
+first failing row of the first failing pass is the first of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable
 
 import numpy as np
@@ -198,18 +202,17 @@ class TruthTables:
     ``box`` and ``rhd``.  ``evaluate`` maps numpy arrays of variable masks
     to the array of truth-set masks, one entry per row (a valuation).
     ``dtype`` is the smallest unsigned integer type that holds a world mask
-    (uint8 up to eight worlds); the top element
-    and unassigned variables are read-only one-entry arrays of it that
-    broadcast, so a formula without assigned variables yields a one-entry
-    array, and masks of ``dtype`` give masks of ``dtype``.
+    (uint8 up to eight worlds); the top element and unassigned variables
+    are read-only one-entry arrays of it that broadcast, so a formula
+    without assigned variables yields a one-entry array, and masks of
+    ``dtype`` give masks of ``dtype``.
 
-    Where the frame's 4^n pairs of masks fit in one pass (4^n <=
-    ``SWEEP_ROWS``, so up to eight worlds, whose masks are uint8), each
-    ``[]`` and ``|>`` node is one lookup from ``GenFrame._lookups``, built
-    once per frame: its result has ``dtype`` whatever the operands', and a
-    mask with bits above world n - 1 gives the answer of ``box``/``rhd`` or
-    raises ``IndexError``.  Larger frames are evaluated by
-    ``GenFrame.box``/``rhd`` themselves.
+    Up to eight worlds each ``[]`` and ``|>`` node is one lookup from
+    ``GenFrame._lookups``, built once per frame: its result has ``dtype``
+    whatever the operands', and a mask with bits above world n - 1 gives
+    the answer of ``box``/``rhd`` or raises ``IndexError``.  Larger frames,
+    which have no lookup tables, are evaluated by ``GenFrame.box``/``rhd``
+    themselves.
     """
 
     def __init__(self, frame: GenFrame):
@@ -218,7 +221,7 @@ class TruthTables:
         self.full = (1 << n) - 1
         self.dtype = np.min_scalar_type(self.full)
         self._top, self._zero = _ends(n)
-        self._box, self._rhd = frame._lookups if 4 ** n <= SWEEP_ROWS else (frame.box, frame.rhd)
+        self._box, self._rhd = frame._lookups or (frame.box, frame.rhd)
 
     def evaluate(self, f: Formula, assignment: dict[str, np.ndarray]) -> np.ndarray:
         zero = self._zero
@@ -258,6 +261,34 @@ def _grid(size: int, digits: int) -> np.ndarray:
     read-only; the last few are kept."""
     grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
     return _read_only(grid.reshape(digits, size ** digits))
+
+
+def _split(size: int, digits: int, rows: int) -> int:
+    """How many of ``digits`` digits below ``size``, counted from the last,
+    fit in one pass of at most ``rows`` rows: the pass plan of both tables
+    of ``frame_validates``, which fix the others."""
+    inside = 0
+    while inside < digits and size ** (inside + 1) <= rows:
+        inside += 1
+    return inside
+
+
+def _passes(size: int, fixed: int, on_chunk: Callable[[], None] | None):
+    """The fixed digits of each pass, tuples of ``fixed`` digits below
+    ``size`` in lexicographic order, calling ``on_chunk`` before each.  An
+    odometer, so nothing is held per value of a digit."""
+    prefix = [0] * fixed
+    while True:
+        if on_chunk is not None:
+            on_chunk()
+        yield tuple(prefix)
+        for i in reversed(range(fixed)):
+            prefix[i] += 1
+            if prefix[i] < size:
+                break
+            prefix[i] = 0
+        else:
+            return
 
 
 def _skeleton(f: Formula) -> tuple[list[tuple], list[Formula]]:
@@ -339,9 +370,7 @@ def _table(f: Formula, worlds: int, rows: int):
     if found is None:
         return None
     steps, size, vectors = found
-    inside = 0
-    while inside < worlds and size ** (inside + 1) <= rows:
-        inside += 1
+    inside = _split(size, worlds, rows)
     width = size ** inside
     columns = [[_column(v, size, size ** q, width) for q in reversed(range(inside))]
                for v in vectors]
@@ -414,14 +443,11 @@ def _holds(view: tuple, steps: list[tuple], leaves: list[list[int]], full: int) 
 
 def _skeleton_valid(frame: GenFrame, table, on_chunk: Callable[[], None] | None) -> bool:
     """Is the skeleton of ``_table`` true at every world of ``frame`` on
-    every row?  Passes run in lexicographic order of their fixed digits,
-    ``on_chunk`` is called before each, and the walk stops at the first
-    failing pass."""
+    every row?  Passes run as ``_passes`` gives them, and the walk stops
+    at the first failing pass."""
     steps, size, vectors, fixed, columns, full = table
     view = frame._index_rows
-    for prefix in product(range(size), repeat=fixed):
-        if on_chunk is not None:
-            on_chunk()
+    for prefix in _passes(size, fixed, on_chunk):
         leaves = columns if not prefix else [
             [full if v >> d & 1 else 0 for d in prefix] + col for v, col in zip(vectors, columns)]
         if not _holds(view, steps, leaves, full):
@@ -429,52 +455,20 @@ def _skeleton_valid(frame: GenFrame, table, on_chunk: Callable[[], None] | None)
     return True
 
 
-@lru_cache(maxsize=4)
-def _valuations(count: int, worlds: int, rows: int):
-    """The passes of the table of valuations of ``count`` variables on
-    ``worlds`` worlds: a row picks one world mask per sorted variable, in
-    lexicographic order.  Returns (outer, inner, grid): the arrays of the
-    first variables, which a pass fixes and ORs in, and each variable's
-    column over the ``grid`` of the last, as many as fit in ``rows`` rows,
-    or, for a variable that a pass fixes, a one-entry zero row.  Variable
-    j's array is one-hot at row j, a window onto one strip, so the arrays
-    take linear space.  Shared, so read-only; the last few are kept."""
-    size = 1 << worlds
-    dtype = np.min_scalar_type(size - 1)
-    strip = _read_only(np.outer(np.arange(2 * count + 1) == count, np.arange(size)).astype(dtype))
-    at = [strip[count - j:2 * count - j] for j in range(count)]
-    start = np.zeros((count, 1), dtype)
-    inside = 0
-    while inside < count and size ** (inside + 1) <= rows:
-        inside += 1
-    grid = _grid(size, inside)
-    last = at[count - inside:]
-    used = np.flatnonzero(np.hstack((start, *last)).any(axis=1))
-    inner = list(_read_only(start))
-    # a broadcast OR per inner digit, last digit first, so that each step's
-    # innermost axis is the long block of the digits after it
-    cols = start[used]
-    for a in reversed(last):
-        cols = (a[used][:, :, None] | cols[:, None, :]).reshape(len(used), size * cols.shape[1])
-    for i, col in zip(used, _read_only(cols)):
-        inner[i] = col
-    return at[:count - inside], inner, grid
-
-
-def _first_failure(tables: TruthTables, f: Formula, names: list[str], plan,
+def _first_failure(tables: TruthTables, f: Formula, names: list[str],
                    on_chunk: Callable[[], None] | None):
-    """The digits and truth mask of the first row of a ``_valuations`` table
-    on which ``f``, with ``names`` read from the row, fails at some world, or
-    None.  Passes run in lexicographic order of their fixed digits, and
-    ``on_chunk`` is called before each."""
-    outer, inner, grid = plan
-    for prefix in product(*(range(a.shape[1]) for a in outer)):
-        if on_chunk is not None:
-            on_chunk()
-        assignment = dict(zip(names, inner))
-        if prefix:
-            fixed = sum(a[:, i] for a, i in zip(outer, prefix))
-            assignment = {name: col | x for (name, col), x in zip(assignment.items(), fixed)}
+    """The digits and truth mask of the first row of the table of
+    valuations on which ``f`` fails at some world, or None.  A row picks one
+    world mask per variable of ``names``, in lexicographic order; a pass
+    fixes the first variables, each a one-entry array of its digit, and
+    reads the rest from the rows of one shared ``_grid``."""
+    size = tables.full + 1
+    inside = _split(size, len(names), SWEEP_ROWS)
+    grid = _grid(size, inside)
+    fixed = len(names) - inside
+    for prefix in _passes(size, fixed, on_chunk):
+        assignment = {name: np.array([d], tables.dtype) for name, d in zip(names, prefix)}
+        assignment.update(zip(names[fixed:], grid))
         truth = tables.evaluate(f, assignment)
         failing = truth != tables.full
         if failing.any():
@@ -508,7 +502,7 @@ def frame_validates(frame: GenFrame, f: Formula, cap: int = 5,
         return True
     tables = TruthTables(frame)
     vs = sorted(variables(f))
-    failure = _first_failure(tables, f, vs, _valuations(len(vs), n, SWEEP_ROWS), on_chunk)
+    failure = _first_failure(tables, f, vs, on_chunk)
     if failure is None:
         return True
     digits, truth = failure

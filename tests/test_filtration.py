@@ -21,6 +21,7 @@ from veltman.formula import (
     d_closure,
     normalize,
     parse,
+    subformulas,
     variables,
 )
 from veltman.model import GenFrame, GenModel, close_s, validate
@@ -301,13 +302,18 @@ def test_quotient_worlds_match_partition_classes():
 def test_model_and_quotient_are_freed_without_the_cyclic_collector():
     """Forcing, filtration and its check leave no reference cycle through
     the model or the quotient: with the cyclic collector off, both are
-    freed as soon as the last reference goes."""
+    freed as soon as the last reference goes.  Nor does Γ outlive them in
+    the model's memo, which keeps only what forcing put there: the
+    subformulas of the forced formula and the variables of Γ, which the
+    quotient's valuation reads by forcing."""
     m = random_gen_model(random.Random(5), variables=("p", "q"), worlds=5)
     gc.disable()
     try:
-        m._truth_mask(parse("[]p |> q"))
-        res = filtrate(m, d_closure([parse("p |> q"), parse("<>~q")]))
+        f = parse("[]p |> q")
+        m._truth_mask(f)
+        res = filtrate(m, d_closure([parse("p |> q"), parse("<>~r")]))
         assert verify_filtration(m, res) is None
+        assert m._truth.keys() == subformulas(f) | {Var("r")}
         refs = [weakref.ref(m), weakref.ref(res.quotient)]
         del m, res
         assert [ref() for ref in refs] == [None, None]

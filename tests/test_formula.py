@@ -446,7 +446,7 @@ class TestAdequateSet:
 class TestDagValues:
     """``Dag.values`` is :func:`fold` over every member, in ``members`` order."""
 
-    def test_values_equal_fold_without_memo_with_an_empty_one_and_a_seeded_one(self, seed_sets):
+    def test_values_equal_fold_with_and_without_a_shared_memo(self, seed_sets):
         """Each value is a truth mask on a random frame paired with the
         member's text, so a child read from the wrong position shows."""
         rng = random.Random(2302)
@@ -463,18 +463,8 @@ class TestDagValues:
 
             folded: dict = {}  # the values of fold(f, visit, {}), shared across members
             want = [fold(f, visit, folded) for f in gamma.members]
-            assert gamma.values(visit) == want
-            memo: dict = {}
-            assert gamma.values(visit, memo) == want
-            assert memo == folded and memo.keys() == set(gamma)
-            # a seeded entry stands for its subtree, as in fold
-            seeded = {f: (rng.getrandbits(4), f"x{i}")
-                      for i, f in enumerate(rng.sample(gamma.members, len(gamma) // 4))}
-            reference = dict(seeded)
-            want = [fold(f, visit, reference) for f in gamma.members]
-            memo = dict(seeded)
-            assert gamma.values(visit, memo) == want
-            assert memo == reference and memo.keys() == set(gamma)
+            assert gamma.values(visit) == want == [fold(f, visit) for f in gamma.members]
+            assert folded.keys() == set(gamma)
 
 
 def test_fold_without_memo_visits_each_distinct_node_once():

@@ -421,6 +421,45 @@ class TestChunkedSweep:
         assert len(result.valuation) == 1024
         assert peak < 16 * 2 ** 20, peak
 
+    def test_twenty_worlds_name_the_witness_without_a_per_mask_table(self):
+        """p on 20 worlds: the valuation table's one digit has 2^20 values,
+        so each pass fixes it, and neither the passes nor the fixed digit
+        hold anything per value."""
+        worlds = [f"w{i:02d}" for i in range(20)]
+        fr = GenFrame(worlds, [], {})
+        tracemalloc.start()
+        try:
+            result = frame_validates(fr, parse("p"), cap=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.valuation, result.world) == ({"p": frozenset()}, "w00")
+        assert peak < 2 ** 20, peak
+
+    def test_passes_run_over_the_fixed_digits_in_order(self):
+        """The passes are ``itertools.product``'s tuples, with ``on_chunk``
+        called once before each, and an ``on_chunk`` that raises ends them."""
+        for size, fixed in itertools.product(range(1, 6), range(4)):
+            calls = []
+            seen = []
+            for prefix in properties._passes(size, fixed, lambda: calls.append(len(seen))):
+                seen.append(prefix)
+            assert seen == list(itertools.product(range(size), repeat=fixed))
+            assert calls == list(range(len(seen)))
+
+        class Stop(Exception):
+            pass
+
+        def stop():
+            if len(seen) == 3:
+                raise Stop
+
+        seen = []
+        with pytest.raises(Stop):
+            for prefix in properties._passes(4, 2, stop):
+                seen.append(prefix)
+        assert seen == [(0, 0), (0, 1), (0, 2)]
+
 
 def test_shared_subformulas_are_walked_once(monkeypatch):
     """g = []p rebuilt twenty times as g & (g | q) has 2^20 paths to []p
@@ -547,7 +586,7 @@ class TestSharedGrid:
                                                        fr.box, fr.rhd))
                         got = tables.evaluate(f, assignment)
                         assert np.array_equal(*np.broadcast_arrays(got, expected)), (n, str(f))
-                assert ("_lookups" in vars(fr)) == (n <= 8)
+                assert (fr._lookups is None) == (n > 8)
                 good = {v: draw.integers(0, 1 << n, 16) for v in "pq"}
                 for f, v, bad in itertools.product(
                         (parse("q |> p"), parse("[]p")), "pq",
