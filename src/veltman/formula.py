@@ -245,10 +245,15 @@ class _Parser:
 
     Tokens are plain strings, followed by None.  The parser keeps the index
     ``i`` of the current token and computes text offsets only to report an
-    error."""
+    error.
 
-    def __init__(self, text: str):
+    With a memo (:meth:`group`), a ``(`` or ``)`` character is always a
+    token of its own and the parser meets them in text order, so the offset
+    of the next one is one ``str.find`` from the last one met."""
+
+    def __init__(self, text: str, memo: dict | None = None):
         self.text = text
+        self.memo = memo
         self.tokens = tokens = _TOKEN.findall(text)
         # every token is punctuation or starts with [a-z], except a bad character
         bad = {t for t in set(tokens) - _PUNCT if not "a" <= t[0] <= "z"}
@@ -258,6 +263,9 @@ class _Parser:
         tokens.append(None)
         self.i = 0
         self.parens = 0
+        # memo only: where to look for the next '(' and ')', and the deepest
+        # parenthesis nesting met in the innermost open group
+        self.opened = self.closed = self.deepest = 0
 
     def error(self, message: str, i: int) -> ParseError:
         """The error at token ``i``, positioned at its offset in the text."""
@@ -270,6 +278,51 @@ class _Parser:
             raise self.error(f"formula nesting exceeds {MAX_DEPTH}", i)
         return depth + 1
 
+    def group(self, i: int):
+        """The parenthesized formula opened by token ``i``, as a (node,
+        depth) pair; ``self.i`` is left at its ``)``.
+
+        A memo entry is a group that parsed: its exact text, node, node
+        depth, parenthesis depth (its own ``(`` counts one) and token count,
+        kept under its text up to its first ``)``; of the groups that begin
+        alike, the last one parsed.  A group that starts where an entry's
+        text starts is that entry: its tokens are the same, and the ``)``
+        that balances the first ``(`` ends both.  Its node and node depth do
+        not depend on what is around it, but the parenthesis bound does, so
+        an entry is taken only if the nesting open around it plus its own
+        depth stays within ``MAX_DEPTH``; otherwise the group is parsed
+        again, and fails at the same token."""
+        memo, text = self.memo, self.text
+        if memo is not None:
+            o = text.find("(", self.opened)
+            head = text[o:text.find(")", o) + 1]
+            entry = memo.get(head)
+            if entry is not None:
+                key, node, d, parens, size = entry
+                if self.parens + parens <= MAX_DEPTH and text.startswith(key, o):
+                    self.i = i + size - 1
+                    self.opened = self.closed = o + len(key)
+                    self.deepest = max(self.deepest, self.parens + parens)
+                    return node, d
+            self.opened = o + 1
+            outer, self.deepest = self.deepest, self.parens + 1
+        self.parens += 1
+        if self.parens > MAX_DEPTH:
+            raise self.error(f"parenthesis nesting exceeds {MAX_DEPTH}", i)
+        self.i = i + 1
+        out, d = self.parse_infix(_IMPL)
+        j = self.i
+        if self.tokens[j] != ")":
+            got = "end of input" if self.tokens[j] is None else repr(self.tokens[j])
+            raise self.error(f"expected ')', got {got}", j)
+        if memo is not None:
+            c = text.find(")", self.closed)
+            self.closed = c + 1
+            memo[head] = (text[o:c + 1], out, d, self.deepest - self.parens + 1, j - i + 1)
+            self.deepest = max(outer, self.deepest)
+        self.parens -= 1
+        return out, d
+
     def parse_infix(self, min_level: int):
         """Prefixes, then an atom or a parenthesized formula, then the
         connectives that bind at least as tightly as ``min_level``."""
@@ -279,16 +332,8 @@ class _Parser:
             i += 1
         prefixed, tok = i, tokens[i]
         if tok == "(":
-            self.parens += 1
-            if self.parens > MAX_DEPTH:
-                raise self.error(f"parenthesis nesting exceeds {MAX_DEPTH}", i)
-            self.i = i + 1
-            out, d = self.parse_infix(_IMPL)
+            out, d = self.group(i)
             i = self.i
-            if tokens[i] != ")":
-                got = "end of input" if tokens[i] is None else repr(tokens[i])
-                raise self.error(f"expected ')', got {got}", i)
-            self.parens -= 1
         elif tok is None:
             raise self.error("unexpected end of input", i)
         elif tok in _PUNCT:
@@ -321,9 +366,20 @@ class _Parser:
         return out, d
 
 
-def parse(text: str) -> Formula:
-    """Parse ``text`` into a Formula; raises ParseError with a position on bad input."""
-    p = _Parser(text)
+def parse(text: str, memo: dict | None = None) -> Formula:
+    """Parse ``text`` into a Formula; raises ParseError with a position on bad input.
+
+    ``memo`` keeps each parenthesized group that parsed through it, so that
+    a later text restating the group, as proof lines restate earlier lines,
+    takes its node instead of parsing it again (:meth:`_Parser.group`); a
+    text that is one kept group is not even tokenized.  The answer, and the
+    message and position of any error, are the same as without ``memo``.
+    """
+    if memo is not None and text[:1] == "(":
+        entry = memo.get(text[:text.find(")") + 1])
+        if entry is not None and entry[0] == text:
+            return entry[1]
+    p = _Parser(text, memo)
     node, _ = p.parse_infix(_IMPL)
     tok = p.tokens[p.i]
     if tok is not None:

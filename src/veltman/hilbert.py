@@ -281,8 +281,15 @@ _INDEX_RE = re.compile(r"[0-9]+")
 
 def parse_proof(text: str) -> ProofObject:
     """Parse the proof file format into a ProofObject.  An ``ax`` line that
-    names no schema of ``SCHEMATA`` is a format error."""
+    names no schema of ``SCHEMATA`` is a format error.
+
+    The formulas are parsed through one memo for the whole document (see
+    :func:`parse`): ``mp`` and ``nec`` lines restate earlier lines inside
+    larger ones, and a parenthesized group already parsed on an earlier
+    line is taken from the memo, not parsed again.  The memo lives only for
+    this call."""
     lines: list[ProofLine] = []
+    memo: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -294,7 +301,7 @@ def parse_proof(text: str) -> ProofObject:
         if index != len(lines) + 1:
             raise ProofFormatError(f"line {lineno}: expected index {len(lines) + 1}, got {index}")
         try:
-            formula = parse(formula_src)
+            formula = parse(formula_src, memo)
         except ParseError as exc:
             raise ProofFormatError(f"line {lineno}: {exc}") from exc
         lines.append(ProofLine(formula, _parse_justification(just_src, lineno)))

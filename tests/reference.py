@@ -27,6 +27,9 @@ imports them from here.  The seeded generators, each drawing from the
 - ``random_formula(rng, depth, variables, stop=0.25)``: formulas of modal
   depth <= depth over the variables, bot and top, ending in a leaf early
   with probability ``stop``;
+- ``mutant(rng, src)``: ``src`` with one character deleted, doubled or
+  replaced by a grammar token, a character outside the grammar or a kind of
+  whitespace (``GOOD``, ``BAD``, ``SPACE``), or left as it is;
 - ``duplicated_model(m)``: a model next to a relabeled copy of itself,
   and ``copied_model(m, doublings)``: 2^doublings copies;
 - ``random_masks(rng)``: world masks with nested chains and repeats.
@@ -287,6 +290,25 @@ def random_formula(rng: random.Random, depth: int, variables=("p", "q"), stop=0.
     ctor = (And, Or, Impl, Rhd)[k - 3]
     return ctor(random_formula(rng, depth - 1, variables, stop),
                 random_formula(rng, depth - 1, variables, stop))
+
+
+GOOD = ("->", "|>", "[]", "<>", "~", "&", "|", "(", ")", "p", "q", "bot", "top",
+        "x_1aB", "zZ9")
+BAD = ("P", "1", "-", ">", "<", "[", "]", "_", "\u00e9", "\u03bb", "\u20ac", "\u2192",
+       "!", "=", "\u00df", "\x00", "A", "\u00b2")
+SPACE = (" ", " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "")
+
+
+def mutant(rng: random.Random, src: str) -> str:
+    i = rng.randrange(len(src))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return src[:i] + src[i + 1:]
+    if kind == 1:
+        return src[:i] + src[i] + src[i:]
+    if kind == 2:
+        return src[:i] + rng.choice(GOOD + BAD + SPACE) + src[i + 1:]
+    return src
 
 
 def duplicated_model(m: GenModel, suffix="_c") -> GenModel:

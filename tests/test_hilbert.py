@@ -1,11 +1,14 @@
 """Axiom schema matching and Hilbert proof checking."""
 
 import random
+from pathlib import Path
 
 import pytest
-from reference import classical_tautology, random_formula
+from reference import classical_tautology, mutant, random_formula
 
-from veltman.formula import And, Impl, Neg, Or, Rhd, Var, normalize, parse, pretty
+from veltman import hilbert
+from veltman.formula import (And, Impl, Neg, Or, ParseError, Rhd, Var, normalize, parse,
+                             pretty)
 from veltman.hilbert import (
     LOGICS,
     SCHEMATA,
@@ -270,6 +273,73 @@ class TestProofFiles:
     def test_bad_formula_rejected(self):
         with pytest.raises(ProofFormatError):
             parse_proof("1. p |> ; taut\n")
+
+
+PROOFS = sorted((Path(__file__).parent / "proofs").glob("*.ilp"))
+
+
+def _parsed(text: str):
+    try:
+        return parse_proof(text)
+    except ProofFormatError as exc:
+        return str(exc)
+
+
+def _wrapping_document(rng: random.Random) -> str:
+    """A few random formulas, then lines that restate earlier lines inside
+    ``->``, ``[]`` and ``&``, as mp and nec lines restate them."""
+    texts = [pretty(random_formula(rng, 3, ("p", "q", "r"))) for _ in range(3)]
+    for _ in range(rng.randrange(3, 8)):
+        a, b = rng.choice(texts), rng.choice(texts)
+        texts.append(rng.choice((f"({a}) -> ({b})", f"[]({a})", f"({a}) & ({b})",
+                                 f"(({a}) -> {b})", f"[]([]({a}) & ({b}))")))
+    return "".join(f"{i}. {t} ; taut\n" for i, t in enumerate(texts, start=1))
+
+
+class TestProofParseMemo:
+    """parse_proof parses through one memo of parenthesized groups; its
+    answer must be the one of parsing each line alone."""
+
+    def assert_as_lines_alone(self, text, monkeypatch):
+        got = _parsed(text)
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "parse", lambda src, memo=None: parse(src))
+            alone = _parsed(text)
+        assert got == alone, text
+
+    @pytest.mark.parametrize("path", PROOFS, ids=lambda path: path.name)
+    def test_proof_files(self, path, monkeypatch):
+        self.assert_as_lines_alone(path.read_text(encoding="utf-8"), monkeypatch)
+
+    def test_wrapping_documents_and_their_mutants(self, monkeypatch):
+        rng = random.Random(25)
+        for _ in range(40):
+            doc = _wrapping_document(rng)
+            assert isinstance(_parsed(doc), ProofObject)
+            for text in [doc] + [mutant(rng, doc) for _ in range(12)]:
+                self.assert_as_lines_alone(text, monkeypatch)
+
+    def check_reuse(self, group: str, line2: str, fails: bool, message: str):
+        text = f"1. {group} ; taut\n2. {line2} ; taut\n"
+        if not fails:
+            assert parse_proof(text).lines[1].formula == parse(line2)
+            return
+        with pytest.raises(ParseError, match=message) as alone:
+            parse(line2)
+        with pytest.raises(ProofFormatError) as got:
+            parse_proof(text)
+        assert str(got.value) == f"line 2: {alone.value}"
+
+    @pytest.mark.parametrize("more", [4, 5])
+    def test_group_taken_only_within_the_parenthesis_bound(self, more):
+        group = "(" * 60 + "p" + ")" * 60
+        self.check_reuse(group, "(" * more + group + ")" * more, more > 4,
+                         "parenthesis nesting exceeds 64")
+
+    @pytest.mark.parametrize("more", [4, 5])
+    def test_group_taken_only_within_the_node_bound(self, more):
+        group = "(" + "~" * 59 + "p)"
+        self.check_reuse(group, "~" * more + group, more > 4, "formula nesting exceeds 64")
 
 
 def test_accepted_il_lines_are_frame_valid_on_small_frames():

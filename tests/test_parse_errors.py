@@ -25,17 +25,11 @@ import json
 import random
 from pathlib import Path
 
-from reference import random_formula
+from reference import BAD, GOOD, SPACE, mutant, random_formula
 
 from veltman.formula import MAX_DEPTH, ParseError, parse, pretty
 
 FIXTURE = Path(__file__).parent / "fixtures" / "parse_errors.json"
-
-GOOD = ("->", "|>", "[]", "<>", "~", "&", "|", "(", ")", "p", "q", "bot", "top",
-        "x_1aB", "zZ9")
-BAD = ("P", "1", "-", ">", "<", "[", "]", "_", "\u00e9", "\u03bb", "\u20ac", "\u2192",
-       "!", "=", "\u00df", "\x00", "A", "\u00b2")
-SPACE = (" ", " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "")
 
 
 def _soup(rng: random.Random) -> str:
@@ -47,16 +41,7 @@ def _soup(rng: random.Random) -> str:
 
 
 def _mutant(rng: random.Random) -> str:
-    src = pretty(random_formula(rng, rng.randrange(1, 5), ("p", "q", "r")))
-    i = rng.randrange(len(src))
-    kind = rng.randrange(4)
-    if kind == 0:
-        return src[:i] + src[i + 1:]
-    if kind == 1:
-        return src[:i] + src[i] + src[i:]
-    if kind == 2:
-        return src[:i] + rng.choice(GOOD + BAD + SPACE) + src[i + 1:]
-    return src
+    return mutant(rng, pretty(random_formula(rng, rng.randrange(1, 5), ("p", "q", "r"))))
 
 
 def _deep(n: int) -> dict[str, str]:
