@@ -551,17 +551,12 @@ def variables(f: Formula) -> frozenset[str]:
 
 def d_closure(seeds: Iterable[Formula]) -> frozenset[Formula]:
     """Least superset of ``seeds`` plus top that is closed under subformulas
-    and single negation."""
-    closed: set[Formula] = set()
-    todo = list(seeds) + [TOP]
-    while todo:
-        g = todo.pop()
-        if g in closed:
-            continue
-        closed.add(g)
-        todo.extend(g.children)
-        todo.append(single_negation(g))
-    return frozenset(closed)
+    and single negation: their subformulas and the single negations of
+    those, as a single negation adds no new subformula and undoes itself."""
+    seen: dict = {}
+    for g in [*seeds, TOP]:
+        fold(g, lambda h, v: None, seen)
+    return frozenset([*seen, *map(single_negation, seen)])
 
 
 def _pool(gamma: Iterable[Formula]) -> frozenset[Formula]:

@@ -50,20 +50,21 @@ The decision is exact:
 
 That table has |I|^n <= (2^k)^n rows and does not depend on the frame, so it
 is built once per (formula, size) and kept for the next call.  It is
-bit-sliced, as ``hilbert.is_classical_tautology`` slices its truth table:
-each value is one Python int per world, bit r set when it holds there on row
-r, and one loop over the skeleton, each node after its children, evaluates
-it on a frame with its own per-world step for ``[]`` and ``|>``, which
-reads R and S by world index from ``GenFrame._index_rows``.
+bit-sliced, as ``hilbert.is_classical_tautology`` slices its truth table and
+``_image`` the per-world table that gives I: each value is one Python int
+per world, bit r set when it holds there on row r, and one loop over the
+skeleton, each node after its children, evaluates it on a frame with its own
+per-world step for ``[]`` and ``|>``, which reads R and S by world index
+from ``GenFrame._index_rows``.
 
 Only on a failing frame is f walked on the table of its valuations, whose
 digits are the sorted variables, each a world mask, for the
-lexicographically first failing one: ``_first_failure`` evaluates it on
-numpy arrays of world bitmasks in the smallest unsigned dtype that holds
-one (uint8 up to eight worlds).  Each ``[]`` or ``|>`` node is one lookup
-in the frame's tables of ``GenFrame.box``/``rhd``, built by those methods
-once per frame and kept on it (``GenFrame._lookups``); past eight worlds
-there are none, and ``box``/``rhd`` evaluate it themselves.
+lexicographically first failing one: ``_first_failure``, the one user of
+numpy here, evaluates it on arrays of world bitmasks in the smallest
+unsigned dtype that holds one (uint8 up to eight worlds).  Each ``[]`` or
+``|>`` node is one lookup in the frame's tables of ``GenFrame.box``/``rhd``,
+built by those methods once per frame and kept on it (``GenFrame._lookups``);
+past eight worlds there are none, and ``box``/``rhd`` evaluate it themselves.
 
 Both tables have one pass plan.  A row is a tuple of digits, the leading
 one first: a world's leaf vector in the skeleton table, a variable's world
@@ -248,7 +249,8 @@ def _ends(worlds: int) -> tuple[np.ndarray, np.ndarray]:
 SWEEP_ROWS = 1 << 16
 
 # Past this many leaves frame_validates decides on the table of valuations.
-# At most 64, since ``_image`` packs a leaf vector into a uint64.
+# It bounds the leaf ints ``_table`` keeps, up to SWEEP_ROWS bits per leaf and
+# world (on 4 worlds of 16^4 rows: 2.3 MiB traced at 64 leaves, 8.7 at 256).
 MAX_LEAVES = 64
 
 
@@ -257,8 +259,8 @@ def _grid(size: int, digits: int) -> np.ndarray:
     """Every tuple of ``digits`` digits below ``size``, in lexicographic
     order: row j is the column of the j-th digit, one entry per tuple, in the
     smallest unsigned dtype that holds a digit.  Every pass of the table of
-    valuations reads its last digits from it, so it is shared and
-    read-only; the last few are kept."""
+    valuations in ``_first_failure``, its only reader, reads its last
+    digits from it, so it is shared and read-only; the last few are kept."""
     grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
     return _read_only(grid.reshape(digits, size ** digits))
 
@@ -335,21 +337,32 @@ def _image(f: Formula, rows: int):
     at one world), in order of their codes with leaf j at bit j: per leaf,
     the int whose bit d is its value in vector d.  None when the per-world
     table exceeds ``rows`` rows or there are more than ``MAX_LEAVES``
-    leaves."""
+    leaves.  The table is bit-sliced as in ``is_classical_tautology``, and
+    its row classes split the row mask by each leaf column c into x & ~c,
+    then x & c, depth first from the last leaf: so in code order, holding
+    one path of masks (level by level, 16 one-variable leaves took 414 MiB)."""
     vs = sorted(variables(f))
     steps, leaves = _skeleton(f)
     if len(leaves) > MAX_LEAVES or 1 << len(vs) > rows:
         return None
-    # leaves have no modal nodes, so no box or rhd
-    algebra = Algebra(np.uint8(1), dict(zip(vs, _grid(2, len(vs)))).__getitem__, None, None)
-    # the leaf vector of each row, leaf j at bit j
-    packed = sum(evaluate(leaf, algebra).astype(np.uint64) << np.uint64(j)
-                 for j, leaf in enumerate(leaves))
-    codes = np.array(sorted(set(np.atleast_1d(packed).tolist())), dtype=np.uint64)
-    vectors = [int.from_bytes(np.packbits((codes >> np.uint64(j) & np.uint64(1)).astype(bool),
-                                          bitorder="little").tobytes(), "little")
-               for j in range(len(leaves))]
-    return steps, len(codes), vectors
+    width = 1 << len(vs)
+    full = (1 << width) - 1
+    # variable i is row bit i; leaves have no modal nodes, so no box or rhd
+    columns = {v: _column(0b10, 2, 1 << i, width) for i, v in enumerate(vs)}
+    cols = [evaluate(leaf, Algebra(full, columns.__getitem__, None, None)) for leaf in leaves]
+    runs: list[list[str]] = [[] for _ in leaves]  # leaf j's int, as runs of 0s and 1s
+
+    def split(x: int, j: int) -> int:  # the classes of the rows x, alike on leaves j on
+        if not j:
+            return 1
+        one = x & cols[j - 1]
+        off = split(x ^ one, j - 1) if one != x else 0
+        on = split(one, j - 1) if one else 0
+        runs[j - 1].append("0" * off + "1" * on)
+        return off + on
+
+    size = split(full, len(leaves))
+    return steps, size, [int("".join(r)[::-1], 2) for r in runs]
 
 
 @lru_cache(maxsize=1)

@@ -37,9 +37,14 @@ imports them from here.  The seeded generators, each drawing from the
 The subset helpers ``subsets`` and ``images``, the mask oracle
 ``minimal_masks`` (the minimal members of a mask collection, pair by pair,
 in the order of the sort key ``mask_key``),
-the six frame conditions in ``BRUTE`` and the |>-table probe
+the six frame conditions in ``BRUTE``, the |>-table probe
 ``rhd_table_mismatch`` (an embedding against the ordinary forcing on every
-pair of world subsets) are shared the same way.
+pair of world subsets), the point-generated subframe
+``generated_subframe(fr, w)``, the first failing valuation of a formula on
+a frame by a plain scan ``brute_first_failure(fr, f)``, the distinct leaf
+vectors of a per-world truth table ``leaf_image(leaves, variables)`` and
+the closure under subformulas and single negation ``negation_closure``
+are shared the same way.
 """
 
 import itertools
@@ -242,6 +247,15 @@ def canonical_form(fr):
         if best is None or key < best:
             best = key
     return len(fr.worlds), best
+
+
+def generated_subframe(fr, w):
+    """The subframe generated by ``w``: w and its R-successors, with R and
+    every S_v(u) of those worlds kept as they are."""
+    worlds = {w} | fr.successors(w)
+    fams = {v: {u: [sorted(g) for g in fr.gens(v, u)] for u in fr.successors(v)
+                if fr.gens(v, u)} for v in worlds}
+    return GenFrame(sorted(worlds), [(a, b) for a, b in fr.pairs if a in worlds], fams)
 
 
 def random_ord_model(rng: random.Random, max_worlds=4, variables=("p", "q")):
@@ -472,6 +486,52 @@ def gen_truth_set(m, f):
     return _forces(fr.worlds, fr.successors, m.valuation, rhd_at, f)
 
 
+def _variables(f):
+    """The names of the variables of ``f``."""
+    if isinstance(f, Var):
+        return {f.name}
+    return set().union(*map(_variables, _parts(f)))
+
+
+def brute_first_failure(fr, f):
+    """The first failing (valuation, world) by a plain scan, or True:
+    valuations in lexicographic order of the sorted variables, each ranging
+    over the world subsets in bitmask order (bit i is the i-th sorted
+    world), forcing by the generalized semantics with R and S read once."""
+    worlds = sorted(fr.worlds)
+    masks = [frozenset(w for i, w in enumerate(worlds) if x >> i & 1)
+             for x in range(1 << len(worlds))]
+    succ = {w: fr.successors(w) for w in worlds}
+    gens = {(w, u): fr.gens(w, u) for w in worlds for u in succ[w]}
+
+    def rhd_at(w, a, b):
+        return all(any(g <= b for g in gens[w, u]) for u in succ[w] & a)
+
+    vs = sorted(_variables(f))
+    for choice in itertools.product(masks, repeat=len(vs)):
+        val = dict(zip(vs, choice))
+        truth = _forces(worlds, succ.__getitem__, val, rhd_at, f)
+        missed = [w for w in worlds if w not in truth]
+        if missed:
+            return val, missed[0]
+    return True
+
+
+def leaf_image(leaves, variables):
+    """The distinct vectors of the modal-free ``leaves`` over the truth
+    table of ``variables`` at one world, row by row: the number of them and,
+    per leaf, the int whose bit d is its value in the d-th vector, vectors
+    in increasing order of their code (leaf j at bit j)."""
+    codes = set()
+    for row in itertools.product((False, True), repeat=len(variables)):
+        val = {v: {"w"} for v, on in zip(variables, row) if on}
+        codes.add(sum(1 << j for j, leaf in enumerate(leaves)
+                      if "w" in _forces(["w"], lambda w: frozenset(), val, None, leaf)))
+    codes = sorted(codes)
+    return len(codes), [sum(1 << d for d, c in enumerate(codes) if c >> j & 1)
+                        for j in range(len(leaves))]
+
+
 def ord_truth_set(m, f):
     """Ordinary forcing: w |= A |> B iff every R-successor u of w in [A]
     has some v in [B] with u S_w v."""
@@ -503,6 +563,20 @@ def _parts(f):
     if isinstance(f, (Neg, Box, Dia)):
         return (f.arg,)
     return (f.left, f.right)
+
+
+def negation_closure(seeds):
+    """Least superset of ``seeds`` and top closed under immediate
+    subformulas and single negation, as a fixpoint over the whole set."""
+    gamma = set(seeds) | {TOP}
+    while True:
+        new = set(gamma)
+        for g in gamma:
+            new.update(_parts(g))
+            new.add(g.arg if isinstance(g, Neg) else Neg(g))
+        if new == gamma:
+            return frozenset(gamma)
+        gamma = new
 
 
 def adequate_closure(d):

@@ -7,7 +7,8 @@ import time
 from functools import cache
 
 import pytest
-from reference import canonical_form, random_formula, random_gen_model
+from reference import (canonical_form, generated_subframe, random_formula, random_gen_frame,
+                       random_gen_model)
 
 from veltman.decide import (
     FRAME_CONDITIONS,
@@ -195,6 +196,25 @@ def test_enumeration_misses_no_frame_up_to_4_worlds():
     for trial in range(1000):
         fr = random_gen_model(rng, max_worlds=4).frame
         assert canonical_form(fr) in enumerated, (trial, fr.to_json())
+
+
+def test_every_point_generated_subframe_is_an_enumerated_frame():
+    """Truth at a world depends only on the subframe it generates, and every
+    such subframe of a random frame of 1-4 worlds is isomorphic to a frame
+    that ``enumerate_frames`` lists."""
+    enumerated = {canonical_form(fr) for n in (1, 2, 3, 4)
+                  for fr in enumerate_frames(n, "IL")}
+    rng = random.Random(2603)
+    seen = smaller = 0
+    for trial in range(300):
+        fr = random_gen_frame(rng, rng.randrange(1, 5))
+        for w in fr.worlds:
+            sub = generated_subframe(fr, w)
+            assert validate(sub) == [], (trial, w, fr.to_json())
+            assert canonical_form(sub) in enumerated, (trial, w, fr.to_json())
+            seen += 1
+            smaller += len(sub.worlds) < len(fr.worlds)
+    assert seen >= 700 and smaller >= 500, (seen, smaller)
 
 
 @pytest.mark.parametrize("logic", sorted(FRAME_CONDITIONS))

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import adequate_closure, random_formula, random_gen_frame
+from reference import adequate_closure, negation_closure, random_formula, random_gen_frame
 
 from veltman import formula
 from veltman.formula import (
@@ -165,6 +165,32 @@ def test_shared_memo_gives_the_plain_results_on_500_formulas():
         assert parse(text) == f
 
 
+class TestParseMemo:
+    def test_a_text_that_is_one_kept_group_is_answered_without_parsing(self, monkeypatch):
+        """A text that is exactly a group kept in the memo is answered from
+        it, as the plain parse answers it; a text that only begins with
+        one is parsed."""
+        rng = random.Random(2602)
+        built = []
+
+        class Counting(formula._Parser):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(formula, "_Parser", Counting)
+        for _ in range(300):
+            group = f"({pretty(random_formula(rng, rng.randrange(0, 4), VARS))})"
+            memo = {}
+            parse(f"p -> {group}", memo)
+            built.clear()
+            assert parse(group, memo) is parse(group)
+            assert len(built) == 1  # the plain parse only
+            longer = f"{group} & q"
+            assert parse(longer, memo) is parse(longer)
+            assert len(built) == 3
+
+
 class TestInterning:
     """Every node is built through one table: equal formulas are one object."""
 
@@ -240,6 +266,23 @@ class TestInterning:
         assert held is parse(text)
         assert all(a is b for a, b in zip(subformula_list(held), subformula_list(parse(text))))
 
+    def test_old_generation_sweep_drops_unheld_nodes_and_keeps_held_ones(self, monkeypatch):
+        """Once the old table reaches ``_old_at`` a sweep collects it too: a
+        node moved there while held and released since is dropped, with the
+        children only it held, and a held node keeps its identity."""
+        held = [Impl(Var(f"kept{i}"), Neg(Var(f"kept{i}x"))) for i in range(50)]
+        gone = [Impl(Var(f"gone{i}"), Neg(Var(f"gone{i}x"))) for i in range(50)]
+        monkeypatch.setattr(formula, "_old_at", 1 << 62)
+        formula._sweep()  # both move to the old table, which is not swept
+        assert (Var, "gone0") in formula._old and (Var, "kept0") in formula._old
+        del gone
+        formula._old_at = 0
+        formula._sweep()
+        assert formula._old_at == max(formula._MIN_OLD, 2 * len(formula._old))
+        for i in range(50):
+            assert (Var, f"gone{i}") not in formula._old and (Var, f"gone{i}x") not in formula._old
+            assert Impl(Var(f"kept{i}"), Neg(Var(f"kept{i}x"))) is held[i]
+
 
 def subformula_list(f):
     """The nodes of ``f``, root first, with repeats."""
@@ -308,6 +351,13 @@ class TestDClosure:
     def test_idempotent(self):
         d = d_closure([parse("p |> q & r")])
         assert d_closure(d) == d
+
+    def test_matches_the_reference_closure_on_3000_seed_sets(self):
+        rng = random.Random(2601)
+        for _ in range(3000):
+            seeds = [random_formula(rng, rng.randrange(0, 4), VARS, stop=0.3)
+                     for _ in range(rng.randrange(0, 4))]
+            assert d_closure(iter(seeds)) == negation_closure(seeds), [str(f) for f in seeds]
 
 
 @pytest.fixture(scope="module")

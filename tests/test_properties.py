@@ -12,7 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import BRUTE, _forces, gen_truth_set, random_formula, random_gen_frame, subsets
+from reference import (BRUTE, brute_first_failure, gen_truth_set, leaf_image, random_formula,
+                       random_gen_frame, subsets)
 
 from veltman import properties
 from veltman.decide import _il_frames, enumerate_frames
@@ -496,29 +497,6 @@ def test_shared_subformulas_are_walked_once(monkeypatch):
     valid = frame_validates(fr, leaf)
     assert sorted(reads) == ["p", "q"] and size == 1 and valid is True
 
-def _brute_first_failure(fr, f):
-    """The first failing (valuation, world) by a plain scan: valuations in
-    lexicographic order of the sorted variables, each ranging over the world
-    subsets in bitmask order (bit i is the i-th sorted world), forcing by the
-    reference semantics (``gen_truth_set`` with R and S read once)."""
-    worlds = sorted(fr.worlds)
-    masks = [frozenset(w for i, w in enumerate(worlds) if x >> i & 1)
-             for x in range(1 << len(worlds))]
-    succ = {w: fr.successors(w) for w in worlds}
-    gens = {(w, u): fr.gens(w, u) for w in worlds for u in succ[w]}
-
-    def rhd_at(w, a, b):
-        return all(any(g <= b for g in gens[w, u]) for u in succ[w] & a)
-
-    vs = sorted(variables(f))
-    for choice in itertools.product(masks, repeat=len(vs)):
-        val = dict(zip(vs, choice))
-        truth = _forces(worlds, succ.__getitem__, val, rhd_at, f)
-        missed = [w for w in worlds if w not in truth]
-        if missed:
-            return val, missed[0]
-    return True
-
 
 class TestSharedGrid:
     @pytest.mark.parametrize("src, later", [
@@ -538,7 +516,7 @@ class TestSharedGrid:
             assert isinstance(result, Falsification)
             early = sorted(variables(f))[:len(variables(f)) - 4]
             assert any(result.valuation[name] for name in early) == later
-            assert (result.valuation, result.world) == _brute_first_failure(fr, f), src
+            assert (result.valuation, result.world) == brute_first_failure(fr, f), src
 
     def test_grid_is_shared_and_read_only(self):
         grid = properties._grid(16, 4)
@@ -625,7 +603,7 @@ def test_variable_free_formulas_match_a_brute_scan(src):
     for n in range(1, 5):
         for fr in _il_frames(n):
             result = frame_validates(fr, f)
-            expected = _brute_first_failure(fr, f)
+            expected = brute_first_failure(fr, f)
             if result is True:
                 assert expected is True, (src, fr)
             else:
@@ -648,7 +626,7 @@ class TestSkeletonTable:
             assert properties._table(f, n, properties.SWEEP_ROWS) is not None
             smaller += properties._image(f, properties.SWEEP_ROWS)[1] < 1 << k
             result = frame_validates(fr, f)
-            expected = _brute_first_failure(fr, f)
+            expected = brute_first_failure(fr, f)
             if result is True:
                 assert expected is True, str(f)
             else:
@@ -681,7 +659,7 @@ class TestSkeletonTable:
             assert table[3] == 0  # no fixed worlds: one pass
             for fr in _il_frames(n):
                 valid = properties._skeleton_valid(fr, table, None)
-                assert valid == (_brute_first_failure(fr, f) is True), (src, fr.to_json())
+                assert valid == (brute_first_failure(fr, f) is True), (src, fr.to_json())
                 outcomes.add(valid)
         assert outcomes == ({True} if size == 16 else {True, False})
 
@@ -760,6 +738,37 @@ class TestSkeletonTable:
             tracemalloc.stop()
         assert result is True
         assert peak < 2 ** 21, peak
+
+    def test_image_matches_a_row_by_row_scan(self):
+        """On 600 seeded random formulas over p..t and 200 whose leaves share
+        variables, ``_image`` gives the distinct leaf vectors that a scan of
+        the per-world truth table, row by row, gives, in code order."""
+        rng = random.Random(2626)
+        formulas = [random_formula(rng, rng.randrange(1, 5), tuple("pqrst")) for _ in range(600)]
+        formulas += [_shared_leaf_formula(rng) for _ in range(200)]
+        sizes = set()
+        for f in formulas:
+            _, size, vectors = properties._image(f, properties.SWEEP_ROWS)
+            _, leaves = properties._skeleton(f)
+            assert (size, vectors) == leaf_image(leaves, sorted(variables(f))), str(f)
+            sizes.add(size)
+        assert len(sizes) >= 8, sizes
+
+    def test_sixteen_variables_build_the_image_and_seventeen_are_refused(self, monkeypatch):
+        """16 variables make the widest per-world table, 2^16 rows, and it
+        is built; 17 pass ``SWEEP_ROWS`` and are refused before any leaf
+        is evaluated, so ``frame_validates`` would walk the valuations."""
+        def theorem(k):
+            return parse("[](" + " & ".join(f"a{i}" for i in range(k)) + ") -> []a0")
+
+        # leaves: the conjunction (bit 0) and a0 (bit 1); codes 00, 10, 11
+        assert properties._image(theorem(16), properties.SWEEP_ROWS)[1:] == (3, [0b100, 0b110])
+        assert properties._table(theorem(16), 4, properties.SWEEP_ROWS) is not None
+        calls = []
+        monkeypatch.setattr(properties, "evaluate", lambda *args: calls.append(args))
+        assert properties._image(theorem(17), properties.SWEEP_ROWS) is None
+        assert properties._table(theorem(17), 2, properties.SWEEP_ROWS) is None
+        assert calls == []
 
     def test_past_max_leaves_the_valuations_decide(self, monkeypatch):
         """With the table refused, the valuation sweep gives the same
