@@ -172,26 +172,17 @@ def _relabel(x: int, perm: tuple[int, ...]) -> int:
     return sum(1 << perm[b.bit_length() - 1] for b in bits(x))
 
 
-@cache
-def _automorphisms(succ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The permutations of the worlds that map R, the masks ``succ``, onto itself."""
-    return tuple(p for p in permutations(range(len(succ)))
-                 if all(_relabel(r, p) == succ[p[i]] for i, r in enumerate(succ)))
-
-
 def _iso_key(frame: GenFrame) -> tuple:
-    """Equal for two frames of ``_il_frames(n)`` exactly when they are isomorphic.
-
-    ``_canonical_relations`` gives one R per orbit, so only frames with the
-    same R can be isomorphic, through an automorphism of R; the key is R with
-    the least relabelling of the generator antichains under those
-    automorphisms."""
+    """Equal for two frames on the same worlds exactly when they are
+    isomorphic: the least relabelling of R and of the generator antichains
+    over every permutation of the worlds."""
     succ = tuple(frame.succ_mask.values())
     index = {w: i for i, w in enumerate(frame.worlds)}
     s = [(index[w], index[u], gens) for w, per_u in frame.s.items() for u, gens in per_u.items()]
-    return succ, min(tuple(sorted((p[w], p[u], tuple(sorted(_relabel(g, p) for g in gens)))
-                                  for w, u, gens in s))
-                     for p in _automorphisms(succ))
+    return min((tuple(sorted((p[i], _relabel(r, p)) for i, r in enumerate(succ))),
+                tuple(sorted((p[w], p[u], tuple(sorted(_relabel(g, p) for g in gens)))
+                             for w, u, gens in s)))
+               for p in permutations(range(len(succ))))
 
 
 def countermodel_search(f: Formula, logic: Logic | str,

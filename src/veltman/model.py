@@ -9,10 +9,11 @@ R and S are each stored once, as world bitmasks (bit i is ``worlds[i]``):
 ``succ_mask[w]`` is R[w], built in one pass over the edges in document order.
 Monotonicity is not stored: S_w(u) is an antichain of minimal generator
 masks, and ``s_holds_mask(w, u, V)`` means some generator is contained in V.
-Every reader of R and S in the package works on those masks; world names
-appear only at the boundary: the derived views ``pairs``, ``successors``,
-``gens`` and ``s_holds``, ``to_json``, ``Violation`` witnesses and the
-clauses of an ordinary frame, which keeps S_w as a set of world pairs.
+An ordinary frame stores S_w as one mask per u: ``s[w][u]`` is the v with
+u S_w v.  Every reader of R and S in the package works on those masks;
+world names appear only at the boundary: the derived views ``pairs``,
+``successors``, ``gens``, ``s_holds`` and ``s_pairs``, ``to_json`` and
+``Violation`` witnesses.
 
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
 bitmasks, the encoding of ``[]`` and ``|>`` that every model reads.
@@ -350,35 +351,39 @@ def _take_pair(table, a, b):
 
 
 class OrdFrame(_Frame):
-    """Ordinary Veltman frame: S_w is a set of world pairs over R[w]."""
+    """Ordinary Veltman frame.  S is stored once: ``s[w][u]`` is the world
+    mask of the v with u S_w v, kept only when nonzero, u in world order."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  s: Mapping[World, Iterable[tuple[World, World]]]):
         super().__init__(worlds, pairs)
-        self.s: dict[World, frozenset[tuple[World, World]]] = {}
+        bit = self.bit
+        self.s: dict[World, dict[World, int]] = {}
         for w, rel in s.items():
-            if w not in self.bit:
+            if w not in bit:
                 raise FrameError(f"S relation keyed by unknown world {w}")
-            rel = [(a, b) for a, b in rel]
-            for a, b in rel:
-                if a not in self.bit or b not in self.bit:
+            per_u: dict[World, int] = {}
+            for a, b in [(a, b) for a, b in rel]:  # every pair unpacks before any is checked
+                if a not in bit or b not in bit:
                     raise FrameError(f"S_{w} pair ({a}, {b}) mentions an unknown world")
-            if rel:
-                self.s[w] = frozenset(rel)
+                per_u[a] = per_u.get(a, 0) | bit[b]
+            if per_u:
+                self.s[w] = dict(sorted(per_u.items()))
 
     def s_pairs(self, w: World) -> frozenset[tuple[World, World]]:
-        return self.s.get(w, frozenset())
+        """S_w as world-name pairs, derived from ``s``."""
+        return frozenset((u, v) for u, x in self.s.get(w, {}).items() for v in self.names(x))
 
     def _key(self):
         return (self.worlds, tuple(self.succ_mask.values()),
-                tuple(sorted((w, tuple(sorted(rel))) for w, rel in self.s.items())))
+                tuple(sorted((w, tuple(per_u.items())) for w, per_u in self.s.items())))
 
     def to_json(self) -> dict:
         return {
             "kind": "ord",
             "worlds": list(self.worlds),
             "R": sorted([a, b] for a, b in self.pairs),
-            "S": {w: sorted([a, b] for a, b in rel) for w, rel in sorted(self.s.items())},
+            "S": {w: sorted(map(list, self.s_pairs(w))) for w in sorted(self.s)},
         }
 
 
@@ -423,17 +428,17 @@ def validate(frame) -> list[Violation]:
                                  "quasi-transitivity fails"))
         return out
     if isinstance(frame, OrdFrame):
-        for w in frame.worlds:
-            ru, rel = frame.successors(w), frame.s_pairs(w)
+        r, bit, names = frame.succ_mask, frame.bit, frame.names
+        for w, rw in r.items():
+            s = frame.s.get(w, {})
             out += [Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]")
-                    for a, b in sorted(rel) if a not in ru or b not in ru]
+                    for a, x in s.items() for b in names(x & ~rw if rw & bit[a] else x)]
             out += [Violation("b", (w, u), f"S_{w} is not reflexive at {u}")
-                    for u in sorted(ru) if (u, u) not in rel]
+                    for u in names(rw) if not s.get(u, 0) & bit[u]]
             out += [Violation("c", (w, a, b, c), f"S_{w} is not transitive")
-                    for a, b in sorted(rel) for c in sorted(x for y, x in rel if y == b)
-                    if (a, c) not in rel]
+                    for a, x in s.items() for b in names(x) for c in names(s.get(b, 0) & ~x)]
             out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {v}")
-                    for u in sorted(ru) for v in sorted(frame.successors(u)) if (u, v) not in rel]
+                    for u in names(rw) for v in names(r[u] & ~s.get(u, 0))]
         return out
     raise TypeError(f"not a frame or model: {frame!r}")
 
@@ -616,13 +621,8 @@ class OrdModel(_Model):
 def gen_of_ordinary(m: OrdModel) -> GenModel:
     """Embed an ordinary model: S'_w(u) is generated by the singletons {v}
     with u S_w v.  Forcing is preserved for every formula."""
-    bit = m.frame.bit
-    s: dict[World, dict[World, list[int]]] = {}
-    for w, rel in m.frame.s.items():
-        for u, v in rel:
-            s.setdefault(w, {}).setdefault(u, []).append(bit[v])
-    frame = GenFrame.from_masks(m.frame.worlds, m.frame.succ_mask, s)
-    return GenModel(frame, m.valuation)
+    s = {w: {u: bits(x) for u, x in per_u.items()} for w, per_u in m.frame.s.items()}
+    return GenModel(GenFrame.from_masks(m.frame.worlds, m.frame.succ_mask, s), m.valuation)
 
 
 def _array(x, what: str, *args) -> list:

@@ -23,7 +23,9 @@ imports them from here.  The seeded generators, each drawing from the
   ``random_gen_model(rng, max_worlds, variables, worlds=None)``: legal
   generalized frames and models, via ``close_s``; with ``close`` false the
   unclosed candidate frames ``close_s`` is tested on;
-- ``random_ord_model(rng, max_worlds, variables)``: legal ordinary models;
+- ``random_ord_model(rng, max_worlds, variables)``: legal ordinary models,
+  and ``toggled_ord_frame(rng, fr)``: ``fr`` with a few R edges and S
+  pairs toggled;
 - ``random_formula(rng, depth, variables, stop=0.25)``: formulas of modal
   depth <= depth over the variables, bot and top, ending in a leaf early
   with probability ``stop``;
@@ -32,7 +34,9 @@ imports them from here.  The seeded generators, each drawing from the
   whitespace (``GOOD``, ``BAD``, ``SPACE``), or left as it is;
 - ``duplicated_model(m)``: a model next to a relabeled copy of itself,
   and ``copied_model(m, doublings)``: 2^doublings copies;
-- ``random_masks(rng)``: world masks with nested chains and repeats.
+- ``random_masks(rng)``: world masks with nested chains and repeats;
+- ``dense_ord_frame(n)``, not seeded: the legal ordinary frame on a strict
+  order of n worlds with u S_w v for every u <= v in R[w].
 
 The subset helpers ``subsets`` and ``images``, the mask oracle
 ``minimal_masks`` (the minimal members of a mask collection, pair by pair,
@@ -44,15 +48,23 @@ pair of world subsets), the point-generated subframe
 a frame by a plain scan ``brute_first_failure(fr, f)``, the distinct leaf
 vectors of a per-world truth table ``leaf_image(leaves, variables)`` and
 the closure under subformulas and single negation ``negation_closure``
-are shared the same way.
+are shared the same way.  So are the generator scan ``_s_holds_by_scan``,
+the quasi-transitivity walks over every pick ``product_escapes`` and
+``minimal_escapes``, the naive frame enumeration
+``_naive_transitive_irreflexive``, ``_canonical`` and ``_naive_families``,
+the set partitions and equivalences ``_partitions`` and ``_equivalences``,
+``verify_filtration`` written out as ``_first_disagreement``, and the
+clauses of an ordinary frame on world-name pairs ``ord_violations``.
 """
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 from veltman.formula import (BOT, TOP, And, Bot, Box, Dia, Impl, Neg, Or, Rhd,
                              Top, Var)
-from veltman.model import GenFrame, GenModel, OrdFrame, OrdModel, close_s
+from veltman.model import GenFrame, GenModel, OrdFrame, OrdModel, Violation, close_s, validate
 
 
 def subsets(xs):
@@ -65,6 +77,13 @@ def subsets(xs):
 def images(fr, w, u):
     """All V with u S_w V, via the monotone closure of the generators."""
     return [v for v in subsets(fr.successors(w)) if fr.s_holds(w, u, v)]
+
+
+def _s_holds_by_scan(fr, w, u, v):
+    """u S_w V on the stored generators, by scanning every one of them."""
+    r = fr.succ_mask[w]
+    return bool(v and not v & ~r and r & fr.bit[u]
+                and any(g & ~v == 0 for g in fr.gen_masks(w, u)))
 
 
 def brute_mgen(fr):
@@ -184,6 +203,38 @@ def brute_close_s(fr):
             for w, per_u in s.items() if per_u}
 
 
+def product_escapes(fr):
+    """Every (w, u, G, union) whose union escapes S_w(u), in ``product``
+    order: every pick of one generator of S_w(v) per v in G, none skipped."""
+    for w in fr.worlds:
+        per_u = fr.s.get(w, {})
+        for u in sorted(per_u):
+            for g in per_u[u]:
+                options = [per_u.get(v, ()) for v in fr.names(g)]
+                for pick in itertools.product(*options):
+                    union = reduce(or_, pick)
+                    if not fr.s_holds_mask(w, u, union):
+                        yield (w, u, g, union)
+
+
+def minimal_escapes(fr):
+    """Per (w, u, G), the unions of picks that no other pick's union lies
+    strictly inside and that escape S_w(u)."""
+    out = {}
+    for w, u, g, union in product_escapes(fr):
+        out.setdefault((w, u, g), set())
+    for w in fr.worlds:
+        per_u = fr.s.get(w, {})
+        for u in sorted(per_u):
+            for g in per_u[u]:
+                options = [per_u.get(v, ()) for v in fr.names(g)]
+                unions = {reduce(or_, pick) for pick in itertools.product(*options)}
+                least = {x for x in unions if not any(y != x and y & ~x == 0 for y in unions)}
+                if escaping := {x for x in least if not fr.s_holds_mask(w, u, x)}:
+                    out[w, u, g] = escaping
+    return {key: found for key, found in out.items() if found}
+
+
 def random_r(rng: random.Random, worlds):
     """Random transitive irreflexive relation over the given worlds."""
     order = list(worlds)
@@ -249,6 +300,56 @@ def canonical_form(fr):
     return len(fr.worlds), best
 
 
+def _naive_transitive_irreflexive(worlds):
+    pairs = [(a, b) for a in worlds for b in worlds if a != b]
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        rel = frozenset(p for p, bit in zip(pairs, bits) if bit)
+        ok = all((a, c) in rel
+                 for (a, b) in rel for (b2, c) in rel if b == b2)
+        if ok:
+            yield rel
+
+
+def _canonical(rel, worlds):
+    best = None
+    for perm in itertools.permutations(worlds):
+        ren = dict(zip(worlds, perm))
+        img = tuple(sorted((ren[a], ren[b]) for a, b in rel))
+        if best is None or img < best:
+            best = img
+    return best
+
+
+def _naive_families(worlds, rel):
+    """Every legal S assignment over the fixed relation, built with no
+    pool or antichain shortcuts: raw subsets filtered by validate."""
+    succ = {w: sorted(b for (a, b) in rel if a == w) for w in worlds}
+    keyed = [(w, u) for w in worlds for u in succ[w]]
+    options = []
+    for (w, u) in keyed:
+        nonempty = [frozenset(c)
+                    for k in range(1, len(succ[w]) + 1)
+                    for c in itertools.combinations(succ[w], k)]
+        choices = []
+        for sub_bits in itertools.product((0, 1), repeat=len(nonempty)):
+            chosen = [set(s) for s, bit in zip(nonempty, sub_bits) if bit]
+            choices.append(chosen)
+        options.append(choices)
+    seen = set()
+    for combo in itertools.product(*options):
+        fams = {}
+        for (w, u), gens in zip(keyed, combo):
+            if gens:
+                fams.setdefault(w, {})[u] = [sorted(g) for g in gens]
+        try:
+            fr = GenFrame(worlds, rel, fams)
+        except Exception:
+            continue
+        if validate(fr) == [] and fr not in seen:
+            seen.add(fr)
+            yield fr
+
+
 def generated_subframe(fr, w):
     """The subframe generated by ``w``: w and its R-successors, with R and
     every S_v(u) of those worlds kept as they are."""
@@ -285,6 +386,24 @@ def random_ord_model(rng: random.Random, max_worlds=4, variables=("p", "q")):
     fr = OrdFrame(worlds, pairs, s)
     val = {v: [w for w in worlds if rng.random() < 0.5] for v in variables}
     return OrdModel(fr, val)
+
+
+def dense_ord_frame(n: int) -> OrdFrame:
+    """Worlds w00, w01, ... in a strict order: R = {(wi, wj) : i < j} and
+    S_wi = {(wa, wb) : i < a <= b}.  Legal, with |S_w| quadratic in n."""
+    ws = [f"w{i:02d}" for i in range(n)]
+    return OrdFrame(ws, [(a, b) for i, a in enumerate(ws) for b in ws[i + 1:]],
+                    {w: [(ws[a], ws[b]) for a in range(i + 1, n) for b in range(a, n)]
+                     for i, w in enumerate(ws)})
+
+
+def toggled_ord_frame(rng: random.Random, fr: OrdFrame) -> OrdFrame:
+    """``fr`` with one to three R edges and S pairs of any worlds toggled."""
+    pairs, s = set(fr.pairs), {w: set(fr.s_pairs(w)) for w in fr.worlds}
+    for _ in range(rng.randrange(1, 4)):
+        pairs ^= {(rng.choice(fr.worlds), rng.choice(fr.worlds))}
+        s[rng.choice(fr.worlds)] ^= {(rng.choice(fr.worlds), rng.choice(fr.worlds))}
+    return OrdFrame(fr.worlds, pairs, s)
 
 
 def random_formula(rng: random.Random, depth: int, variables=("p", "q"), stop=0.25):
@@ -411,6 +530,24 @@ def pair_set_autobisimulation(m: GenModel):
     return class_of, classes
 
 
+def _partitions(items):
+    """All set partitions of a small list, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in _partitions(rest):
+        for i in range(len(sub)):
+            yield [blk | {first} if j == i else blk for j, blk in enumerate(sub)]
+        yield sub + [{first}]
+
+
+def _equivalences(worlds):
+    """All equivalence relations on a small world set."""
+    for blocks in _partitions(list(worlds)):
+        yield frozenset((a, b) for blk in blocks for a in blk for b in blk)
+
+
 def filtration_s_by_scan(m: GenModel, class_of, r_pairs):
     """Clause 2 of filtration, by scanning: for each [w] R~ [u], every
     nonempty set V~ of R~-successor classes of [w] such that for every
@@ -486,6 +623,18 @@ def gen_truth_set(m, f):
     return _forces(fr.worlds, fr.successors, m.valuation, rhd_at, f)
 
 
+def _first_disagreement(m, res):
+    """verify_filtration written out: the adequate set in ``str`` order, the
+    worlds of ``m`` in order, truth sets from the reference semantics."""
+    class_of = res.partition.class_of
+    for f in sorted(res.gamma, key=str):
+        here, there = gen_truth_set(m, f), gen_truth_set(res.quotient, f)
+        for w in m.worlds:
+            if (w in here) != (class_of[w] in there):
+                return (w, f)
+    return None
+
+
 def _variables(f):
     """The names of the variables of ``f``."""
     if isinstance(f, Var):
@@ -541,6 +690,30 @@ def ord_truth_set(m, f):
         return all(any(v in b for x, v in fr.s_pairs(w) if x == u)
                    for u in fr.successors(w) & a)
     return _forces(fr.worlds, fr.successors, m.valuation, rhd_at, f)
+
+
+def ord_violations(fr):
+    """``validate`` on an ordinary frame, on world-name pairs: R's loops and
+    transitivity, then per world w, in world order, the S_w pairs leaving
+    R[w], reflexivity over R[w], transitivity of S_w, and u S_w v for every
+    w R u R v, each read off ``successors`` and ``s_pairs``."""
+    out = [Violation("R-irreflexivity", (a,), f"R contains the loop ({a}, {a})")
+           for a in fr.worlds if a in fr.successors(a)]
+    out += [Violation("R-transitivity", (a, b, c), f"{a} R {b} R {c} but not {a} R {c}")
+            for a in fr.worlds for b in sorted(fr.successors(a))
+            for c in sorted(fr.successors(b) - fr.successors(a))]
+    for w in fr.worlds:
+        ru, rel = fr.successors(w), fr.s_pairs(w)
+        out += [Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]")
+                for a, b in sorted(rel) if a not in ru or b not in ru]
+        out += [Violation("b", (w, u), f"S_{w} is not reflexive at {u}")
+                for u in sorted(ru) if (u, u) not in rel]
+        out += [Violation("c", (w, a, b, c), f"S_{w} is not transitive")
+                for a, b in sorted(rel) for c in sorted(x for y, x in rel if y == b)
+                if (a, c) not in rel]
+        out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {v}")
+                for u in sorted(ru) for v in sorted(fr.successors(u)) if (u, v) not in rel]
+    return out
 
 
 def _normalize(f):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from reference import (copied_model, duplicated_model, pair_set_autobisimulation,
+from reference import (_equivalences, copied_model, duplicated_model, pair_set_autobisimulation,
                        random_gen_frame, random_gen_model)
 
 from veltman.bisim import (
@@ -242,24 +242,6 @@ class TestMinimalImageFamilies:
         class_of = self.assert_oracle(m)
         assert class_of["x"] == "x" and class_of["y"] == "y"
         assert class_of["u1"] == class_of["u2"] == class_of["u3"]
-
-
-def _partitions(items):
-    """All set partitions of a small list, as lists of blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        for i in range(len(sub)):
-            yield [blk | {first} if j == i else blk for j, blk in enumerate(sub)]
-        yield sub + [{first}]
-
-
-def _equivalences(worlds):
-    """All equivalence relations on a small world set."""
-    for blocks in _partitions(list(worlds)):
-        yield frozenset((a, b) for blk in blocks for a in blk for b in blk)
 
 
 def test_maximality_brute_force():

@@ -1,14 +1,13 @@
 """Frame enumeration and bounded countermodel search."""
 
-import itertools
 import json
 import random
 import time
 from functools import cache
 
 import pytest
-from reference import (canonical_form, generated_subframe, random_formula, random_gen_frame,
-                       random_gen_model)
+from reference import (_canonical, _naive_families, _naive_transitive_irreflexive, canonical_form,
+                       generated_subframe, random_formula, random_gen_frame, random_gen_model)
 
 from veltman.decide import (
     FRAME_CONDITIONS,
@@ -119,56 +118,6 @@ class TestEnumerateFrames:
                              if all(check_property(fr, pid).holds for pid in conditions)]
             again = enumerate_frames(n, logic)
             assert [fr.to_json() for fr in first] == [fr.to_json() for fr in again]
-
-
-def _naive_transitive_irreflexive(worlds):
-    pairs = [(a, b) for a in worlds for b in worlds if a != b]
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        rel = frozenset(p for p, bit in zip(pairs, bits) if bit)
-        ok = all((a, c) in rel
-                 for (a, b) in rel for (b2, c) in rel if b == b2)
-        if ok:
-            yield rel
-
-
-def _canonical(rel, worlds):
-    best = None
-    for perm in itertools.permutations(worlds):
-        ren = dict(zip(worlds, perm))
-        img = tuple(sorted((ren[a], ren[b]) for a, b in rel))
-        if best is None or img < best:
-            best = img
-    return best
-
-
-def _naive_families(worlds, rel):
-    """Every legal S assignment over the fixed relation, built with no
-    pool or antichain shortcuts: raw subsets filtered by validate."""
-    succ = {w: sorted(b for (a, b) in rel if a == w) for w in worlds}
-    keyed = [(w, u) for w in worlds for u in succ[w]]
-    options = []
-    for (w, u) in keyed:
-        nonempty = [frozenset(c)
-                    for k in range(1, len(succ[w]) + 1)
-                    for c in itertools.combinations(succ[w], k)]
-        choices = []
-        for sub_bits in itertools.product((0, 1), repeat=len(nonempty)):
-            chosen = [set(s) for s, bit in zip(nonempty, sub_bits) if bit]
-            choices.append(chosen)
-        options.append(choices)
-    seen = set()
-    for combo in itertools.product(*options):
-        fams = {}
-        for (w, u), gens in zip(keyed, combo):
-            if gens:
-                fams.setdefault(w, {})[u] = [sorted(g) for g in gens]
-        try:
-            fr = GenFrame(worlds, rel, fams)
-        except Exception:
-            continue
-        if validate(fr) == [] and fr not in seen:
-            seen.add(fr)
-            yield fr
 
 
 def test_n3_count_against_naive_generator():

@@ -6,8 +6,8 @@ import pickle
 import random
 import weakref
 
-from reference import (copied_model, duplicated_model, filtration_s_by_scan, gen_truth_set,
-                       random_formula, random_gen_model)
+from reference import (_first_disagreement, copied_model, duplicated_model, filtration_s_by_scan,
+                       gen_truth_set, random_formula, random_gen_model)
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
@@ -140,18 +140,6 @@ def test_corrupted_quotient_detected():
     world, formula = hit
     assert world in m.worlds
     assert formula in res.gamma
-
-
-def _first_disagreement(m, res):
-    """verify_filtration written out: the adequate set in ``str`` order, the
-    worlds of ``m`` in order, truth sets from the reference semantics."""
-    class_of = res.partition.class_of
-    for f in sorted(res.gamma, key=str):
-        here, there = gen_truth_set(m, f), gen_truth_set(res.quotient, f)
-        for w in m.worlds:
-            if (w in here) != (class_of[w] in there):
-                return (w, f)
-    return None
 
 
 def _corrupted(rng, q, kind):

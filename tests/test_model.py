@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import (duplicated_model, gen_truth_set, mask_key, minimal_masks, ord_truth_set,
-                       random_formula, random_gen_frame, random_gen_model, random_masks,
-                       random_ord_model, rhd_table_mismatch)
+from reference import (_s_holds_by_scan, dense_ord_frame, duplicated_model, gen_truth_set, mask_key,
+                       minimal_masks, ord_truth_set, ord_violations, random_formula,
+                       random_gen_frame, random_gen_model, random_masks, random_ord_model,
+                       rhd_table_mismatch, toggled_ord_frame)
 
 from veltman.decide import _il_frames
 from veltman.formula import Box, Rhd, Var, normalize, parse
@@ -273,13 +274,6 @@ class TestSHolds:
                         assert self.fr.s_holds("w", u, v2)
 
 
-def _s_holds_by_scan(fr, w, u, v):
-    """u S_w V on the stored generators, by scanning every one of them."""
-    r = fr.succ_mask[w]
-    return bool(v and not v & ~r and r & fr.bit[u]
-                and any(g & ~v == 0 for g in fr.gen_masks(w, u)))
-
-
 def test_s_holds_mask_matches_the_generator_scan():
     rng = random.Random(23)
     frames = itertools.chain(*map(_il_frames, range(1, 5)),
@@ -417,6 +411,39 @@ class TestOrdinary:
         assert isinstance(g, GenModel)
         assert g.frame.gens("w", "u") == (frozenset({"u"}), frozenset({"v"}))
         assert validate(g) == []
+
+
+def test_validate_matches_the_pair_set_clauses_on_ordinary_frames():
+    """The clauses on S_w masks against ``reference.ord_violations``, which
+    reads world pairs: 300 legal frames of 1 to 8 worlds, the same frames
+    with a few R edges and S pairs toggled, 100 frames of random pairs, and
+    dense frames of 20 to 40 worlds, legal and toggled."""
+    rng = random.Random(2027)
+    legal = [random_ord_model(rng, max_worlds=8).frame for _ in range(300)]
+    noise = []
+    for _ in range(100):
+        ws = [f"w{i}" for i in range(rng.randrange(1, 9))]
+        noise.append(OrdFrame(ws, [(a, b) for a in ws for b in ws if rng.random() < 0.3],
+                              {w: [(a, b) for a in ws for b in ws if rng.random() < 0.3]
+                               for w in ws}))
+    dense = [dense_ord_frame(n) for n in (20, 30, 40)]
+    frames = [*legal, *(toggled_ord_frame(rng, fr) for fr in legal), *noise,
+              *dense, *(toggled_ord_frame(rng, fr) for fr in dense)]
+    illegal = 0
+    for fr in frames:
+        got = validate(fr)
+        assert got == ord_violations(fr), fr.to_json()
+        illegal += bool(got)
+    assert illegal > 350
+
+
+def test_validate_answers_the_dense_80_world_ordinary_frame_within_a_second():
+    """3,160 S_w pairs at w00: transitivity reads one mask per pair, where
+    a scan of S_w per pair took seconds."""
+    fr = dense_ord_frame(80)
+    started = time.perf_counter()
+    assert validate(fr) == []
+    assert time.perf_counter() - started < 1
 
 
 def test_embedding_preserves_forcing():

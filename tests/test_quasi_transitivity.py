@@ -4,32 +4,15 @@
 ``model._first_escape`` the picks depth first, both skipping partial unions;
 here they are compared on seeded random frames, illegal ones included (loops,
 stray edges, S keyed or with images outside R[w]), with a plain
-``itertools.product`` walk over every pick, and ``close_s`` with
-``reference.brute_close_s``.
+``itertools.product`` walk over every pick, ``reference.product_escapes``,
+and ``close_s`` with ``reference.brute_close_s``.
 """
 
-import itertools
 import random
-from functools import reduce
-from operator import or_
 
-from reference import brute_close_s, random_r
+from reference import brute_close_s, minimal_escapes, product_escapes, random_r
 
 from veltman.model import FrameError, GenFrame, _escapes, _first_escape, close_s, validate
-
-
-def product_escapes(fr):
-    """Every (w, u, G, union) whose union escapes S_w(u), in ``product``
-    order: every pick of one generator of S_w(v) per v in G, none skipped."""
-    for w in fr.worlds:
-        per_u = fr.s.get(w, {})
-        for u in sorted(per_u):
-            for g in per_u[u]:
-                options = [per_u.get(v, ()) for v in fr.names(g)]
-                for pick in itertools.product(*options):
-                    union = reduce(or_, pick)
-                    if not fr.s_holds_mask(w, u, union):
-                        yield (w, u, g, union)
 
 
 def random_frame(rng: random.Random) -> GenFrame:
@@ -72,24 +55,6 @@ def wide_frame(rng: random.Random) -> GenFrame:
 def frames(seed: int, count: int, wide: int = 0):
     rng = random.Random(seed)
     return [random_frame(rng) for _ in range(count)] + [wide_frame(rng) for _ in range(wide)]
-
-
-def minimal_escapes(fr):
-    """Per (w, u, G), the unions of picks that no other pick's union lies
-    strictly inside and that escape S_w(u)."""
-    out = {}
-    for w, u, g, union in product_escapes(fr):
-        out.setdefault((w, u, g), set())
-    for w in fr.worlds:
-        per_u = fr.s.get(w, {})
-        for u in sorted(per_u):
-            for g in per_u[u]:
-                options = [per_u.get(v, ()) for v in fr.names(g)]
-                unions = {reduce(or_, pick) for pick in itertools.product(*options)}
-                least = {x for x in unions if not any(y != x and y & ~x == 0 for y in unions)}
-                if escaping := {x for x in least if not fr.s_holds_mask(w, u, x)}:
-                    out[w, u, g] = escaping
-    return {key: found for key, found in out.items() if found}
 
 
 def test_first_escape_is_the_first_product_escape_on_3000_frames():
