@@ -15,15 +15,21 @@ A formula counts as box-like when its normalized form is  ~A |> bot;
 ``filtrate`` folds only those members of the adequate set, found by two
 type tests each.
 
-R~[[w]] is read off world masks: the class projection, joined over w' in
-[w], of each R[w'] cut to the truth mask of a box-like formula failing at w'.
-The quotient's S families store the minimal V~ satisfying clause 2: the
-minimal unions, as masks of classes, of one projected generator per witness
-pair (w', u'), taking only the projections inside R~[[w]].  The pairs of
-[w] are grouped by the class of u' in one walk.  Pairs with the same
-projections give one factor, since a repeated factor cannot change
-the minimal unions (h | h = h).  Truth of every formula in the adequate set
-is preserved from model to quotient.
+Clauses 1 and 2 are read off world masks at one world w of [w], the class
+id, its least member.  Truth in the adequate set is invariant under the
+bisimulation, and bisimilar worlds see the same successor classes, so
+R~[[w]] is the class projection of R[w] cut to the join of the truth masks
+of the box-like formulas failing at w.  The quotient's S families store the
+minimal V~ satisfying clause 2: the minimal unions, as masks of classes, of
+one family of projected generators per witness pair (w', u'), each family
+cut to the projections inside R~[[w]].  A family acts on the unions only
+through its upward closure, whose inclusion order the cut keeps, and a
+factor whose closure contains another factor's changes no union.  Bisimilar
+worlds have the same inclusion-minimal closures per successor class, which
+``bisim`` compares, so the pairs of w alone, grouped by the class of u',
+give S~_[w].  Pairs with the same projections give one factor, since a
+repeated factor cannot change the minimal unions (h | h = h).  Truth of
+every formula in the adequate set is preserved from model to quotient.
 
 ``verify_filtration`` checks this exhaustively on truth masks, in one walk of
 the adequate set's list on the model and one on the quotient.  It lifts the
@@ -72,9 +78,9 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     partition = largest_autobisimulation(m)
     fr, class_of = m.frame, partition.class_of
     memo: dict = {}  # local, so Γ does not outlive the call in m's memo
-    truths = [fold(f, m._step, memo) for f in gamma.members  # box_like(f), inline
+    truths = {fold(f, m._step, memo) for f in gamma.members  # box_like(f), inline
               if (t := type(f)) is Box
-              or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)]
+              or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)}
 
     class_ids = sorted(partition.classes)
     to_class = {fr.bit[w]: 1 << class_ids.index(cid) for w, cid in class_of.items()}
@@ -83,23 +89,22 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     def project(g: int) -> int:
         return sum({to_class[b] for b in bits(g)})
 
-    succ = dict.fromkeys(class_ids, 0)  # R~[[w]] as a class mask
-    for w, r in fr.succ_mask.items():
-        for t in truths:
-            if not t & fr.bit[w]:
-                succ[class_of[w]] |= project(r & t)
-
+    succ: dict[World, int] = {}  # R~[[w]] as a class mask
     s: dict[World, dict[World, tuple[int, ...]]] = {}
-    for cw in class_ids:
-        inside = succ[cw]
-        choices: dict[int, set] = {}  # per class bit of u, over the pairs w R u
-        for w in partition.classes[cw]:
-            for u in fr.names(fr.succ_mask[w]):
-                if (cu := to_class[fr.bit[u]]) & inside:
-                    choices.setdefault(cu, set()).add(
-                        tuple(v for v in map(project, fr.gen_masks(w, u)) if v & ~inside == 0))
+    for cw in class_ids:  # each class read at its id
+        bw, r, images = fr._rows[cw]
+        fails = 0
+        for t in truths:
+            if not t & bw:
+                fails |= t
+        succ[cw] = inside = project(r & fails)
+        choices: dict[int, set] = {}  # per class bit of u, over the u in R[cw]
+        for bu, _, gens in images:
+            if (cu := to_class[bu]) & inside:
+                choices.setdefault(cu, set()).add(
+                    tuple(v for v in map(project, gens) if v & ~inside == 0))
         for cu in bits(inside):
-            if unions := minimal_unions(choices.get(cu, ())):
+            if unions := minimal_unions(choices[cu]):
                 s.setdefault(cw, {})[class_ids[cu.bit_length() - 1]] = unions
 
     frame = GenFrame.from_masks(class_ids, succ, s)

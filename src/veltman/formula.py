@@ -455,19 +455,19 @@ def semantics(algebra: Algebra) -> Callable[[Formula, tuple], Any]:
     full, atom, box, rhd = algebra
 
     def visit(g, v):
-        t = type(g)
-        if t is Var:
-            return atom(g.name)
+        t = type(g)  # most members of an adequate set are Neg or Rhd nodes
         if t is Neg:
             return v[0] ^ full
+        if t is Rhd:
+            return rhd(v[0], v[1])
+        if t is Var:
+            return atom(g.name)
         if t is And:
             return v[0] & v[1]
         if t is Or:
             return v[0] | v[1]
         if t is Impl:
             return (v[0] ^ full) | v[1]
-        if t is Rhd:
-            return rhd(v[0], v[1])
         if t is Box:
             return box(v[0])
         if t is Dia:

@@ -86,10 +86,14 @@ def mask_order(g: int) -> tuple[int, str]:
 def antichain(masks: Iterable[int]) -> tuple[int, ...]:
     """Drop duplicate and non-minimal masks; order by ``mask_order``.  A
     mask can contain only a distinct kept mask of smaller size, so each
-    mask is tested against the masks kept before its size began."""
+    mask is tested against the masks kept before its size began.  Distinct
+    one-world masks are an antichain already, and their int order is
+    ``mask_order``."""
     masks = set(masks)
     if len(masks) < 2:
         return tuple(masks)
+    if all(g.bit_count() == 1 for g in masks):
+        return tuple(sorted(masks))
     out: list[int] = []
     smaller, size = [], 0
     for g in sorted(masks, key=mask_order):
@@ -222,10 +226,18 @@ class GenFrame(_Frame):
     @cached_property
     def _rows(self) -> dict:
         """Per world w, in world order: its bit, the mask of R[w], and for
-        each u in R[w] the bit and name of u with the generators of S_w(u)."""
-        return {w: (self.bit[w], r, tuple((b, u, self.gen_masks(w, u))
-                                          for b, u in zip(bits(r), self.names(r))))
-                for w, r in self.succ_mask.items()}
+        each u in R[w], lowest bit first, the bit and name of u with the
+        generators of S_w(u), read off ``s[w]`` in one walk of R[w]'s bits."""
+        worlds, out = self.worlds, {}
+        for w, r in self.succ_mask.items():
+            per_u, images, x = self.s.get(w, {}), [], r
+            while x:
+                b = x & -x
+                u = worlds[b.bit_length() - 1]
+                images.append((b, u, per_u.get(u, ())))
+                x ^= b
+            out[w] = (self.bit[w], r, tuple(images))
+        return out
 
     @cached_property
     def _index_rows(self) -> tuple:

@@ -11,8 +11,9 @@ They use nothing of veltman but its node classes and frame accessors, so
 they stay independent of ``formula.fold``/``formula.evaluate``.  The
 largest autobisimulation is the greatest fixpoint over world pairs, with
 its own copy of the transfer clause, independent of ``veltman.bisim``.  The
-S-clause of filtration scans every set of successor classes, and the
-adequate set is a naive fixpoint over the whole set.
+R-clause of filtration scans every R pair and box-like member, its
+S-clause every set of successor classes, and the adequate set is a naive
+fixpoint over the whole set.
 
 This is the one copy of each oracle and generator; every test module
 imports them from here.  The seeded generators, each drawing from the
@@ -23,6 +24,12 @@ imports them from here.  The seeded generators, each drawing from the
   ``random_gen_model(rng, max_worlds, variables, worlds=None)``: legal
   generalized frames and models, via ``close_s``; with ``close`` false the
   unclosed candidate frames ``close_s`` is tested on;
+- ``_unclosed_r(rng, worlds)``: a transitive irreflexive R with loops,
+  dropped and stray edges, and on it ``_illegal_gen(rng)`` and
+  ``_illegal_ord(rng)``: frames whose S is keyed and valued outside R[w];
+- ``random_frame(rng)``: a frame of 2 to 7 worlds, legal or not, and
+  ``wide_frame(rng)``: one world seeing 5 to 8 others, with wide S images,
+  for the quasi-transitivity walks;
 - ``random_ord_model(rng, max_worlds, variables)``: legal ordinary models,
   and ``toggled_ord_frame(rng, fr)``: ``fr`` with a few R edges and S
   pairs toggled;
@@ -34,6 +41,10 @@ imports them from here.  The seeded generators, each drawing from the
   whitespace (``GOOD``, ``BAD``, ``SPACE``), or left as it is;
 - ``duplicated_model(m)``: a model next to a relabeled copy of itself,
   and ``copied_model(m, doublings)``: 2^doublings copies;
+- ``_droppable(rng, fr)``: a generator whose loss ``_dropped(fr, w, u, g)``
+  (S without it, closed again) does not undo;
+- ``_corrupted(rng, q, kind)``: a quotient with one variable flipped, one
+  R~ edge dropped or all of S~ dropped;
 - ``random_masks(rng)``: world masks with nested chains and repeats;
 - ``dense_ord_frame(n)``, not seeded: the legal ordinary frame on a strict
   order of n worlds with u S_w v for every u <= v in R[w].
@@ -53,7 +64,8 @@ the quasi-transitivity walks over every pick ``product_escapes`` and
 ``minimal_escapes``, the naive frame enumeration
 ``_naive_transitive_irreflexive``, ``_canonical`` and ``_naive_families``,
 the set partitions and equivalences ``_partitions`` and ``_equivalences``,
-``verify_filtration`` written out as ``_first_disagreement``, and the
+``verify_filtration`` written out as ``_first_disagreement``, the clauses
+of filtration ``filtration_r_by_scan`` and ``filtration_s_by_scan``, and the
 clauses of an ordinary frame on world-name pairs ``ord_violations``.
 """
 
@@ -283,6 +295,77 @@ def random_gen_model(rng: random.Random, max_worlds=6, variables=("p", "q", "r")
     return GenModel(fr, val)
 
 
+def _unclosed_r(rng: random.Random, worlds: list[str]) -> list[tuple[str, str]]:
+    """A random transitive irreflexive R with loops added, edges dropped
+    (transitive ones too) and stray edges added, each at random."""
+    pairs = set(random_r(rng, worlds))
+    pairs |= {(w, w) for w in worlds if rng.random() < 0.2}
+    pairs -= {e for e in sorted(pairs) if rng.random() < 0.2}
+    if rng.random() < 0.5:
+        pairs.add((rng.choice(worlds), rng.choice(worlds)))
+    return sorted(pairs)
+
+
+def _illegal_gen(rng: random.Random) -> GenFrame:
+    """An unclosed R, and S keyed by any world with images of any worlds."""
+    worlds = [f"w{i}" for i in range(rng.randrange(1, 6))]
+    pairs = _unclosed_r(rng, worlds)
+    succ = {w: [v for a, v in pairs if a == w] for w in worlds}
+    fams = {}
+    for w in worlds:
+        for u in worlds:
+            if rng.random() < 0.4:
+                pool = succ[w] if succ[w] and rng.random() < 0.7 else worlds
+                size = rng.randrange(1, len(pool) + 1)
+                fams.setdefault(w, {})[u] = [rng.sample(pool, size)]
+    return GenFrame(worlds, pairs, fams)
+
+
+def _illegal_ord(rng: random.Random) -> OrdFrame:
+    """An unclosed R, and S_w random pairs of any worlds."""
+    worlds = [f"w{i}" for i in range(rng.randrange(1, 5))]
+    pairs = _unclosed_r(rng, worlds)
+    s = {w: [(a, b) for a in worlds for b in worlds if rng.random() < 0.3] for w in worlds}
+    return OrdFrame(worlds, pairs, s)
+
+
+def random_frame(rng: random.Random) -> GenFrame:
+    """A seeded frame of 2 to 7 worlds.  R is a strict order half the time
+    and otherwise random pairs, loops allowed; each S_w is keyed mostly by
+    R[w], with 1 to 3 generators drawn mostly from R[w]."""
+    worlds = [f"w{i}" for i in range(rng.randrange(2, 8))]
+    if rng.random() < 0.5:
+        pairs = random_r(rng, worlds)
+    else:
+        pairs = {(a, b) for a in worlds for b in worlds if rng.random() < 0.3}
+    succ = {w: sorted(b for a, b in pairs if a == w) for w in worlds}
+    fams = {}
+    for w in worlds:
+        stray = rng.random() < 0.1
+        for u in worlds if stray else succ[w]:
+            if rng.random() < 0.6:
+                pool = worlds if stray or not succ[w] else succ[w]
+                fams.setdefault(w, {})[u] = [rng.sample(pool, rng.randrange(1, min(len(pool), 3) + 1))
+                                             for _ in range(rng.randrange(1, 4))]
+    return GenFrame(worlds, pairs, fams)
+
+
+def wide_frame(rng: random.Random) -> GenFrame:
+    """A seeded frame of 7 to 10 worlds: w R every world but y, and S_w(u)
+    for most u has 1 to 3 generators of 1 or 2 members, now and then with
+    y; two keys get one more generator of 3 to 5 members, whose picks run
+    through several widening factors."""
+    others = [f"v{i}" for i in range(rng.randrange(5, 9))]
+    fams = {}
+    for u in others:
+        if rng.random() < 0.8:
+            fams[u] = [rng.sample(others, rng.randrange(1, 3)) + (["y"] if rng.random() < 0.05 else [])
+                       for _ in range(rng.randrange(1, 4))]
+    for u in rng.sample(others, 2):
+        fams.setdefault(u, []).append(rng.sample(others, rng.randrange(3, 6)))
+    return GenFrame(["w", "y", *others], [("w", v) for v in others], {"w": fams})
+
+
 def canonical_form(fr):
     """Isomorphism invariant of a generalized frame: the least relabeling,
     over every permutation of the worlds, of R and of the full S relation
@@ -468,6 +551,22 @@ def copied_model(m: GenModel, doublings: int) -> GenModel:
     return m
 
 
+def _dropped(fr, w, u, g):
+    """``fr`` without the generator g of S_w(u), with S closed again."""
+    fams = {x: {v: [h for h in fr.gens(x, v) if (x, v, h) != (w, u, g)]
+                for v in fr.successors(x)} for x in fr.worlds}
+    return close_s(GenFrame(fr.worlds, fr.pairs, fams))
+
+
+def _droppable(rng, fr):
+    """A generator (w, u, g) of S_w(u) in ``fr``, the first in random order
+    whose loss ``_dropped`` does not undo, or None."""
+    picks = [(w, u, g) for w in fr.worlds for u in sorted(fr.successors(w))
+             for g in fr.gens(w, u)]
+    rng.shuffle(picks)
+    return next((pick for pick in picks if _dropped(fr, *pick) != fr), None)
+
+
 def random_masks(rng: random.Random) -> list[int]:
     """Random world masks, 3 to 70 worlds wide, with nested chains (each
     link a superset of the last) and repeats, shuffled; sometimes the
@@ -546,6 +645,17 @@ def _equivalences(worlds):
     """All equivalence relations on a small world set."""
     for blocks in _partitions(list(worlds)):
         yield frozenset((a, b) for blk in blocks for a in blk for b in blk)
+
+
+def filtration_r_by_scan(m: GenModel, class_of, gamma):
+    """Clause 1 of filtration, by scanning: the pairs ([w], [u]) for which
+    some w' R u' with w' in [w] and u' in [u] has a box-like member of
+    ``gamma`` (normalized to ~A |> bot) false at w' and true at u', truth
+    sets from ``gen_truth_set``."""
+    boxes = [gen_truth_set(m, f) for f in gamma
+             if isinstance(g := _normalize(f), Rhd) and isinstance(g.left, Neg) and g.right == BOT]
+    return {(class_of[w], class_of[u]) for w, u in m.frame.pairs
+            if any(w not in t and u in t for t in boxes)}
 
 
 def filtration_s_by_scan(m: GenModel, class_of, r_pairs):
@@ -633,6 +743,24 @@ def _first_disagreement(m, res):
             if (w in here) != (class_of[w] in there):
                 return (w, f)
     return None
+
+
+def _corrupted(rng, q, kind):
+    """``q`` with one class flipped in one variable (kind 0), one R~ edge
+    dropped with its S family (kind 1), or all of S~ dropped (kind 2);
+    ``q`` itself when there is no variable or edge to corrupt."""
+    fr = q.frame
+    if kind == 0 and q.valuation:
+        p, c = rng.choice(sorted(q.valuation)), rng.choice(q.worlds)
+        return GenModel(fr, {**q.valuation, p: set(q.valuation[p]) ^ {c}})
+    if kind == 1 and fr.pairs:
+        edge = rng.choice(sorted(fr.pairs))
+        s = {w: {u: fr.gens(w, u) for u in fr.successors(w) if (w, u) != edge}
+             for w in fr.worlds}
+        return GenModel(GenFrame(fr.worlds, fr.pairs - {edge}, s), q.valuation)
+    if kind == 2 and fr.pairs:
+        return GenModel(GenFrame(fr.worlds, fr.pairs, {}), q.valuation)
+    return q
 
 
 def _variables(f):

@@ -4,8 +4,8 @@ import itertools
 import random
 
 import pytest
-from reference import (_equivalences, copied_model, duplicated_model, pair_set_autobisimulation,
-                       random_gen_frame, random_gen_model)
+from reference import (_droppable, _dropped, _equivalences, copied_model, duplicated_model,
+                       pair_set_autobisimulation, random_gen_frame, random_gen_model)
 
 from veltman.bisim import (
     bisimulation_violation,
@@ -189,22 +189,6 @@ class TestMatchesPairSetReference:
             split["drop" if drop else "flip"] += (len(largest_autobisimulation(changed).classes)
                                                   > len(largest_autobisimulation(m).classes))
         assert split["flip"] >= 40 and split["drop"] >= 10, split
-
-
-def _dropped(fr, w, u, g):
-    """``fr`` without the generator g of S_w(u), with S closed again."""
-    fams = {x: {v: [h for h in fr.gens(x, v) if (x, v, h) != (w, u, g)]
-                for v in fr.successors(x)} for x in fr.worlds}
-    return close_s(GenFrame(fr.worlds, fr.pairs, fams))
-
-
-def _droppable(rng, fr):
-    """A generator (w, u, g) of S_w(u) in ``fr``, the first in random order
-    whose loss ``_dropped`` does not undo, or None."""
-    picks = [(w, u, g) for w in fr.worlds for u in sorted(fr.successors(w))
-             for g in fr.gens(w, u)]
-    rng.shuffle(picks)
-    return next((pick for pick in picks if _dropped(fr, *pick) != fr), None)
 
 
 class TestMinimalImageFamilies:

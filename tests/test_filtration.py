@@ -6,8 +6,10 @@ import pickle
 import random
 import weakref
 
-from reference import (_first_disagreement, copied_model, duplicated_model, filtration_s_by_scan,
-                       gen_truth_set, random_formula, random_gen_model)
+import pytest
+from reference import (_corrupted, _first_disagreement, copied_model, duplicated_model,
+                       filtration_r_by_scan, filtration_s_by_scan, gen_truth_set, random_formula,
+                       random_gen_model)
 
 from veltman.bisim import largest_autobisimulation
 from veltman.filtration import box_like, filtrate, verify_filtration
@@ -142,24 +144,6 @@ def test_corrupted_quotient_detected():
     assert formula in res.gamma
 
 
-def _corrupted(rng, q, kind):
-    """``q`` with one class flipped in one variable (kind 0), one R~ edge
-    dropped with its S family (kind 1), or all of S~ dropped (kind 2);
-    ``q`` itself when there is no variable or edge to corrupt."""
-    fr = q.frame
-    if kind == 0 and q.valuation:
-        p, c = rng.choice(sorted(q.valuation)), rng.choice(q.worlds)
-        return GenModel(fr, {**q.valuation, p: set(q.valuation[p]) ^ {c}})
-    if kind == 1 and fr.pairs:
-        edge = rng.choice(sorted(fr.pairs))
-        s = {w: {u: fr.gens(w, u) for u in fr.successors(w) if (w, u) != edge}
-             for w in fr.worlds}
-        return GenModel(GenFrame(fr.worlds, fr.pairs - {edge}, s), q.valuation)
-    if kind == 2 and fr.pairs:
-        return GenModel(GenFrame(fr.worlds, fr.pairs, {}), q.valuation)
-    return q
-
-
 def test_first_disagreement_matches_the_reference_on_300_corrupted_quotients():
     """The formula and world verify_filtration reports are the first in
     ``str`` order and world order, on models up to 128 worlds wide."""
@@ -211,6 +195,20 @@ def test_quotient_s_matches_the_scan_on_300_random_models():
         assert q.to_json() == want.to_json(), (trial, m.to_json())
 
 
+def test_quotient_r_matches_the_scan_on_random_duplicated_and_copied_models():
+    """R~ is read at one world per class; it is clause 1 scanned over every
+    R pair and every box-like member of the adequate set."""
+    rng = random.Random(32)
+    for trial in range(150):
+        m = random_gen_model(rng, 5, ("p", "q"))
+        if trial % 3:
+            m = copied_model(m, trial % 3)
+        d = d_closure([parse(s) for s in rng.sample(SEED_POOL, rng.randrange(1, 4))])
+        res = filtrate(m, d)
+        want = filtration_r_by_scan(m, res.partition.class_of, res.gamma)
+        assert res.quotient.frame.pairs == want, (trial, m.to_json())
+
+
 def test_truth_sets_match_the_reference_on_4_and_8_copies():
     """Forcing reads |> through one blocked table per right operand; on a
     random model and on 4 and 8 relabelled copies of it, every member of
@@ -248,6 +246,34 @@ def test_quotient_s_matches_the_scan_on_4_and_8_copies():
         s = filtration_s_by_scan(m, res.partition.class_of, q.frame.pairs)
         want = GenModel(GenFrame(q.worlds, q.frame.pairs, s), q.valuation)
         assert q.to_json() == want.to_json(), (trial, m.to_json())
+        assert verify_filtration(m, res) is None
+
+
+def weaker_twin(x, y):
+    """x and y see the leaves u, a (p) and b (q) with S_x(u) = S_y(u)
+    generated by {u} and {a}; x also sees u2, a copy of u, with S_x(u2)
+    generated by {u2}, {a} and {b}, a family of larger upward closure.  So
+    x and y are bisimilar, but x has one more pair into the class of u."""
+    leaves = ["u", "u2", "a", "b"]
+    fr = close_s(GenFrame([x, y, *leaves],
+                          [(x, v) for v in leaves] + [(y, v) for v in ("u", "a", "b")],
+                          {x: {"u": [["a"]], "u2": [["a"], ["b"]]}, y: {"u": [["a"]]}}))
+    return GenModel(fr, {"p": ["a"], "q": ["b"]})
+
+
+@pytest.mark.parametrize("x, y", [("w1", "w2"), ("w2", "w1")])
+def test_quotient_s_is_the_scan_with_either_twin_as_the_class_id(x, y):
+    """S~ is read at the class id, the least member; with the twin that has
+    the extra, weaker pair as the id and with the other, it is the scan's."""
+    m = weaker_twin(x, y)
+    for seeds in (["[]bot"], ["p |> q", "[]~p"], ["q |> p", "<>q"]):
+        res = filtrate(m, d_closure([parse(s) for s in seeds]))
+        assert res.partition.class_of == {x: "w1", y: "w1", "u": "u", "u2": "u", "a": "a", "b": "b"}
+        q = res.quotient
+        assert q.frame.successors("w1") == {"u", "a", "b"}
+        s = filtration_s_by_scan(m, res.partition.class_of, q.frame.pairs)
+        want = GenModel(GenFrame(q.worlds, q.frame.pairs, s), q.valuation)
+        assert q.to_json() == want.to_json(), seeds
         assert verify_filtration(m, res) is None
 
 

@@ -26,10 +26,10 @@ import json
 import random
 from pathlib import Path
 
-from reference import random_gen_frame, random_gen_model, random_r
+from reference import _illegal_gen, _illegal_ord, random_gen_frame, random_gen_model
 
 from veltman.decide import _il_frames
-from veltman.model import FrameError, GenFrame, OrdFrame, close_s, validate
+from veltman.model import FrameError, close_s, validate
 from veltman.properties import PROPERTY_IDS, check_property
 
 FIXTURE = Path(__file__).parent / "fixtures" / "frame_reports.json"
@@ -38,40 +38,6 @@ FIXTURE = Path(__file__).parent / "fixtures" / "frame_reports.json"
 def _digest(frame) -> str:
     doc = json.dumps(frame.to_json(), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-
-def _unclosed_r(rng: random.Random, worlds: list[str]) -> list[tuple[str, str]]:
-    """A random transitive irreflexive R with loops added, edges dropped
-    (transitive ones too) and stray edges added, each at random."""
-    pairs = set(random_r(rng, worlds))
-    pairs |= {(w, w) for w in worlds if rng.random() < 0.2}
-    pairs -= {e for e in sorted(pairs) if rng.random() < 0.2}
-    if rng.random() < 0.5:
-        pairs.add((rng.choice(worlds), rng.choice(worlds)))
-    return sorted(pairs)
-
-
-def _illegal_gen(rng: random.Random) -> GenFrame:
-    """An unclosed R, and S keyed by any world with images of any worlds."""
-    worlds = [f"w{i}" for i in range(rng.randrange(1, 6))]
-    pairs = _unclosed_r(rng, worlds)
-    succ = {w: [v for a, v in pairs if a == w] for w in worlds}
-    fams = {}
-    for w in worlds:
-        for u in worlds:
-            if rng.random() < 0.4:
-                pool = succ[w] if succ[w] and rng.random() < 0.7 else worlds
-                size = rng.randrange(1, len(pool) + 1)
-                fams.setdefault(w, {})[u] = [rng.sample(pool, size)]
-    return GenFrame(worlds, pairs, fams)
-
-
-def _illegal_ord(rng: random.Random) -> OrdFrame:
-    """An unclosed R, and S_w random pairs of any worlds."""
-    worlds = [f"w{i}" for i in range(rng.randrange(1, 5))]
-    pairs = _unclosed_r(rng, worlds)
-    s = {w: [(a, b) for a in worlds for b in worlds if rng.random() < 0.3] for w in worlds}
-    return OrdFrame(worlds, pairs, s)
 
 
 def _violations(fr) -> list:

@@ -10,46 +10,10 @@ and ``close_s`` with ``reference.brute_close_s``.
 
 import random
 
-from reference import brute_close_s, minimal_escapes, product_escapes, random_r
+from reference import (brute_close_s, minimal_escapes, product_escapes, random_frame,
+                       wide_frame)
 
 from veltman.model import FrameError, GenFrame, _escapes, _first_escape, close_s, validate
-
-
-def random_frame(rng: random.Random) -> GenFrame:
-    """A seeded frame of 2 to 7 worlds.  R is a strict order half the time
-    and otherwise random pairs, loops allowed; each S_w is keyed mostly by
-    R[w], with 1 to 3 generators drawn mostly from R[w]."""
-    worlds = [f"w{i}" for i in range(rng.randrange(2, 8))]
-    if rng.random() < 0.5:
-        pairs = random_r(rng, worlds)
-    else:
-        pairs = {(a, b) for a in worlds for b in worlds if rng.random() < 0.3}
-    succ = {w: sorted(b for a, b in pairs if a == w) for w in worlds}
-    fams = {}
-    for w in worlds:
-        stray = rng.random() < 0.1
-        for u in worlds if stray else succ[w]:
-            if rng.random() < 0.6:
-                pool = worlds if stray or not succ[w] else succ[w]
-                fams.setdefault(w, {})[u] = [rng.sample(pool, rng.randrange(1, min(len(pool), 3) + 1))
-                                             for _ in range(rng.randrange(1, 4))]
-    return GenFrame(worlds, pairs, fams)
-
-
-def wide_frame(rng: random.Random) -> GenFrame:
-    """A seeded frame of 7 to 10 worlds: w R every world but y, and S_w(u)
-    for most u has 1 to 3 generators of 1 or 2 members, now and then with
-    y; two keys get one more generator of 3 to 5 members, whose picks run
-    through several widening factors."""
-    others = [f"v{i}" for i in range(rng.randrange(5, 9))]
-    fams = {}
-    for u in others:
-        if rng.random() < 0.8:
-            fams[u] = [rng.sample(others, rng.randrange(1, 3)) + (["y"] if rng.random() < 0.05 else [])
-                       for _ in range(rng.randrange(1, 4))]
-    for u in rng.sample(others, 2):
-        fams.setdefault(u, []).append(rng.sample(others, rng.randrange(3, 6)))
-    return GenFrame(["w", "y", *others], [("w", v) for v in others], {"w": fams})
 
 
 def frames(seed: int, count: int, wide: int = 0):
