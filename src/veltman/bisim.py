@@ -132,7 +132,7 @@ def _signature(row) -> frozenset:
 def largest_autobisimulation(m: GenModel) -> Partition:
     """Greatest autobisimulation of ``m`` as a partition of its worlds."""
     names = sorted(m.valuation)
-    fr, bit, rows = m.frame, m.frame.bit, m.frame._rows
+    bit, rows = m.frame.bit, m.frame._rows
     first: dict = {}
     class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
     while True:
@@ -147,6 +147,7 @@ def largest_autobisimulation(m: GenModel) -> Partition:
                     for w, cid in class_of.items()}
         if len(first) == count:
             break
-    blocks = _partners(((cid, w) for w, cid in class_of.items()), bit, bit)
-    return Partition(class_of, {cid: frozenset(fr.names(blocks[bit[cid]]))
-                                for cid in dict.fromkeys(class_of.values())})
+    classes: dict[World, list[World]] = {}
+    for w, cid in class_of.items():
+        classes.setdefault(cid, []).append(w)
+    return Partition(class_of, {cid: frozenset(ws) for cid, ws in classes.items()})

@@ -8,12 +8,12 @@ classes, the quotient is assembled from three clauses:
   2. [u] S~_[w] V~ iff [w] R~ [u], V~ is a set of R~-successor classes of
      [w], and for every w' in [w], u' in [u] with w' R u' some S_{w'}-image
      of u' projects into V~;
-  3. a variable from the adequate set holds at [w] iff it holds at w; every
-     other variable is false everywhere.
+  3. a variable from the adequate set holds at [w] iff the model's valuation
+     puts w in it; every other variable is false everywhere.
 
 A formula counts as box-like when its normalized form is  ~A |> bot;
-``filtrate`` folds only those members of the adequate set, found by two
-type tests each.
+``filtrate`` folds only those members of the adequate set, found by
+``box_like``.
 
 Clauses 1 and 2 are read off world masks at one world w of [w], the class
 id, its least member.  Truth in the adequate set is invariant under the
@@ -61,8 +61,7 @@ class FiltrationResult:
 
 def box_like(f: Formula) -> bool:
     """``normalize(f)`` is ~A |> bot; as ``normalize`` rewrites only [] and
-    <> (to a negation), the top two nodes of ``f`` decide it.  ``filtrate``
-    runs the same test inline over Γ."""
+    <> (to a negation), the top two nodes of ``f`` decide it."""
     t = type(f)
     return t is Box or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)
 
@@ -76,14 +75,13 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     """
     gamma = adequate_set(d)
     partition = largest_autobisimulation(m)
-    fr, class_of = m.frame, partition.class_of
+    fr = m.frame
     memo: dict = {}  # local, so Γ does not outlive the call in m's memo
-    truths = {fold(f, m._step, memo) for f in gamma.members  # box_like(f), inline
-              if (t := type(f)) is Box
-              or t is Rhd and f.right is BOT and type(f.left) in (Neg, Dia)}
+    truths = {fold(f, m._step, memo) for f in gamma.members if box_like(f)}
 
     class_ids = sorted(partition.classes)
-    to_class = {fr.bit[w]: 1 << class_ids.index(cid) for w, cid in class_of.items()}
+    to_class = {fr.bit[w]: 1 << i for i, cid in enumerate(class_ids)
+                for w in partition.classes[cid]}
 
     @cache
     def project(g: int) -> int:
@@ -108,9 +106,8 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
                 s.setdefault(cw, {})[class_ids[cu.bit_length() - 1]] = unions
 
     frame = GenFrame.from_masks(class_ids, succ, s)
-    valuation = {
-        p: [cid for cid in class_ids if m.forces(cid, Var(p))]
-        for p in sorted({f.name for f in gamma if isinstance(f, Var)})}
+    valuation = {p: partition.classes.keys() & m.valuation.get(p, ())
+                 for p in sorted({f.name for f in gamma if isinstance(f, Var)})}
     quotient = GenModel(frame, valuation)
     return FiltrationResult(quotient, partition, gamma, m,
                             tuple(validate(frame)))

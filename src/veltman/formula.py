@@ -605,13 +605,15 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
     subformulas, single negation, membership of ``bot |> bot``, pairing of
     |>-components, and ``[]~A`` for every A in ``d``.
 
-    A worklist over members, each numbered by its position.  A new [] or
-    |> member is normalized, through one memo shared by the whole worklist,
-    unless it pairs two components, which is already normal; a component
-    new to the pool is paired with every component already there.  Pairings
-    are most of the set, and owe only their negation: a new one is added
-    with its ``Neg`` at once, off the worklist, at a few dict and list
-    operations each.
+    A worklist over members, each numbered by its position: ``fold`` with
+    ``ids`` as its memo gives a formula's position, and ``add`` numbers a
+    new member after its children and queues it.  A new [] or |> member is
+    normalized, through one memo shared by the whole worklist, unless it
+    pairs two components, which is already normal; a component new to the
+    pool is paired with every component already there.  Pairings are most
+    of the set, and owe only their negation: a new one is added with its
+    ``Neg`` at once, off the worklist, at a few dict and list operations
+    each.
     """
     d = frozenset(d)
     ids: dict[Formula, int] = {}
@@ -619,20 +621,15 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
     kids: list[tuple[int, ...]] = []
     todo: list[int] = []
 
-    def member(f: Formula, k: tuple | None = None) -> int:
-        """The position of ``f``, added after its children (positions ``k``) if new."""
-        i = ids.get(f)
-        if i is None:
-            if k is None:
-                k = tuple([member(c) for c in f.children])
-            i = ids[f] = len(members)
-            members.append(f)
-            kids.append(k)
-            todo.append(i)
+    def add(f: Formula, k: tuple) -> int:
+        i = len(members)
+        members.append(f)
+        kids.append(k)
+        todo.append(i)
         return i
 
     for f in (*d, Rhd(BOT, BOT), *(Box(Neg(a)) for a in d)):
-        member(f)
+        fold(f, add, ids)
     pool: set[int] = set()
     normal: dict = {}
     while todo:
@@ -640,9 +637,9 @@ def adequate_set(d: Iterable[Formula]) -> Dag:
         g = members[i]
         t = type(g)
         if t is not Neg:
-            member(Neg(g), (i,))
+            fold(Neg(g), add, ids)
         if t is Box or (t is Rhd and not pool.issuperset(kids[i])):
-            for c in map(member, normalize(g, normal).children):
+            for c in (fold(x, add, ids) for x in normalize(g, normal).children):
                 if c not in pool:
                     pool.add(c)
                     a = members[c]

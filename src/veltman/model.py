@@ -424,6 +424,8 @@ def validate(frame) -> list[Violation]:
     escaping union in product order (``_first_escape``)."""
     if isinstance(frame, (GenModel, OrdModel)):
         return validate(frame.frame)
+    if not isinstance(frame, (GenFrame, OrdFrame)):
+        raise TypeError(f"not a frame or model: {frame!r}")
     out = _r_violations(frame)
     if isinstance(frame, GenFrame):
         out += _a_violations(frame)
@@ -439,20 +441,18 @@ def validate(frame) -> list[Violation]:
             out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
                                  "quasi-transitivity fails"))
         return out
-    if isinstance(frame, OrdFrame):
-        r, bit, names = frame.succ_mask, frame.bit, frame.names
-        for w, rw in r.items():
-            s = frame.s.get(w, {})
-            out += [Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]")
-                    for a, x in s.items() for b in names(x & ~rw if rw & bit[a] else x)]
-            out += [Violation("b", (w, u), f"S_{w} is not reflexive at {u}")
-                    for u in names(rw) if not s.get(u, 0) & bit[u]]
-            out += [Violation("c", (w, a, b, c), f"S_{w} is not transitive")
-                    for a, x in s.items() for b in names(x) for c in names(s.get(b, 0) & ~x)]
-            out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {v}")
-                    for u in names(rw) for v in names(r[u] & ~s.get(u, 0))]
-        return out
-    raise TypeError(f"not a frame or model: {frame!r}")
+    r, bit, names = frame.succ_mask, frame.bit, frame.names
+    for w, rw in r.items():
+        s = frame.s.get(w, {})
+        out += [Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]")
+                for a, x in s.items() for b in names(x & ~rw if rw & bit[a] else x)]
+        out += [Violation("b", (w, u), f"S_{w} is not reflexive at {u}")
+                for u in names(rw) if not s.get(u, 0) & bit[u]]
+        out += [Violation("c", (w, a, b, c), f"S_{w} is not transitive")
+                for a, x in s.items() for b in names(x) for c in names(s.get(b, 0) & ~x)]
+        out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {v}")
+                for u in names(rw) for v in names(r[u] & ~s.get(u, 0))]
+    return out
 
 
 def _chains(frame: GenFrame):

@@ -47,7 +47,8 @@ imports them from here.  The seeded generators, each drawing from the
   R~ edge dropped or all of S~ dropped;
 - ``random_masks(rng)``: world masks with nested chains and repeats;
 - ``dense_ord_frame(n)``, not seeded: the legal ordinary frame on a strict
-  order of n worlds with u S_w v for every u <= v in R[w].
+  order of n worlds with u S_w v for every u <= v in R[w], and
+  ``flat_model(k)``: 2^k worlds without R, one per valuation of p0..p(k-1).
 
 The subset helpers ``subsets`` and ``images``, the mask oracle
 ``minimal_masks`` (the minimal members of a mask collection, pair by pair,
@@ -549,6 +550,14 @@ def copied_model(m: GenModel, doublings: int) -> GenModel:
     for i in range(doublings):
         m = duplicated_model(m, f"_{i}")
     return m
+
+
+def flat_model(k: int) -> GenModel:
+    """2^k worlds and no R, world i forcing p_j iff bit j of i is set: each
+    world is its own bisimulation class."""
+    ws = [f"w{i}" for i in range(1 << k)]
+    return GenModel(GenFrame(ws, [], {}),
+                    {f"p{j}": [w for i, w in enumerate(ws) if i >> j & 1] for j in range(k)})
 
 
 def _dropped(fr, w, u, g):

@@ -428,6 +428,10 @@ class TestVerdictJson:
         assert doc["verdict"] == "theorem"
         assert doc["proof_lines"] == 1
 
+    def test_non_verdict_refused(self):
+        with pytest.raises(TypeError, match="^not a verdict: <object object"):
+            verdict_to_json(object())
+
 
 class TestSampleFrames:
     """The 4-world frames. They were once sampled; they are now enumerated,

@@ -19,6 +19,7 @@ from veltman.formula import (
     Box,
     Dag,
     Dia,
+    Formula,
     Impl,
     Neg,
     Or,
@@ -29,6 +30,7 @@ from veltman.formula import (
     Var,
     adequate_set,
     d_closure,
+    evaluate,
     fold,
     is_adequate,
     normalize,
@@ -515,6 +517,14 @@ class TestDagValues:
             want = [fold(f, visit, folded) for f in gamma.members]
             assert gamma.values(visit) == want == [fold(f, visit) for f in gamma.members]
             assert folded.keys() == set(gamma)
+
+
+def test_evaluate_refuses_a_node_of_no_connective():
+    """The base class is no connective: ``semantics`` names it rather than
+    giving it a value."""
+    algebra = Algebra(1, lambda name: 0, lambda x: x, lambda x, y: x)
+    with pytest.raises(TypeError, match="^not a formula: <veltman.formula.Formula object"):
+        evaluate(Formula(), algebra)
 
 
 def test_fold_without_memo_visits_each_distinct_node_once():

@@ -190,6 +190,13 @@ class TestCheckProof:
                           get_logic("IL"))
         assert (res.accepted, res.line, res.reason) == (False, 1, "unknown schema Foo")
 
+    def test_unknown_justification_rejected(self):
+        """A proof built in code may give a line a justification of none of
+        the four kinds; the checker rejects it at that line."""
+        lines = (ProofLine(parse("p -> p"), Taut()), ProofLine(parse("q -> q"), "taut"))
+        res = check_proof(ProofObject(lines), get_logic("IL"))
+        assert (res.accepted, res.line, res.reason) == (False, 2, "unknown justification 'taut'")
+
     def test_forward_reference_rejected(self):
         lines = (ProofLine(parse("[](p -> p)"), Nec(2)),
                  ProofLine(parse("p -> p"), Taut()))

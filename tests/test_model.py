@@ -437,6 +437,12 @@ def test_validate_matches_the_pair_set_clauses_on_ordinary_frames():
     assert illegal > 350
 
 
+def test_validate_refuses_a_non_frame():
+    """Neither frame nor model: refused before any clause reads it."""
+    with pytest.raises(TypeError, match="^not a frame or model: <object object"):
+        validate(object())
+
+
 def test_validate_answers_the_dense_80_world_ordinary_frame_within_a_second():
     """3,160 S_w pairs at w00: transitivity reads one mask per pair, where
     a scan of S_w per pair took seconds."""

@@ -836,3 +836,7 @@ class TestCorrespondenceBench:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             correspondence_bench(5, "Mgen")
+
+    def test_unknown_property(self):
+        with pytest.raises(ValueError, match="^unknown property 'Foo'$"):
+            correspondence_bench(1, "Foo")
