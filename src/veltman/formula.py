@@ -430,7 +430,10 @@ def fold(f: Formula, visit: Callable[[Formula, tuple], Any], memo: dict | None =
         return values[f]
     out = memo.get(f, _MISSING)
     if out is _MISSING:
-        out = memo[f] = visit(f, tuple([fold(c, visit, memo) for c in f.children]))
+        kids = f.children
+        n = len(kids)  # children by arity: a comprehension would add a stack frame per level
+        out = memo[f] = visit(f, (fold(kids[0], visit, memo), fold(kids[1], visit, memo))
+                              if n == 2 else (fold(kids[0], visit, memo),) if n else ())
     return out
 
 

@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .formula import Algebra, Formula, fold, semantics
 
 World = str
@@ -269,23 +267,16 @@ class GenFrame(_Frame):
                 out.setdefault(w, {})[u] = tuple(groups.items())
         return out
 
-    @cached_property
-    def _typed_rows(self) -> dict:
-        """``_rows`` per numpy dtype, filled by ``_rows_for``."""
-        return {}
-
     def _rows_for(self, x):
         """The rows ``box`` and ``rhd`` read for an operand like ``x``: the
-        ``_rows`` for a Python int; for a numpy array, the same rows with
-        each world's bit a scalar of the array's dtype, since a bool array
-        times a Python int is int64 and would widen every later pass."""
+        ``_rows`` for a Python int; for a numpy array, built on each call,
+        the same rows with each world's bit a scalar of the array's dtype,
+        since a bool array times a Python int is int64 and would widen every
+        later pass."""
         if type(x) is int:
             return self._rows.values()
-        rows = self._typed_rows.get(x.dtype)
-        if rows is None:
-            rows = self._typed_rows[x.dtype] = tuple(
-                (x.dtype.type(bw), r, images) for bw, r, images in self._rows.values())
-        return rows
+        t = x.dtype.type
+        return [(t(bw), r, images) for bw, r, images in self._rows.values()]
 
     @cached_property
     def _lookups(self):
@@ -299,6 +290,7 @@ class GenFrame(_Frame):
         outside its table and raises ``IndexError``."""
         if len(self.worlds) > 8:
             return None
+        import numpy as np
         xs = np.arange(1 << len(self.worlds), dtype=np.uint8)
         box = self.box(xs)
         rhd = self.rhd(xs[:, None], np.arange(256, dtype=np.uint8)[None, :]).ravel()
@@ -359,7 +351,7 @@ class GenFrame(_Frame):
 def _take_pair(table, a, b):
     """Entry ``(a << 8) | b`` of ``table``, where a and b keep their low
     eight bits, so that b never reaches a's field."""
-    return table.take(a.astype(np.uint16) << 8 | b.astype(np.uint8, copy=False))
+    return table.take(a.astype("uint16") << 8 | b.astype("uint8", copy=False))
 
 
 class OrdFrame(_Frame):

@@ -60,11 +60,12 @@ from ``GenFrame._index_rows``.
 Only on a failing frame is f walked on the table of its valuations, whose
 digits are the sorted variables, each a world mask, for the
 lexicographically first failing one: ``_first_failure``, the one user of
-numpy here, evaluates it on arrays of world bitmasks in the smallest
-unsigned dtype that holds one (uint8 up to eight worlds).  Each ``[]`` or
-``|>`` node is one lookup in the frame's tables of ``GenFrame.box``/``rhd``,
-built by those methods once per frame and kept on it (``GenFrame._lookups``);
-past eight worlds there are none, and ``box``/``rhd`` evaluate it themselves.
+numpy, which is imported only then, evaluates it on arrays of world masks
+in the smallest unsigned dtype that holds one (uint8 up to eight worlds).
+Each ``[]`` or ``|>`` node is one lookup in the frame's tables of
+``GenFrame.box``/``rhd``, built by those methods once per frame and kept on
+it (``GenFrame._lookups``); past eight worlds there are none, and
+``box``/``rhd`` evaluate it themselves.
 
 Both tables have one pass plan.  A row is a tuple of digits, the leading
 one first: a world's leaf vector in the skeleton table, a variable's world
@@ -78,11 +79,9 @@ first failing row of the first failing pass is the first of the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .formula import (Algebra, And, Box, Dia, Formula, Impl, Neg, Or, Rhd, Var, evaluate, fold,
                       variables)
@@ -213,15 +212,15 @@ class TruthTables:
     whatever the operands', and a mask with bits above world n - 1 gives
     the answer of ``box``/``rhd`` or raises ``IndexError``.  Larger frames,
     which have no lookup tables, are evaluated by ``GenFrame.box``/``rhd``
-    themselves.
+    themselves.  Only the witness walk builds one, and imports numpy.
     """
 
     def __init__(self, frame: GenFrame):
-        n = len(frame.worlds)
-        self.frame = frame
-        self.full = (1 << n) - 1
+        import numpy as np
+        self.full = (1 << len(frame.worlds)) - 1
         self.dtype = np.min_scalar_type(self.full)
-        self._top, self._zero = _ends(n)
+        self._top = _read_only(np.full(1, self.full, dtype=self.dtype))
+        self._zero = _read_only(np.zeros(1, dtype=self.dtype))
         self._box, self._rhd = frame._lookups or (frame.box, frame.rhd)
 
     def evaluate(self, f: Formula, assignment: dict[str, np.ndarray]) -> np.ndarray:
@@ -233,15 +232,6 @@ class TruthTables:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@cache
-def _ends(worlds: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top and zero masks on ``worlds`` worlds, as shared read-only
-    one-entry arrays of the smallest dtype that holds them."""
-    full = (1 << worlds) - 1
-    dtype = np.min_scalar_type(full)
-    return _read_only(np.full(1, full, dtype=dtype)), _read_only(np.zeros(1, dtype=dtype))
 
 
 # Rows per pass of a table walk: bounds its memory for any number of
@@ -261,6 +251,7 @@ def _grid(size: int, digits: int) -> np.ndarray:
     smallest unsigned dtype that holds a digit.  Every pass of the table of
     valuations in ``_first_failure``, its only reader, reads its last
     digits from it, so it is shared and read-only; the last few are kept."""
+    import numpy as np
     grid = np.indices((size,) * digits, dtype=np.min_scalar_type(size - 1))
     return _read_only(grid.reshape(digits, size ** digits))
 
@@ -475,6 +466,7 @@ def _first_failure(tables: TruthTables, f: Formula, names: list[str],
     world mask per variable of ``names``, in lexicographic order; a pass
     fixes the first variables, each a one-entry array of its digit, and
     reads the rest from the rows of one shared ``_grid``."""
+    import numpy as np
     size = tables.full + 1
     inside = _split(size, len(names), SWEEP_ROWS)
     grid = _grid(size, inside)
@@ -532,7 +524,7 @@ def schema_frame_valid(frame: GenFrame, schema_id: str, cap: int = 5):
     Returns True, or the falsifying (valuation, world) pair.
     """
     if schema_id not in SCHEMATA:
-        raise ValueError(f"unknown schema {schema_id!r}")
+        raise ValueError(f"unknown schema {schema_id!r}; choose from {sorted(SCHEMATA)}")
     inst = instantiate(schema_id, {m: _FRESH[m] for m in schema_metavars(schema_id)})
     return frame_validates(frame, inst, cap=cap)
 

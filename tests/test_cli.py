@@ -169,9 +169,11 @@ class TestSchemaValid:
         assert rc == 1
         assert "falsified" in capsys.readouterr().out
 
-    def test_unknown_schema_exit_2(self, legal_model_file):
-        assert main(["schema-valid", legal_model_file, "--schema", "ZZ"]) == 2
-
+    def test_unknown_schema_exit_2(self, legal_model_file, capsys):
+        assert main(["schema-valid", legal_model_file, "--schema", "Foo"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown schema 'Foo'; choose from ['J1', 'J2', 'J3', 'J4', 'J5', 'K', 'L', "
+            "'M', 'M0', 'P', 'P0', 'R', 'W', 'Wstar']\n")
 
     def test_zero_world_cap_exit_2(self, legal_model_file, capsys):
         assert main(["schema-valid", legal_model_file, "--schema", "J5",
@@ -459,6 +461,35 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "veltman.cli", "parse", "p"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+_IMPORT_SCOPE = """
+import contextlib, io, sys
+
+import veltman
+from veltman.cli import main
+
+model, proof = sys.argv[1:]
+seen = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["parse", "p |> q"], ["check-proof", proof], ["model-check", model, "p |> q"],
+                 ["filtrate", model, "p |> q"], ["search", "p |> p", "--max-worlds", "3"],
+                 ["search", "p |> q", "--max-worlds", "2"]):
+        seen.append((main(argv), "numpy" in sys.modules))
+print(seen)
+"""
+
+
+def test_numpy_is_imported_only_by_the_witness_walk(legal_model_file):
+    """Parsing, proofs, forcing, filtration and a theorem's search never load
+    numpy; the first refuted frame does, to name its witness.  In a fresh
+    process, since the test modules import numpy themselves."""
+    proof = str(Path(__file__).parent / "proofs" / "pp.ilp")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCOPE, legal_model_file, proof],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("[(0, False), (0, False), (1, False), (0, False), (0, False), "
+                           "(1, True)]\n")
 
 
 @pytest.mark.parametrize("doc, first", [

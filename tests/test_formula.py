@@ -41,6 +41,7 @@ from veltman.formula import (
     subformulas,
     variables,
 )
+from veltman.model import GenFrame, GenModel
 
 p, q, r = Var("p"), Var("q"), Var("r")
 # the variables of the random formulas here
@@ -542,6 +543,20 @@ def test_fold_without_memo_visits_each_distinct_node_once():
     plain, memoized, distinct = fold(g, visit), fold(g, visit, {}), len(subformulas(g))
     assert plain == memoized == 5 * 2 ** 20 - 3
     assert len(visits) == distinct == 43 and set(visits.values()) == {2}
+
+
+def test_600_nested_boxes_are_walked_with_and_without_a_memo():
+    """Built by constructors, past the parser's bound: a memo-keeping fold
+    recurses once per level, and a chain of 600 stays under the default
+    recursion limit of 1,000, as the memo-less walks do."""
+    g = p
+    for _ in range(600):
+        g = Box(g)
+    model = GenModel(GenFrame(["w", "u"], [("w", "u")], {}), {"p": ["u"]})
+    assert len(subformulas(g)) == 601
+    assert model.truth_set(g) == {"w", "u"}
+    assert normalize(g) is Rhd(Neg(normalize(g.arg)), BOT)
+    assert pretty(g) == "[]" * 600 + "p"
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
