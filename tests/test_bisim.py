@@ -131,6 +131,18 @@ class TestMatchesPairSetReference:
             self.assert_same(GenModel(fr, {
                 p: [w for w in fr.worlds if rng.random() < 0.5] for p in ("p", "q")}))
 
+    def test_every_frame_up_to_4_worlds_under_every_valuation_of_p(self):
+        """Exhaustive small scope: every frame of ``_il_frames(n)``, n <= 4,
+        isomorphs included, under each of its 2^n valuations of p."""
+        models = 0
+        for n in range(1, 5):
+            for fr in _il_frames(n):
+                for p in range(1 << n):
+                    self.assert_same(GenModel(fr, {"p": [w for i, w in enumerate(fr.worlds)
+                                                         if p >> i & 1]}))
+                    models += 1
+        assert models == 2322
+
     def test_random_and_duplicated_models(self):
         rng = random.Random(17)
         for _ in range(300):

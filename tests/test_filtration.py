@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import pickle
 import random
 import time
@@ -13,6 +14,7 @@ from reference import (_corrupted, _first_disagreement, copied_model, duplicated
                        random_formula, random_gen_model)
 
 from veltman.bisim import largest_autobisimulation
+from veltman.decide import _il_frames
 from veltman.filtration import box_like, filtrate, verify_filtration
 from veltman.formula import (
     BOT,
@@ -194,6 +196,30 @@ def test_quotient_s_matches_the_scan_on_300_random_models():
         s = filtration_s_by_scan(m, res.partition.class_of, q.frame.pairs)
         want = GenModel(GenFrame(q.worlds, q.frame.pairs, s), q.valuation)
         assert q.to_json() == want.to_json(), (trial, m.to_json())
+
+
+@pytest.mark.parametrize("seed", ["p |> q", "[]p -> <>q"])
+def test_quotient_matches_the_scans_on_every_frame_up_to_3_worlds(seed):
+    """Exhaustive small scope: every frame of ``_il_frames(n)``, n <= 3,
+    isomorphs included, under each of its 4^n valuations of p and q (612
+    models): R~ and S~ are the scanned clauses, and the quotient agrees
+    with the model on the adequate set."""
+    d = d_closure([parse(seed)])
+    models = 0
+    for n in range(1, 4):
+        for fr in _il_frames(n):
+            for p, q in itertools.product(range(1 << n), repeat=2):
+                m = GenModel(fr, {v: [w for i, w in enumerate(fr.worlds) if x >> i & 1]
+                                  for v, x in (("p", p), ("q", q))})
+                res = filtrate(m, d)
+                qm, class_of = res.quotient, res.partition.class_of
+                assert qm.frame.pairs == filtration_r_by_scan(m, class_of, res.gamma), m.to_json()
+                s = filtration_s_by_scan(m, class_of, qm.frame.pairs)
+                want = GenModel(GenFrame(qm.worlds, qm.frame.pairs, s), qm.valuation)
+                assert qm.to_json() == want.to_json(), m.to_json()
+                assert verify_filtration(m, res) is None, m.to_json()
+                models += 1
+    assert models == 612
 
 
 def test_quotient_r_matches_the_scan_on_random_duplicated_and_copied_models():
