@@ -11,9 +11,9 @@ The transfer clauses only need the stored generator sets: the inner
 S-image witness V can always be shrunk to a generator, so checking
 generators on both sides decides the clause for the full monotone closure.
 ``_forth_ok`` is the one encoding of the clause, on world masks.  Z enters
-it as the mask of the Z-partners of each world, keyed by the world's bit, so
-the partners of u among the successors of y are ``partners[u] &
-succ_mask[y]`` and "v has a Z-partner in g" is ``partners[v] & g``.
+it as the mask of the Z-partners of each world, listed by the world's index,
+so the partners of u among the successors of y are ``partners[u] &
+succ[y]`` and "v has a Z-partner in g" is ``partners[v] & g``.
 
 ``largest_autobisimulation`` refines a partition, starting from atomic
 agreement.  When Z is an equivalence, write [A] for the classes met by a
@@ -35,7 +35,8 @@ successor u with the classes of each generator of S_w(u), so they are
 computed once per distinct row in a round: bisimilar copies share rows.
 The loop stops after at most |W| rounds, when the number of classes stays
 the same.  Worlds are grouped in world order, so every class id is the
-least member of its class.  ``_forth_ok`` stays the clause of
+least member of its class; the loop keeps each world's class id as an
+index, and ``Partition`` names them.  ``_forth_ok`` stays the clause of
 ``bisimulation_violation``, whose Z need not be an equivalence.
 """
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .model import GenFrame, GenModel, World, antichain, bits
+from .model import GenFrame, GenModel, World, antichain, indices
 
 
 @dataclass(frozen=True)
@@ -67,29 +68,28 @@ def _atoms(m: GenModel, w: World, names) -> frozenset[str]:
     return frozenset(p for p in names if w in m.valuation.get(p, ()))
 
 
-def _forth_ok(f1: GenFrame, f2: GenFrame, x: World, y: World,
-              partners: dict[int, int]) -> bool:
+def _forth_ok(f1: GenFrame, f2: GenFrame, x: int, y: int, partners: list[int]) -> bool:
     """Every R-step from x is matched from y, with S-image refinement."""
-    ry, images2 = f2._rows[y][1:]
-    for bu, _, gens in f1._rows[x][2]:
-        candidates = partners[bu] & ry
-        if not any(bu2 & candidates and _refines(gens, gens2, partners)
-                   for bu2, _, gens2 in images2):
+    ry, images2 = f2._rows[y]
+    for u, gens in f1._rows[x][1]:
+        candidates = partners[u] & ry
+        if not any(candidates >> u2 & 1 and _refines(gens, gens2, partners)
+                   for u2, gens2 in images2):
             return False
     return True
 
 
-def _refines(gens: tuple[int, ...], gens2: tuple[int, ...], partners: dict[int, int]) -> bool:
+def _refines(gens: tuple[int, ...], gens2: tuple[int, ...], partners: list[int]) -> bool:
     """Every image generated by ``gens2`` is refined by one of ``gens``."""
-    return all(any(all(partners[bv] & g2 for bv in bits(g)) for g in gens) for g2 in gens2)
+    return all(any(all(partners[v] & g2 for v in indices(g)) for g in gens) for g2 in gens2)
 
 
-def _partners(pairs, bit: dict[World, int], bit2: dict[World, int]) -> dict[int, int]:
-    """For each world a of ``bit``, by its bit: the mask, in ``bit2``, of
-    the b with (a, b) in ``pairs``."""
-    out = dict.fromkeys(bit.values(), 0)
+def _partners(pairs, index: dict[World, int], index2: dict[World, int]) -> list[int]:
+    """For each world a of ``index``, by its index: the mask, over
+    ``index2``, of the b with (a, b) in ``pairs``."""
+    out = [0] * len(index)
     for a, b in pairs:
-        out[bit[a]] |= bit2.get(b, 0)
+        out[index[a]] |= 1 << index2[b]
     return out
 
 
@@ -101,16 +101,16 @@ def bisimulation_violation(m1: GenModel, m2: GenModel,
     f1, f2 = m1.frame, m2.frame
     pairs = sorted(z)
     for w, w2 in pairs:
-        if w not in f1.bit or w2 not in f2.bit:
+        if w not in f1.index or w2 not in f2.index:
             raise ValueError(f"Z pair ({w}, {w2}) names a world outside the models")
-    forth = _partners(pairs, f1.bit, f2.bit)
-    back = _partners(((b, a) for a, b in pairs), f2.bit, f1.bit)
+    forth = _partners(pairs, f1.index, f2.index)
+    back = _partners(((b, a) for a, b in pairs), f2.index, f1.index)
     for w, w2 in pairs:
         if _atoms(m1, w, names) != _atoms(m2, w2, names):
             return BisimViolation("at", (w, w2), "variable sets differ")
-        if not _forth_ok(f1, f2, w, w2, forth):
+        if not _forth_ok(f1, f2, f1.index[w], f2.index[w2], forth):
             return BisimViolation("forth", (w, w2), "unmatched R-successor")
-        if not _forth_ok(f2, f1, w2, w, back):
+        if not _forth_ok(f2, f1, f2.index[w2], f1.index[w], back):
             return BisimViolation("back", (w, w2), "unmatched R-successor")
     return None
 
@@ -131,23 +131,22 @@ def _signature(row) -> frozenset:
 
 def largest_autobisimulation(m: GenModel) -> Partition:
     """Greatest autobisimulation of ``m`` as a partition of its worlds."""
-    names = sorted(m.valuation)
-    bit, rows = m.frame.bit, m.frame._rows
+    names, worlds, rows = sorted(m.valuation), m.worlds, m.frame._rows
     first: dict = {}
-    class_of = {w: first.setdefault(_atoms(m, w, names), w) for w in m.worlds}
+    class_of = [first.setdefault(_atoms(m, w, names), i) for i, w in enumerate(worlds)]
     while True:
-        to_class = {bit[w]: bit[cid] for w, cid in class_of.items()}
-        # a one-world generator is a key of to_class, and no key maps to 0
-        project = cache(lambda g: to_class.get(g) or sum({to_class[b] for b in bits(g)}))
-        row = {w: tuple([(project(bu), *map(project, gens)) for bu, _, gens in rows[w][2]])
-               for w in class_of}
-        signature = {r: _signature(r) for r in set(row.values())}
+        project = cache(lambda g: 1 << class_of[g.bit_length() - 1] if g & g - 1 == 0
+                        else sum({1 << class_of[v] for v in indices(g)}))
+        row = [tuple([(class_of[u], *map(project, gens)) for u, gens in images])
+               for _, images in rows]
+        signature = {r: _signature(r) for r in set(row)}
         count, first = len(first), {}
-        class_of = {w: first.setdefault((cid, signature[row[w]]), w)
-                    for w, cid in class_of.items()}
+        class_of = [first.setdefault((cid, signature[r]), i)
+                    for i, (cid, r) in enumerate(zip(class_of, row))]
         if len(first) == count:
             break
     classes: dict[World, list[World]] = {}
-    for w, cid in class_of.items():
-        classes.setdefault(cid, []).append(w)
-    return Partition(class_of, {cid: frozenset(ws) for cid, ws in classes.items()})
+    for w, cid in zip(worlds, class_of):
+        classes.setdefault(worlds[cid], []).append(w)
+    return Partition({w: worlds[cid] for w, cid in zip(worlds, class_of)},
+                     {cid: frozenset(ws) for cid, ws in classes.items()})

@@ -28,7 +28,7 @@ from itertools import combinations, permutations, product
 
 from .formula import Formula, normalize
 from .hilbert import LOGICS, Logic, ProofObject, check_proof, get_logic
-from .model import GenFrame, GenModel, World, _escapes, bits, mask_order
+from .model import GenFrame, GenModel, World, _escapes, indices, mask_order
 from .properties import (PROPERTY_IDS, SCHEMA_OF_PROPERTY, check_property,
                          frame_validates)
 
@@ -108,7 +108,7 @@ def _canonical_relations(n: int) -> list[frozenset[tuple[int, int]]]:
 def _antichains(pool: int) -> list[tuple[int, ...]]:
     """All antichains of nonempty submasks of ``pool``, by size, then
     lexicographically in ``mask_order`` (the empty antichain first)."""
-    members = bits(pool)
+    members = [1 << i for i in indices(pool)]
     subsets = [sum(c) for r in range(1, len(members) + 1) for c in combinations(members, r)]
     return [combo for r in range(len(subsets) + 1) for combo in combinations(subsets, r)
             if all(a & b not in (a, b) for a, b in combinations(combo, 2))]
@@ -150,7 +150,6 @@ def _il_frames(n: int):
     worlds = tuple(f"w{i}" for i in range(n))
     for edges in _canonical_relations(n):
         succ = [sum(1 << b for a, b in edges if a == w) for w in range(n)]
-        succ_mask = dict(zip(worlds, succ))
         keyed = sorted(edges)
         pools = [succ[w] & ~(1 << u) & ~succ[u] for w, u in keyed]
         option_lists = [_antichains(pool) for pool in pools]
@@ -159,26 +158,25 @@ def _il_frames(n: int):
             key=lambda combo: (sum(len(c) for c in combo),
                                [[mask_order(g) for g in c] for c in combo]))
         for combo in combos:
-            s: dict[World, dict[World, list[int]]] = {}
+            s: dict[int, dict[int, list[int]]] = {}
             for (w, u), extras in zip(keyed, combo):
-                s.setdefault(worlds[w], {})[worlds[u]] = [1 << u, *bits(succ[u]), *extras]
-            frame = GenFrame.from_masks(worlds, succ_mask, s)
+                s.setdefault(w, {})[u] = [*(1 << v for v in [u, *indices(succ[u])]), *extras]
+            frame = GenFrame.from_masks(worlds, succ, s)
             if next(_escapes(frame), None) is None:
                 yield frame
 
 
 def _relabel(x: int, perm: tuple[int, ...]) -> int:
     """World mask ``x`` with world i renamed ``perm[i]``."""
-    return sum(1 << perm[b.bit_length() - 1] for b in bits(x))
+    return sum(1 << perm[i] for i in indices(x))
 
 
 def _iso_key(frame: GenFrame) -> tuple:
     """Equal for two frames on the same worlds exactly when they are
     isomorphic: the least relabelling of R and of the generator antichains
     over every permutation of the worlds."""
-    succ = tuple(frame.succ_mask.values())
-    index = {w: i for i, w in enumerate(frame.worlds)}
-    s = [(index[w], index[u], gens) for w, per_u in frame.s.items() for u, gens in per_u.items()]
+    succ = frame.succ
+    s = [(w, u, gens) for w, per_u in frame.s.items() for u, gens in per_u.items()]
     return min((tuple(sorted((p[i], _relabel(r, p)) for i, r in enumerate(succ))),
                 tuple(sorted((p[w], p[u], tuple(sorted(_relabel(g, p) for g in gens)))
                              for w, u, gens in s)))

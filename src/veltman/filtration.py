@@ -16,7 +16,7 @@ A formula counts as box-like when its normalized form is  ~A |> bot;
 ``box_like``.
 
 Clauses 1 and 2 are read off world masks at one world w of [w], the class
-id, its least member.  Truth in the adequate set is invariant under the
+id, its least member; each world's class is its position, by world index.  Truth in the adequate set is invariant under the
 bisimulation, and bisimilar worlds see the same successor classes, so
 R~[[w]] is the class projection of R[w] cut to the join of the truth masks
 of the box-like formulas failing at w.  The quotient's S families store the
@@ -47,7 +47,7 @@ from functools import cache
 
 from .bisim import Partition, largest_autobisimulation
 from .formula import BOT, Box, Dag, Dia, Formula, Neg, Rhd, Var, adequate_set, fold, pretty
-from .model import GenFrame, GenModel, Violation, World, bits, minimal_unions, validate
+from .model import GenFrame, GenModel, Violation, World, indices, minimal_unions, validate
 
 
 @dataclass(frozen=True)
@@ -80,30 +80,30 @@ def filtrate(m: GenModel, d: frozenset[Formula]) -> FiltrationResult:
     truths = {fold(f, m._step, memo) for f in gamma.members if box_like(f)}
 
     class_ids = sorted(partition.classes)
-    to_class = {fr.bit[w]: 1 << i for i, cid in enumerate(class_ids)
-                for w in partition.classes[cid]}
+    position = {cid: i for i, cid in enumerate(class_ids)}
+    to_class = [position[partition.class_of[w]] for w in fr.worlds]  # by world index
 
     @cache
     def project(g: int) -> int:
-        return sum({to_class[b] for b in bits(g)})
+        return sum({1 << to_class[v] for v in indices(g)})
 
-    succ: dict[World, int] = {}  # R~[[w]] as a class mask
-    s: dict[World, dict[World, tuple[int, ...]]] = {}
-    for cw in class_ids:  # each class read at its id
-        bw, r, images = fr._rows[cw]
+    succ = []  # R~[[w]] as a class mask, per class position
+    s: dict[int, dict[int, tuple[int, ...]]] = {}
+    for i, cw in enumerate(class_ids):  # each class read at its id
+        r, images = fr._rows[w := fr.index[cw]]
         fails = 0
         for t in truths:
-            if not t & bw:
+            if not t >> w & 1:
                 fails |= t
-        succ[cw] = inside = project(r & fails)
-        choices: dict[int, set] = {}  # per class bit of u, over the u in R[cw]
-        for bu, _, gens in images:
-            if (cu := to_class[bu]) & inside:
+        succ.append(inside := project(r & fails))
+        choices: dict[int, set] = {}  # per class position of u, over the u in R[cw]
+        for u, gens in images:
+            if inside >> (cu := to_class[u]) & 1:
                 choices.setdefault(cu, set()).add(
                     tuple(v for v in map(project, gens) if v & ~inside == 0))
-        for cu in bits(inside):
+        for cu in indices(inside):
             if unions := minimal_unions(choices[cu]):
-                s.setdefault(cw, {})[class_ids[cu.bit_length() - 1]] = unions
+                s.setdefault(i, {})[cu] = unions
 
     frame = GenFrame.from_masks(class_ids, succ, s)
     valuation = {p: partition.classes.keys() & m.valuation.get(p, ())
@@ -124,7 +124,7 @@ def verify_filtration(m: GenModel, result: FiltrationResult) -> tuple[World, For
     for f, here, there in zip(gamma.members, gamma.values(m._step), gamma.values(q._step)):
         lift = lifted.get(there)
         if lift is None:
-            lift = lifted[there] = sum(classes[b.bit_length() - 1] for b in bits(there))
+            lift = lifted[there] = sum(classes[i] for i in indices(there))
         if here != lift:
             diffs.append((f, here ^ lift))
     if not diffs:

@@ -5,22 +5,24 @@ for every w, a relation S_w between worlds u in R[w] and nonempty subsets of
 R[w].  S_w is required to be quasi-reflexive (u S_w {u}), monotone, closed
 under successor steps (w R u R v forces u S_w {v}) and quasi-transitive.
 
-R and S are each stored once, as world bitmasks (bit i is ``worlds[i]``):
-``succ_mask[w]`` is R[w], built in one pass over the edges in document order.
-Monotonicity is not stored: S_w(u) is an antichain of minimal generator
-masks, and ``s_holds_mask(w, u, V)`` means some generator is contained in V.
-An ordinary frame stores S_w as one mask per u: ``s[w][u]`` is the v with
-u S_w v.  Every reader of R and S in the package works on those masks;
-world names appear only at the boundary: the derived views ``pairs``,
-``successors``, ``gens``, ``s_holds`` and ``s_pairs``, ``to_json`` and
-``Violation`` witnesses.
+Below the file format a world is its index i in the sorted ``worlds``, and
+a set of worlds the mask with bit i for ``worlds[i]``.  R and S are each
+stored once on indices: ``succ[i]`` is the mask of R[i], built in one pass
+over the edges in document order.  Monotonicity is not stored: S_i(j),
+``s[i][j]``, is an antichain of minimal generator masks, and
+``s_holds_mask(i, j, V)`` means some generator is contained in V.  An
+ordinary frame stores S_i as one mask per j: ``s[i][j]`` is the v with
+j S_i v.  Every reader of R and S in the package works on indices and
+masks; world names appear only at the boundary: loading (``index``), the
+derived views ``pairs``, ``successors``, ``gens``, ``s_holds`` and
+``s_pairs``, ``to_json`` and ``Violation`` witnesses, named by ``named``.
 
 Forcing is read in a frame's complex algebra: ``GenFrame.box``/``rhd`` on world
 bitmasks, the encoding of ``[]`` and ``|>`` that every model reads.
 ``properties`` reads them through the lookup tables they build,
 ``GenFrame._lookups``, when it walks valuations for a witness; it decides
-frame validity with its own per-world step, which reads R and S by world
-index from ``GenFrame._index_rows``.
+frame validity with its own per-world step, which reads R and S as lists of
+indices from ``GenFrame._index_rows``.
 ``rhd(a, b)`` reads one table per right operand b, ``GenFrame._blocked(b)``:
 the worlds w, per R-successor u, where no generator of S_w(u) lies inside b.
 
@@ -61,12 +63,13 @@ class Violation:
         return f"{self.clause} {self.witness}: {self.message}"
 
 
-def bits(x: int) -> list[int]:
-    """The one-bit masks of ``x``, lowest first."""
+def indices(x: int) -> list[int]:
+    """The indices of the worlds in mask ``x``, lowest first."""
     out = []
     while x:
-        out.append(x & -x)
-        x &= x - 1
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
     return out
 
 
@@ -115,43 +118,45 @@ def minimal_unions(choices: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return unions
 
 
-def _antichains(s: Mapping[World, Mapping[World, Iterable[int]]]) -> dict:
+def _antichains(s: Mapping[int, Mapping[int, Iterable[int]]]) -> dict:
     return {w: {u: antichain(gens) for u, gens in per_u.items()} for w, per_u in s.items()}
 
 
 class _Frame:
-    """Worlds (sorted) and R, as ``succ_mask[w]`` = R[w], for both kinds of frame."""
+    """Worlds (sorted), their ``index``, and R, as ``succ[i]`` = the mask of
+    R[i], for both kinds of frame."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]]):
         self.worlds: tuple[World, ...] = tuple(sorted(set(worlds)))
         if not self.worlds:
             raise FrameError("empty world set")
-        self.bit = bit = {w: 1 << i for i, w in enumerate(self.worlds)}
-        self.succ_mask = succ = dict.fromkeys(self.worlds, 0)
+        self.index = index = {w: i for i, w in enumerate(self.worlds)}
+        succ = [0] * len(self.worlds)
         for a, b in pairs:
-            if a not in bit or b not in bit:
+            if a not in index or b not in index:
                 raise FrameError(f"R edge ({a}, {b}) mentions an unknown world")
-            succ[a] |= bit[b]
+            succ[index[a]] |= 1 << index[b]
+        self.succ: tuple[int, ...] = tuple(succ)
 
     @property
     def pairs(self) -> frozenset[tuple[World, World]]:
-        """R as world-name pairs, derived from ``succ_mask``."""
-        return frozenset((w, u) for w, r in self.succ_mask.items() for u in self.names(r))
+        """R as world-name pairs, derived from ``succ``."""
+        return frozenset((w, u) for w, r in zip(self.worlds, self.succ) for u in self.names(r))
 
     def successors(self, w: World) -> frozenset[World]:
-        """R[w] as world names, derived from ``succ_mask``."""
-        return frozenset(self.names(self.succ_mask[w]))
+        """R[w] as world names, derived from ``succ``."""
+        return frozenset(self.names(self.succ[self.index[w]]))
 
     def mask(self, ws: Iterable[World]) -> int:
-        return sum(map(self.bit.__getitem__, set(ws)))
+        return sum(1 << self.index[w] for w in set(ws))
 
     def names(self, x: int) -> tuple[World, ...]:
         """The worlds in mask ``x``, in world order."""
-        out = []
-        while x:
-            out.append(self.worlds[(x & -x).bit_length() - 1])
-            x &= x - 1
-        return tuple(out)
+        return tuple(map(self.worlds.__getitem__, indices(x)))
+
+    def named(self, at: Iterable[int], sets: Iterable[int] = ()) -> tuple:
+        """A witness as names: the worlds at ``at``, then each mask of ``sets``."""
+        return tuple(self.worlds[i] for i in at) + tuple(map(self.names, sets))
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._key() == other._key()
@@ -161,53 +166,53 @@ class _Frame:
 
 
 class GenFrame(_Frame):
-    """Generalized Veltman frame.  S is stored once: ``s[w][u]`` is the
-    ``antichain`` of world masks generating S_w(u), bit i standing for
-    ``worlds[i]``.  ``box`` and ``rhd`` read world bitmasks with only ``&``,
-    ``|``, ``^``, ``==``, ``!=`` and ``*``: a Python int is one truth set
-    of any width, a numpy array of unsigned integers a grid of them, and the
-    result keeps the operand's dtype."""
+    """Generalized Veltman frame.  S is stored once: ``s[i][j]`` is the
+    ``antichain`` of world masks generating S_i(j).  ``box`` and ``rhd``
+    read world bitmasks with only ``&``, ``|``, ``^``, ``>>``, ``==``,
+    ``!=`` and ``*``: a Python int is one truth set of any width, a numpy
+    array of unsigned integers a grid of them, and the result keeps the
+    operand's dtype."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  families: Mapping[World, Mapping[World, Iterable[Iterable[World]]]]):
         super().__init__(worlds, pairs)
-        s: dict[World, dict[World, list[int]]] = {}
+        index = self.index
+        s: dict[int, dict[int, list[int]]] = {}
         for w, per_u in families.items():
-            if w not in self.bit:
+            if w not in index:
                 raise FrameError(f"S family keyed by unknown world {w}")
             for u, gens in per_u.items():
-                if u not in self.bit:
+                if u not in index:
                     raise FrameError(f"S family for {w} keyed by unknown world {u}")
                 for g in gens:
                     g = set(g)
                     if not g:
                         raise FrameError(f"empty S-image set for ({w}, {u})")
-                    if not g <= self.bit.keys():
+                    if not g <= index.keys():
                         raise FrameError(f"S-image for ({w}, {u}) mentions an unknown world")
-                    s.setdefault(w, {}).setdefault(u, []).append(self.mask(g))
+                    s.setdefault(index[w], {}).setdefault(index[u], []).append(self.mask(g))
         self.s = _antichains(s)
 
     @classmethod
-    def from_masks(cls, worlds: Iterable[World], succ_mask: Mapping[World, int],
-                   s: Mapping[World, Mapping[World, Iterable[int]]]) -> GenFrame:
-        """The frame with R[w] the mask ``succ_mask[w]`` (0 if absent) and S_w(u)
-        generated by ``s[w][u]``, one or more nonzero masks over the sorted worlds."""
+    def from_masks(cls, worlds: Iterable[World], succ: Iterable[int],
+                   s: Mapping[int, Mapping[int, Iterable[int]]]) -> GenFrame:
+        """The frame on the sorted ``worlds`` with R[i] the mask ``succ[i]``
+        and S_i(j) generated by ``s[i][j]``, one or more nonzero masks."""
         frame = cls(worlds, (), {})
-        frame.succ_mask = {w: succ_mask.get(w, 0) for w in frame.worlds}
+        frame.succ = tuple(succ)
         frame.s = _antichains(s)
         return frame
 
-    def gen_masks(self, w: World, u: World) -> tuple[int, ...]:
-        return self.s.get(w, {}).get(u, ())
-
     def gens(self, w: World, u: World) -> tuple[frozenset[World], ...]:
-        return tuple(frozenset(self.names(g)) for g in self.gen_masks(w, u))
+        index = self.index
+        return tuple(frozenset(self.names(g))
+                     for g in self.s.get(index.get(w), {}).get(index.get(u), ()))
 
-    def s_holds_mask(self, w: World, u: World, v: int) -> bool:
+    def s_holds_mask(self, w: int, u: int, v: int) -> bool:
         """u S_w V in the monotone closure, V a world mask: requires u in
         R[w], V nonempty and inside R[w], and some generator inside V."""
-        r = self.succ_mask[w]
-        if v == 0 or v & ~r or not r & self.bit[u]:
+        r = self.succ[w]
+        if v == 0 or v & ~r or not r >> u & 1:
             return False
         for low, gens in self._buckets.get(w, {}).get(u, ()):
             if low & v:
@@ -217,40 +222,29 @@ class GenFrame(_Frame):
         return False
 
     def s_holds(self, w: World, u: World, vs: Iterable[World]) -> bool:
-        """``s_holds_mask`` for V given as world names."""
-        vs = set(vs)
-        return vs <= self.bit.keys() and self.s_holds_mask(w, u, self.mask(vs))
+        """``s_holds_mask`` for worlds and V given as names."""
+        vs, index = set(vs), self.index
+        return vs <= index.keys() and self.s_holds_mask(index[w], index[u], self.mask(vs))
 
     @cached_property
-    def _rows(self) -> dict:
-        """Per world w, in world order: its bit, the mask of R[w], and for
-        each u in R[w], lowest bit first, the bit and name of u with the
-        generators of S_w(u), read off ``s[w]`` in one walk of R[w]'s bits."""
-        worlds, out = self.worlds, {}
-        for w, r in self.succ_mask.items():
-            per_u, images, x = self.s.get(w, {}), [], r
-            while x:
-                b = x & -x
-                u = worlds[b.bit_length() - 1]
-                images.append((b, u, per_u.get(u, ())))
-                x ^= b
-            out[w] = (self.bit[w], r, tuple(images))
-        return out
+    def _rows(self) -> tuple:
+        """Per world i, in world order: the mask of R[i] and, for each j in
+        R[i], lowest first, j with the generators of S_i(j), read off
+        ``s[i]`` in one walk of R[i]."""
+        s, empty = self.s, {}
+        return tuple((r, tuple([(j, per_u.get(j, ())) for j in indices(r)]))
+                     for i, r in enumerate(self.succ) for per_u in [s.get(i, empty)])
 
     @cached_property
     def _index_rows(self) -> tuple:
-        """``_rows`` by world index, for the skeleton table: per world, in
-        world order, the indices of R[w] and, for each u in R[w], the index
-        of u, those of the one-world generators of S_w(u) and the others
-        as tuples of indices."""
-        def index(x):
-            return tuple(b.bit_length() - 1 for b in bits(x))
-
-        return tuple((index(r), tuple((bu.bit_length() - 1,
-                                       tuple(g.bit_length() - 1 for g in gens if g & g - 1 == 0),
-                                       tuple(index(g) for g in gens if g & g - 1))
-                                      for bu, _, gens in images))
-                     for _, r, images in self._rows.values())
+        """``_rows`` as indices, for the skeleton table: per world, in world
+        order, the indices of R[i] and, for each j in R[i], j, the indices
+        of the one-world generators of S_i(j) and the others as lists of
+        indices."""
+        return tuple((indices(r), tuple((j, [g.bit_length() - 1 for g in gens if g & g - 1 == 0],
+                                         [indices(g) for g in gens if g & g - 1])
+                                        for j, gens in images))
+                     for r, images in self._rows)
 
     @cached_property
     def _buckets(self) -> dict:
@@ -266,17 +260,6 @@ class GenFrame(_Frame):
                     groups.setdefault(g & -g, []).append(g)
                 out.setdefault(w, {})[u] = tuple(groups.items())
         return out
-
-    def _rows_for(self, x):
-        """The rows ``box`` and ``rhd`` read for an operand like ``x``: the
-        ``_rows`` for a Python int; for a numpy array, built on each call,
-        the same rows with each world's bit a scalar of the array's dtype,
-        since a bool array times a Python int is int64 and would widen every
-        later pass."""
-        if type(x) is int:
-            return self._rows.values()
-        t = x.dtype.type
-        return [(t(bw), r, images) for bw, r, images in self._rows.values()]
 
     @cached_property
     def _lookups(self):
@@ -299,28 +282,28 @@ class GenFrame(_Frame):
 
     def box(self, x):
         """Worlds all of whose R-successors lie in ``x``."""
-        out = x & 0
-        for bw, succ, _ in self._rows_for(out):
-            out = out | ((x & succ) == succ) * bw
+        one, out = _one(x), x & 0
+        for i, succ in enumerate(self.succ):
+            out = out | (((x & succ) == succ) * one) << i
         return out
 
     def _blocked(self, b):
         """The step of ``rhd`` for a right operand ``b``: per world u that
-        is some world's R-successor, by u's bit, the mask of the worlds w
+        is some world's R-successor, by u's index, the mask of the worlds w
         with u in R[w] where u is blocked, no generator of S_w(u) lying
         inside ``b``.  On Python ints a pair is dropped at its first
         generator inside ``b`` (only a Python bool is ``False``), so every
         entry is nonzero; on arrays every pair is kept."""
-        table: dict = {}
-        for bw, _, images in self._rows_for(b & 0):
-            for bu, _, gens in images:
+        one, table = _one(b), {}
+        for i, (_, images) in enumerate(self._rows):
+            for u, gens in images:
                 blocked = True
                 for g in gens:
                     blocked = blocked & ((b & g) != g)
                     if blocked is False:
                         break
                 else:
-                    table[bu] = table.get(bu, 0) | blocked * bw
+                    table[u] = table.get(u, 0) | (blocked * one) << i
         return table
 
     def rhd(self, a, b, blocked=None):
@@ -329,23 +312,31 @@ class GenFrame(_Frame):
         the table ``blocked(b)``, by default ``_blocked(b)``; a model passes
         its memo of ``_blocked``."""
         out = a & b & 0
-        for bu, ws in (blocked or self._blocked)(b).items():
-            out = out | ((a & bu) == bu) * ws
+        for u, ws in (blocked or self._blocked)(b).items():
+            out = out | (a >> u & 1) * ws
         return out ^ ((1 << len(self.worlds)) - 1)
 
     def _key(self):
-        s = tuple(sorted((w, tuple(sorted(per_u.items()))) for w, per_u in self.s.items()))
-        return (self.worlds, tuple(self.succ_mask.values()), s)
+        return (self.worlds, self.succ,
+                tuple(sorted((w, tuple(sorted(per_u.items()))) for w, per_u in self.s.items())))
 
     def to_json(self) -> dict:
+        worlds = self.worlds
         return {
             "kind": "gen",
-            "worlds": list(self.worlds),
+            "worlds": list(worlds),
             "R": sorted([a, b] for a, b in self.pairs),
-            "S": {w: {u: [list(self.names(g)) for g in gens]
-                      for u, gens in sorted(per_u.items())}
+            "S": {worlds[w]: {worlds[u]: [list(self.names(g)) for g in gens]
+                              for u, gens in sorted(per_u.items())}
                   for w, per_u in sorted(self.s.items())},
         }
+
+
+def _one(x):
+    """1 as ``box`` and ``_blocked`` shift it into an operand like ``x``: a
+    Python int, or a scalar of a numpy array's dtype, since a bool array
+    times a Python int is int64 and would widen every later pass."""
+    return 1 if type(x) is int else x.dtype.type(1)
 
 
 def _take_pair(table, a, b):
@@ -355,31 +346,32 @@ def _take_pair(table, a, b):
 
 
 class OrdFrame(_Frame):
-    """Ordinary Veltman frame.  S is stored once: ``s[w][u]`` is the world
-    mask of the v with u S_w v, kept only when nonzero, u in world order."""
+    """Ordinary Veltman frame.  S is stored once: ``s[i][j]`` is the world
+    mask of the v with j S_i v, kept only when nonzero, j in world order."""
 
     def __init__(self, worlds: Iterable[World], pairs: Iterable[tuple[World, World]],
                  s: Mapping[World, Iterable[tuple[World, World]]]):
         super().__init__(worlds, pairs)
-        bit = self.bit
-        self.s: dict[World, dict[World, int]] = {}
+        index = self.index
+        self.s: dict[int, dict[int, int]] = {}
         for w, rel in s.items():
-            if w not in bit:
+            if w not in index:
                 raise FrameError(f"S relation keyed by unknown world {w}")
-            per_u: dict[World, int] = {}
+            per_u: dict[int, int] = {}
             for a, b in [(a, b) for a, b in rel]:  # every pair unpacks before any is checked
-                if a not in bit or b not in bit:
+                if a not in index or b not in index:
                     raise FrameError(f"S_{w} pair ({a}, {b}) mentions an unknown world")
-                per_u[a] = per_u.get(a, 0) | bit[b]
+                per_u[index[a]] = per_u.get(index[a], 0) | 1 << index[b]
             if per_u:
-                self.s[w] = dict(sorted(per_u.items()))
+                self.s[index[w]] = dict(sorted(per_u.items()))
 
     def s_pairs(self, w: World) -> frozenset[tuple[World, World]]:
         """S_w as world-name pairs, derived from ``s``."""
-        return frozenset((u, v) for u, x in self.s.get(w, {}).items() for v in self.names(x))
+        return frozenset((self.worlds[u], v) for u, x in self.s.get(self.index.get(w), {}).items()
+                         for v in self.names(x))
 
     def _key(self):
-        return (self.worlds, tuple(self.succ_mask.values()),
+        return (self.worlds, self.succ,
                 tuple(sorted((w, tuple(per_u.items())) for w, per_u in self.s.items())))
 
     def to_json(self) -> dict:
@@ -387,25 +379,34 @@ class OrdFrame(_Frame):
             "kind": "ord",
             "worlds": list(self.worlds),
             "R": sorted([a, b] for a, b in self.pairs),
-            "S": {w: sorted(map(list, self.s_pairs(w))) for w in sorted(self.s)},
+            "S": {w: sorted(map(list, self.s_pairs(w)))
+                  for w in map(self.worlds.__getitem__, sorted(self.s))},
         }
 
 
+def _violation(frame, clause: str, message: str, at: tuple, sets: tuple = ()) -> Violation:
+    """The ``Violation`` at world indices ``at`` and masks ``sets``: its
+    witness ``frame.named(at, sets)``, and ``message`` formatted with it."""
+    witness = frame.named(at, sets)
+    return Violation(clause, witness, message.format(*witness))
+
+
 def _r_violations(frame) -> list[Violation]:
-    r, names = frame.succ_mask, frame.names
-    return ([Violation("R-irreflexivity", (a,), f"R contains the loop ({a}, {a})")
-             for a, ra in r.items() if ra & frame.bit[a]]
-            + [Violation("R-transitivity", (a, b, c), f"{a} R {b} R {c} but not {a} R {c}")
-               for a, ra in r.items() for b in names(ra) for c in names(r[b] & ~ra)])
+    r = frame.succ
+    return ([_violation(frame, "R-irreflexivity", "R contains the loop ({0}, {0})", (a,))
+             for a, ra in enumerate(r) if ra >> a & 1]
+            + [_violation(frame, "R-transitivity", "{0} R {1} R {2} but not {0} R {2}", (a, b, c))
+               for a, ra in enumerate(r) for b in indices(ra) for c in indices(r[b] & ~ra)])
 
 
 def _a_violations(frame: GenFrame) -> list[Violation]:
     out = []
-    for w, r in frame.succ_mask.items():
-        for u, gens in sorted(frame.s.get(w, {}).items()):
-            if not r & frame.bit[u]:
-                out.append(Violation("a", (w, u), f"S_{w} keyed by {u} outside R[{w}]"))
-            out += [Violation("a", (w, u, frame.names(g)), f"S_{w} image of {u} leaves R[{w}]")
+    for w, per_u in sorted(frame.s.items()):
+        r = frame.succ[w]
+        for u, gens in sorted(per_u.items()):
+            if not r >> u & 1:
+                out.append(_violation(frame, "a", "S_{0} keyed by {1} outside R[{0}]", (w, u)))
+            out += [_violation(frame, "a", "S_{0} image of {1} leaves R[{0}]", (w, u), (g,))
                     for g in gens if g & ~r]
     return out
 
@@ -422,28 +423,27 @@ def validate(frame) -> list[Violation]:
     if isinstance(frame, GenFrame):
         out += _a_violations(frame)
         rows = frame._rows
-        out += [Violation("b", (w, u), f"missing {u} S_{w} {{{u}}}")
-                for w in frame.worlds for bu, u, _ in rows[w][2]
-                if not frame.s_holds_mask(w, u, bu)]
-        out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {{{v}}}")
-                for w in frame.worlds for _, u, _ in rows[w][2] for bv, v, _ in rows[u][2]
-                if not frame.s_holds_mask(w, u, bv)]
+        out += [_violation(frame, "b", "missing {1} S_{0} {{{1}}}", (w, u))
+                for w, (_, images) in enumerate(rows) for u, _ in images
+                if not frame.s_holds_mask(w, u, 1 << u)]
+        out += [_violation(frame, "d", "{0} R {1} R {2} but not {1} S_{0} {{{2}}}", (w, u, v))
+                for w, (_, images) in enumerate(rows) for u, _ in images for v, _ in rows[u][1]
+                if not frame.s_holds_mask(w, u, 1 << v)]
         if next(_escapes(frame), None) is not None:
             w, u, g, union = _first_escape(frame)
-            out.append(Violation("c", (w, u, frame.names(g), frame.names(union)),
-                                 "quasi-transitivity fails"))
+            out.append(_violation(frame, "c", "quasi-transitivity fails", (w, u), (g, union)))
         return out
-    r, bit, names = frame.succ_mask, frame.bit, frame.names
-    for w, rw in r.items():
+    r = frame.succ
+    for w, rw in enumerate(r):
         s = frame.s.get(w, {})
-        out += [Violation("a", (w, a, b), f"S_{w} pair ({a}, {b}) leaves R[{w}]")
-                for a, x in s.items() for b in names(x & ~rw if rw & bit[a] else x)]
-        out += [Violation("b", (w, u), f"S_{w} is not reflexive at {u}")
-                for u in names(rw) if not s.get(u, 0) & bit[u]]
-        out += [Violation("c", (w, a, b, c), f"S_{w} is not transitive")
-                for a, x in s.items() for b in names(x) for c in names(s.get(b, 0) & ~x)]
-        out += [Violation("d", (w, u, v), f"{w} R {u} R {v} but not {u} S_{w} {v}")
-                for u in names(rw) for v in names(r[u] & ~s.get(u, 0))]
+        out += [_violation(frame, "a", "S_{0} pair ({1}, {2}) leaves R[{0}]", (w, a, b))
+                for a, x in s.items() for b in indices(x & ~rw if rw >> a & 1 else x)]
+        out += [_violation(frame, "b", "S_{0} is not reflexive at {1}", (w, u))
+                for u in indices(rw) if not s.get(u, 0) >> u & 1]
+        out += [_violation(frame, "c", "S_{0} is not transitive", (w, a, b, c))
+                for a, x in s.items() for b in indices(x) for c in indices(s.get(b, 0) & ~x)]
+        out += [_violation(frame, "d", "{0} R {1} R {2} but not {1} S_{0} {2}", (w, u, v))
+                for u in indices(rw) for v in indices(r[u] & ~s.get(u, 0))]
     return out
 
 
@@ -451,11 +451,10 @@ def _chains(frame: GenFrame):
     """Every (w, u, G, options) quasi-transitivity constrains: G a generator
     of S_w(u) and options the generators of S_w(v) per v in G, in world
     order.  A G with some v lacking S_w-images has nothing to chain through."""
-    for w in frame.worlds:
-        per_u = frame.s.get(w, {})
+    for w, per_u in sorted(frame.s.items()):
         for u in sorted(per_u):
             for g in per_u[u]:
-                options = [per_u.get(v, ()) for v in frame.names(g)]
+                options = [per_u.get(v, ()) for v in indices(g)]
                 if all(options):
                     yield w, u, g, options
 
@@ -484,8 +483,8 @@ def _escapes(frame: GenFrame):
     options: an escape, maybe not minimal, so deciding need not wait for
     the last factor.  Past the last such factor the layer no longer grows."""
     for w, u, g, options in _chains(frame):
-        r, layer, last = frame.succ_mask[w], options[0], 0  # options[0]: a stored antichain
-        if len(options) > 2 and r & frame.bit[u]:
+        r, layer, last = frame.succ[w], options[0], 0  # options[0]: a stored antichain
+        if len(options) > 2 and r >> u & 1:
             every, first = _tails(options)
             if not every[0] & ~r:
                 last = max((d for d, hs in enumerate(options) if len(hs) > 1), default=0)
@@ -507,7 +506,7 @@ def _first_escape(frame: GenFrame):
     its completion by the first options is the answer; and one in S_w(u)
     whose later options all lie inside R[w] has no escaping completion."""
     for w, u, g, options in _chains(frame):
-        r = frame.succ_mask[w]
+        r = frame.succ[w]
         every, first = _tails(options)
         seen, stack = set(), [(0, 0)]  # (options picked, their union)
         while stack:
@@ -530,11 +529,11 @@ def close_s(frame: GenFrame) -> GenFrame:
     repair it."""
     if bad := _r_violations(frame) or _a_violations(frame):
         raise FrameError(f"cannot close S over an illegal R: {bad[0]}")
-    r = frame.succ_mask
+    r = frame.succ
     s = {w: {u: list(gens) for u, gens in per_u.items()} for w, per_u in frame.s.items()}
-    for w in frame.worlds:
-        for b, u in zip(bits(r[w]), frame.names(r[w])):
-            s.setdefault(w, {}).setdefault(u, []).extend([b, *bits(r[u])])
+    for w, rw in enumerate(r):
+        for u in indices(rw):
+            s.setdefault(w, {}).setdefault(u, []).extend(1 << v for v in [u, *indices(r[u])])
     closed = GenFrame.from_masks(frame.worlds, r, s)
     while escapes := list(_escapes(closed)):  # a pass, then one rebuild
         for w, u, _, union in escapes:
@@ -600,11 +599,10 @@ class GenModel(_Model):
         return fold(f, self._step, self._truth)
 
     def truth_set(self, f: Formula) -> frozenset[World]:
-        mask = self._truth_mask(f)
-        return frozenset(w for w, b in self.frame.bit.items() if mask & b)
+        return frozenset(self.frame.names(self._truth_mask(f)))
 
     def forces(self, w: World, f: Formula) -> bool:
-        return bool(self._truth_mask(f) & self.frame.bit.get(w, 0))
+        return bool(self._truth_mask(f) & self.frame.mask(self.frame.index.keys() & {w}))
 
 
 class OrdModel(_Model):
@@ -625,8 +623,9 @@ class OrdModel(_Model):
 def gen_of_ordinary(m: OrdModel) -> GenModel:
     """Embed an ordinary model: S'_w(u) is generated by the singletons {v}
     with u S_w v.  Forcing is preserved for every formula."""
-    s = {w: {u: bits(x) for u, x in per_u.items()} for w, per_u in m.frame.s.items()}
-    return GenModel(GenFrame.from_masks(m.frame.worlds, m.frame.succ_mask, s), m.valuation)
+    s = {w: {u: [1 << v for v in indices(x)] for u, x in per_u.items()}
+         for w, per_u in m.frame.s.items()}
+    return GenModel(GenFrame.from_masks(m.frame.worlds, m.frame.succ, s), m.valuation)
 
 
 def _array(x, what: str, *args) -> list:

@@ -28,9 +28,9 @@ Rgen over minimal choice sets; both conditions are antitone there, which
 makes the minimal elements enough.
 
 ``check_property`` is one loop over a condition's items (worlds, sets, a, b,
-keep), sets as world masks.  The condition holds when b S_a keep for every
-item; the first item without fails it, with the witness ``worlds`` followed
-by ``sets`` as tuples of names.  Items run over V, a stored generator of
+keep), worlds by index and sets as world masks.  The condition holds when
+b S_a keep for every item; the first item without fails it, with the witness
+``GenFrame.named(worlds, sets)``.  Items run over V, a stored generator of
 S_w(u) (Wgen: every image), for Mgen and Wgen, and over w R x R u with V a
 generator of S_w(u) for the rest; Rgen and P0gen also over each choice set C
 or transversal Z.  keep is V cut to the worlds with R inside R[u] (Mgen,
@@ -86,7 +86,7 @@ from typing import Callable, Iterable
 from .formula import (Algebra, And, Box, Dia, Formula, Impl, Neg, Or, Rhd, Var, evaluate, fold,
                       variables)
 from .hilbert import SCHEMATA, _column, instantiate, schema_metavars
-from .model import GenFrame, World, bits, minimal_unions
+from .model import GenFrame, World, indices, minimal_unions
 
 PROPERTY_IDS = ("Mgen", "M0gen", "Pgen", "P0gen", "Rgen", "Wgen")
 
@@ -108,19 +108,21 @@ def minimal_hitting_sets(sets: Iterable[int]) -> tuple[int, ...]:
     """Minimal transversals of a family of world masks, in ``mask_order``:
     the minimal unions of one bit from each member.  An empty family has the
     empty transversal 0; a family containing 0 has none."""
-    return minimal_unions(bits(s) for s in sets)
+    return minimal_unions([1 << i for i in indices(s)] for s in sets)
 
 
 def choice_sets(frame: GenFrame, x: World, u: World) -> tuple[int, ...]:
     """Minimal masks inside R[x] meeting every S_x-image of u.  Requires x R u."""
-    if not frame.succ_mask[x] & frame.bit[u]:
+    i, j = frame.index[x], frame.index[u]
+    if not frame.succ[i] >> j & 1:
         raise ValueError(f"choice_sets needs {x} R {u}")
-    return minimal_hitting_sets(frame.gen_masks(x, u))
+    return minimal_hitting_sets(frame.s.get(i, {}).get(j, ()))
 
 
 def s_preimage(frame: GenFrame, w: World, v: int) -> int:
     """The mask of all z in R[w] with z S_w V, for V a world mask."""
-    return sum(bz for bz, z, _ in frame._rows[w][2] if frame.s_holds_mask(w, z, v))
+    i = frame.index[w]
+    return sum(1 << z for z, _ in frame._rows[i][1] if frame.s_holds_mask(i, z, v))
 
 
 # Wgen's V ranges over every subset of R[w], so its scan doubles with each
@@ -130,34 +132,34 @@ def s_preimage(frame: GenFrame, w: World, v: int) -> int:
 MAX_WGEN_SUCCESSORS = 12
 
 
-def _upward_images(frame: GenFrame, w: World, u: World) -> list[int]:
+def _upward_images(frame: GenFrame, w: int, u: int) -> list[int]:
     """Every V with u S_w V, smallest first (the full monotone closure)."""
-    ru = bits(frame.succ_mask[w])
+    ru = [1 << i for i in indices(frame.succ[w])]
     return [v for r in range(1, len(ru) + 1) for v in map(sum, combinations(ru, r))
             if frame.s_holds_mask(w, u, v)]
 
 
 def _chains(frame: GenFrame):
     """(w, x, u, V) for every w R x R u and generator V of S_w(u), in world order."""
-    rows = frame._rows
-    return ((w, x, u, v) for w in frame.worlds for _, x, _ in rows[w][2]
-            for _, u, _ in rows[x][2] for v in frame.gen_masks(w, u))
+    rows, s = frame._rows, frame.s
+    return ((w, x, u, v) for w, (_, images) in enumerate(rows) for x, _ in images
+            for u, _ in rows[x][1] for v in s.get(w, {}).get(u, ()))
 
 
-# the items of each condition on a frame f with R masks r
+# the items of each condition on a frame f with R masks r, worlds by index
 _ITEMS = {
     "Mgen": lambda f, r: (((w, u), (v,), w, u, v & f.box(r[u]))
-                          for w in f.worlds for u, gens in sorted(f.s.get(w, {}).items())
+                          for w, per_u in sorted(f.s.items()) for u, gens in sorted(per_u.items())
                           for v in gens),
     "M0gen": lambda f, r: (((w, u, x), (v,), w, u, v & f.box(r[u]))
                            for w, u, x, v in _chains(f)),
     "Pgen": lambda f, r: (((w, w2, u), (v,), w2, u, v & r[w2]) for w, w2, u, v in _chains(f)),
     "P0gen": lambda f, r: (((w, x, u), (v, z), x, u, z & r[x]) for w, x, u, v in _chains(f)
-                           for z in minimal_hitting_sets(r[y] for y in f.names(v))),
-    "Rgen": lambda f, r: (((w, x, u), (v, c), w, x, v & f.box(c))
-                          for w, x, u, v in _chains(f) for c in choice_sets(f, x, u)),
-    "Wgen": lambda f, r: (((w, u), (v,), w, u, v & f.box(~s_preimage(f, w, v)))
-                          for w in f.worlds for u in sorted(f.s.get(w, {}))
+                           for z in minimal_hitting_sets(r[y] for y in indices(v))),
+    "Rgen": lambda f, r: (((w, x, u), (v, c), w, x, v & f.box(c)) for w, x, u, v in _chains(f)
+                          for c in choice_sets(f, f.worlds[x], f.worlds[u])),
+    "Wgen": lambda f, r: (((w, u), (v,), w, u, v & f.box(~s_preimage(f, f.worlds[w], v)))
+                          for w, per_u in sorted(f.s.items()) for u in sorted(per_u)
                           for v in _upward_images(f, w, u)),
 }
 
@@ -177,12 +179,14 @@ def check_property(frame: GenFrame, property_id: str) -> PropertyReport:
         raise ValueError(f"unknown property {property_id!r}; choose from {PROPERTY_IDS}")
     if property_id == "Wgen":
         for w, per_u in frame.s.items():
-            if per_u and (k := frame.succ_mask[w].bit_count()) > MAX_WGEN_SUCCESSORS:
+            if per_u and (k := frame.succ[w].bit_count()) > MAX_WGEN_SUCCESSORS:
+                w = frame.worlds[w]
                 raise ValueError(f"Wgen scans every subset of R[{w}], and {w} has {k} "
                                  f"successors; the bound is {MAX_WGEN_SUCCESSORS}")
-    for worlds, sets, a, b, keep in _ITEMS[property_id](frame, frame.succ_mask):
+    for worlds, sets, a, b, keep in _ITEMS[property_id](frame, frame.succ):
         if not frame.s_holds_mask(a, b, keep):
-            return PropertyReport(property_id, False, worlds + tuple(map(frame.names, sets)),
+            a, b = frame.named((a, b))
+            return PropertyReport(property_id, False, frame.named(worlds, sets),
                                   _MESSAGES[property_id].format(a=a, b=b))
     return PropertyReport(property_id, True)
 

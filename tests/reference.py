@@ -93,10 +93,11 @@ def images(fr, w, u):
 
 
 def _s_holds_by_scan(fr, w, u, v):
-    """u S_w V on the stored generators, by scanning every one of them."""
-    r = fr.succ_mask[w]
-    return bool(v and not v & ~r and r & fr.bit[u]
-                and any(g & ~v == 0 for g in fr.gen_masks(w, u)))
+    """u S_w V on the stored generators, by scanning every one of them;
+    worlds by index, V a world mask."""
+    r = fr.succ[w]
+    return bool(v and not v & ~r and r & 1 << u
+                and any(g & ~v == 0 for g in fr.s.get(w, {}).get(u, ())))
 
 
 def brute_mgen(fr):
@@ -216,14 +217,20 @@ def brute_close_s(fr):
             for w, per_u in s.items() if per_u}
 
 
+def _members(g):
+    """The indices of the worlds in mask ``g``, lowest first."""
+    return [i for i in range(g.bit_length()) if g >> i & 1]
+
+
 def product_escapes(fr):
     """Every (w, u, G, union) whose union escapes S_w(u), in ``product``
-    order: every pick of one generator of S_w(v) per v in G, none skipped."""
-    for w in fr.worlds:
+    order: every pick of one generator of S_w(v) per v in G, none skipped;
+    worlds by index."""
+    for w in range(len(fr.worlds)):
         per_u = fr.s.get(w, {})
         for u in sorted(per_u):
             for g in per_u[u]:
-                options = [per_u.get(v, ()) for v in fr.names(g)]
+                options = [per_u.get(v, ()) for v in _members(g)]
                 for pick in itertools.product(*options):
                     union = reduce(or_, pick)
                     if not fr.s_holds_mask(w, u, union):
@@ -232,15 +239,15 @@ def product_escapes(fr):
 
 def minimal_escapes(fr):
     """Per (w, u, G), the unions of picks that no other pick's union lies
-    strictly inside and that escape S_w(u)."""
+    strictly inside and that escape S_w(u); worlds by index."""
     out = {}
     for w, u, g, union in product_escapes(fr):
         out.setdefault((w, u, g), set())
-    for w in fr.worlds:
+    for w in range(len(fr.worlds)):
         per_u = fr.s.get(w, {})
         for u in sorted(per_u):
             for g in per_u[u]:
-                options = [per_u.get(v, ()) for v in fr.names(g)]
+                options = [per_u.get(v, ()) for v in _members(g)]
                 unions = {reduce(or_, pick) for pick in itertools.product(*options)}
                 least = {x for x in unions if not any(y != x and y & ~x == 0 for y in unions)}
                 if escaping := {x for x in least if not fr.s_holds_mask(w, u, x)}:

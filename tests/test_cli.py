@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,22 @@ class TestCheckModel:
         doc = json.loads(capsys.readouterr().out)
         assert doc["legal"] is False
         assert doc["violations"]
+
+    def test_65536_edgeless_worlds_stay_small(self, tmp_path, capsys):
+        """A 0.6 MB file of 65,536 worlds and no R: a world is its index,
+        and nothing is kept per world at the width of the model (one
+        65,536-bit int per world took 288 MiB traced)."""
+        path = tmp_path / "edgeless.json"
+        doc = {"kind": "gen", "worlds": [f"w{i}" for i in range(1 << 16)], "R": [], "S": {}}
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            rc = main(["check-model", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rc, capsys.readouterr().out) == (0, "legal\n")
+        assert peak < 32 * 2 ** 20, peak
 
 
 class TestModelCheck:

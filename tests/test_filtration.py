@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -346,6 +347,22 @@ def test_filtrate_on_16384_classes_stays_under_a_second_and_a_half():
     assert time.perf_counter() - started < 1.5
     assert len(res.quotient.worlds) == 16384 and len(res.gamma) == 196
     assert res.violations == ()
+
+
+def test_filtrate_on_16384_classes_stays_small():
+    """The 14-variable flat model, each world its own class: the worlds'
+    classes are listed by world index, not keyed by 16,384-bit world masks
+    (46 MiB traced when they were)."""
+    m = flat_model(14)
+    d = d_closure([parse("p0 & p1")])
+    tracemalloc.start()
+    try:
+        res = filtrate(m, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.quotient.worlds) == 16384 and res.violations == ()
+    assert peak < 24 * 2 ** 20, peak
 
 
 def test_refiltration_does_not_grow():

@@ -279,7 +279,7 @@ def test_s_holds_mask_matches_the_generator_scan():
     frames = itertools.chain(*map(_il_frames, range(1, 5)),
                              (random_gen_frame(rng, rng.randrange(1, 7)) for _ in range(200)))
     for fr in frames:
-        for w, u in itertools.product(fr.worlds, repeat=2):
+        for w, u in itertools.product(range(len(fr.worlds)), repeat=2):
             for v in range(1 << len(fr.worlds)):
                 assert fr.s_holds_mask(w, u, v) == _s_holds_by_scan(fr, w, u, v), \
                     (fr.to_json(), w, u, v)

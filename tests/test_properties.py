@@ -36,6 +36,18 @@ from veltman.properties import (
 )
 
 
+def traced_peak(run):
+    """``run()`` and the peak of the memory traced while it ran.  numpy is
+    imported before tracing starts, so that a bound on a walk measures the
+    walk and not numpy's import."""
+    import numpy  # noqa: F401
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def mgen_failing_frame():
     base = close_s(GenFrame(["w", "u", "v", "z"],
                             [("w", "u"), ("w", "v"), ("w", "z"), ("v", "z")], {}))
@@ -288,8 +300,8 @@ def test_truth_table_rows_match_model_truth_masks():
                       "q": np.array([q for _, q in grid], dtype=np.int64)}
         rows = np.broadcast_to(TruthTables(fr).evaluate(f, assignment), (len(grid),))
         for (p, q), row in zip(grid, rows):
-            m = GenModel(fr, {"p": [w for w in fr.worlds if p & fr.bit[w]],
-                              "q": [w for w in fr.worlds if q & fr.bit[w]]})
+            m = GenModel(fr, {"p": [w for i, w in enumerate(fr.worlds) if p >> i & 1],
+                              "q": [w for i, w in enumerate(fr.worlds) if q >> i & 1]})
             assert int(row) == m._truth_mask(f), (str(f), p, q)
 
 
@@ -395,12 +407,7 @@ class TestChunkedSweep:
         """16^5 valuations: the whole grid is 8 MiB per int64 array, one
         chunk 512 KiB."""
         fr = next(iter(_il_frames(4)))
-        tracemalloc.start()
-        try:
-            result = frame_validates(fr, parse(src))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: frame_validates(fr, parse(src)))
         assert (result is True) == src.endswith("~e")
         assert peak < 16 * 2 ** 20, peak
 
@@ -412,12 +419,7 @@ class TestChunkedSweep:
         while len(names) > 1:
             names = [f"({a} | {b})" for a, b in zip(names[::2], names[1::2])]
         fr = GenFrame(["w"], [], {})
-        tracemalloc.start()
-        try:
-            result = frame_validates(fr, parse(names[0]))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: frame_validates(fr, parse(names[0])))
         assert (result.world, set(map(len, result.valuation.values()))) == ("w", {0})
         assert len(result.valuation) == 1024
         assert peak < 16 * 2 ** 20, peak
@@ -428,12 +430,7 @@ class TestChunkedSweep:
         hold anything per value."""
         worlds = [f"w{i:02d}" for i in range(20)]
         fr = GenFrame(worlds, [], {})
-        tracemalloc.start()
-        try:
-            result = frame_validates(fr, parse("p"), cap=20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: frame_validates(fr, parse("p"), cap=20))
         assert (result.valuation, result.world) == ({"p": frozenset()}, "w00")
         assert peak < 2 ** 20, peak
 
@@ -449,12 +446,7 @@ class TestChunkedSweep:
             t = Rhd(t, b) if i % 2 else Box(t)
             f = Rhd(Or(t, c), d) if f is None else And(f, Rhd(Or(t, c), d))
         fr = list(enumerate_frames(4))[-1]
-        tracemalloc.start()
-        try:
-            result = frame_validates(fr, f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: frame_validates(fr, f))
         assert (result.world, set(result.valuation.values())) == ("w0", {frozenset()})
         assert peak < 8 * 2 ** 20, peak
 
@@ -751,12 +743,7 @@ class TestSkeletonTable:
         fr = list(enumerate_frames(4))[-1]
         assert properties._image(f, properties.SWEEP_ROWS)[1] == 16
         assert properties._table(f, 4, properties.SWEEP_ROWS)[5].bit_length() == 16 ** 4
-        tracemalloc.start()
-        try:
-            result = frame_validates(fr, f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: frame_validates(fr, f))
         assert result is True
         assert peak < 2 ** 21, peak
 

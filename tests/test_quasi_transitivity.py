@@ -29,7 +29,8 @@ def test_first_escape_is_the_first_product_escape_on_3000_frames():
         escaping += first is not None
         c = [v.witness for v in validate(fr) if v.clause == "c"]
         decided = bool(minimal_escapes(fr))  # c is decided on the minimal unions
-        assert c == ([(first[0], first[1], fr.names(first[2]), fr.names(first[3]))]
+        assert c == ([(fr.worlds[first[0]], fr.worlds[first[1]],
+                       fr.names(first[2]), fr.names(first[3]))]
                      if decided else []), fr.to_json()
     assert 300 < escaping < 2700  # both outcomes are exercised
 
@@ -62,8 +63,9 @@ def test_close_s_matches_the_brute_fixpoint_on_2300_frames():
                 continue
             raise AssertionError(f"close_s accepted {fr.to_json()}")
         got = close_s(fr)
-        assert {w: {u: set(got.gens(w, u)) for u in per_u} for w, per_u in got.s.items()} \
-            == expected, fr.to_json()
+        ws = got.worlds
+        assert {ws[w]: {ws[u]: set(got.gens(ws[w], ws[u])) for u in per_u}
+                for w, per_u in got.s.items()} == expected, fr.to_json()
         assert next(_escapes(got), None) is None
         closed += 1
     assert closed > 500
@@ -78,8 +80,9 @@ def test_an_image_outside_r_is_no_early_escape():
                   {"w": {"u": [["u"], ["v00", "v01", "v02"], ["z"]], "z": [["z"]],
                          "v00": [["v01"], ["x"]], "v01": [["v00", "v01"], ["v01", "z"]],
                          "v02": [["v02"], ["z"]]}})
-    assert not [e for e in _escapes(fr) if e[1] == "u"]
-    assert ("w", "u") in {e[:2] for e in product_escapes(fr)}
+    w, u = fr.index["w"], fr.index["u"]
+    assert not [e for e in _escapes(fr) if e[1] == u]
+    assert (w, u) in {e[:2] for e in product_escapes(fr)}
     assert "c" not in {v.clause for v in validate(fr)}
 
 
@@ -89,6 +92,6 @@ def test_one_early_escape_per_key():
     vs, a, b = ([f"{c}{i:02d}" for i in range(6)] for c in "vab")
     fr = GenFrame(["w", "u", *vs, *a, *b], [("w", x) for x in ["u", *vs, *a, *b]],
                   {"w": {"u": [vs, ["a00"]], **{v: [[x], [y]] for v, x, y in zip(vs, a, b)}}})
-    unions = [union for w, u, g, union in _escapes(fr) if u == "u"]
+    unions = [union for w, u, g, union in _escapes(fr) if u == fr.index["u"]]
     assert len(unions) == 33 and len(set(unions)) == 32
     assert fr.names(unions[0]) == ("a01", "a02", "a03", "a04", "a05", "b00")
