@@ -160,7 +160,7 @@ def _il_frames(n: int):
         for combo in combos:
             s: dict[int, dict[int, list[int]]] = {}
             for (w, u), extras in zip(keyed, combo):
-                s.setdefault(w, {})[u] = [*(1 << v for v in [u, *indices(succ[u])]), *extras]
+                s.setdefault(w, {})[u] = [1 << u, *(1 << v for v in indices(succ[u])), *extras]
             frame = GenFrame.from_masks(worlds, succ, s)
             if next(_escapes(frame), None) is None:
                 yield frame

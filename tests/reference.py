@@ -62,8 +62,9 @@ vectors of a per-world truth table ``leaf_image(leaves, variables)`` and
 the closure under subformulas and single negation ``negation_closure``
 are shared the same way.  So are the generator scan ``_s_holds_by_scan``,
 the quasi-transitivity walks over every pick ``product_escapes`` and
-``minimal_escapes``, the naive frame enumeration
-``_naive_transitive_irreflexive``, ``_canonical`` and ``_naive_families``,
+``minimal_escapes`` (these three name worlds by index), the naive frame
+enumeration ``_naive_transitive_irreflexive``, ``_canonical`` and
+``_naive_families``,
 the set partitions and equivalences ``_partitions`` and ``_equivalences``,
 ``verify_filtration`` written out as ``_first_disagreement``, the clauses
 of filtration ``filtration_r_by_scan`` and ``filtration_s_by_scan``, and the
@@ -604,7 +605,7 @@ def random_masks(rng: random.Random) -> list[int]:
 def mask_key(g):
     """Sort key of a world mask: its size, then the list of its member
     indices."""
-    return bin(g).count("1"), [i for i in range(g.bit_length()) if g >> i & 1]
+    return bin(g).count("1"), _members(g)
 
 
 def minimal_masks(masks):
