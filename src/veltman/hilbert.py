@@ -21,7 +21,6 @@ comment.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .formula import (And, BOT, Algebra, Box, Dia, Formula, Impl, Neg, Or,
@@ -274,9 +273,9 @@ class ProofFormatError(ValueError):
     pass
 
 
-# [0-9], not \d or str.isdigit, which also take non-ASCII digits such as '²' and '١'
-_LINE_RE = re.compile(r"^\s*([0-9]+)\.\s*(.*?)\s*;\s*(.*?)\s*$")
-_INDEX_RE = re.compile(r"[0-9]+")
+def _is_index(s: str) -> bool:
+    """ASCII digits only: str.isdigit alone also takes '²' and '١'."""
+    return s.isascii() and s.isdigit()
 
 
 def parse_proof(text: str) -> ProofObject:
@@ -294,17 +293,18 @@ def parse_proof(text: str) -> ProofObject:
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        m = _LINE_RE.match(body)
-        if m is None:
+        digits, _, rest = body.partition(".")
+        formula_src, semi, just_src = rest.partition(";")
+        if not (_is_index(digits) and semi):
             raise ProofFormatError(f"line {lineno}: expected '<index>. <formula> ; <justification>'")
-        index, formula_src, just_src = int(m.group(1)), m.group(2), m.group(3)
+        index = int(digits)
         if index != len(lines) + 1:
             raise ProofFormatError(f"line {lineno}: expected index {len(lines) + 1}, got {index}")
         try:
-            formula = parse(formula_src, memo)
+            formula = parse(formula_src.strip(), memo)
         except ParseError as exc:
             raise ProofFormatError(f"line {lineno}: {exc}") from exc
-        lines.append(ProofLine(formula, _parse_justification(just_src, lineno)))
+        lines.append(ProofLine(formula, _parse_justification(just_src.strip(), lineno)))
     if not lines:
         raise ProofFormatError("no proof lines")
     return ProofObject(tuple(lines))
@@ -318,9 +318,9 @@ def _parse_justification(src: str, lineno: int) -> Justification:
         if parts[1] not in SCHEMATA:
             raise ProofFormatError(f"line {lineno}: unknown schema {parts[1]!r}")
         return Axiom(parts[1])
-    if len(parts) == 3 and parts[0] == "mp" and all(map(_INDEX_RE.fullmatch, parts[1:])):
+    if len(parts) == 3 and parts[0] == "mp" and all(map(_is_index, parts[1:])):
         return MP(int(parts[1]), int(parts[2]))
-    if len(parts) == 2 and parts[0] == "nec" and _INDEX_RE.fullmatch(parts[1]):
+    if len(parts) == 2 and parts[0] == "nec" and _is_index(parts[1]):
         return Nec(int(parts[1]))
     raise ProofFormatError(f"line {lineno}: bad justification {src!r}")
 

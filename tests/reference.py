@@ -67,12 +67,14 @@ enumeration ``_naive_transitive_irreflexive``, ``_canonical`` and
 ``_naive_families``,
 the set partitions and equivalences ``_partitions`` and ``_equivalences``,
 ``verify_filtration`` written out as ``_first_disagreement``, the clauses
-of filtration ``filtration_r_by_scan`` and ``filtration_s_by_scan``, and the
-clauses of an ordinary frame on world-name pairs ``ord_violations``.
+of filtration ``filtration_r_by_scan`` and ``filtration_s_by_scan``, the
+clauses of an ordinary frame on world-name pairs ``ord_violations``, and
+the proof-line framing by regular expression ``regex_proof_lines``.
 """
 
 import itertools
 import random
+import re
 from functools import reduce
 from operator import or_
 
@@ -957,3 +959,17 @@ def classical_tautology(f, max_atoms=20):
         return (not ev(node[1], row)) or ev(node[2], row)
 
     return all(ev(sk, row) for row in itertools.product((False, True), repeat=n))
+
+
+_PROOF_LINE = re.compile(r"^\s*([0-9]+)\.\s*(.*?)\s*;\s*(.*?)\s*$")
+
+
+def regex_proof_lines(text):
+    """Per line of ``text`` with a body outside its ``#`` comment: the line
+    number and (index, formula text, justification text) as the regular
+    expression frames the body, or None where it frames none."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            m = _PROOF_LINE.match(body)
+            yield lineno, m and (int(m.group(1)), m.group(2), m.group(3))

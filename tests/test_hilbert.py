@@ -1,10 +1,12 @@
 """Axiom schema matching and Hilbert proof checking."""
 
 import random
+import re
+import sys
 from pathlib import Path
 
 import pytest
-from reference import classical_tautology, mutant, random_formula
+from reference import classical_tautology, mutant, random_formula, regex_proof_lines
 
 from veltman import hilbert
 from veltman.formula import (And, Impl, Neg, Or, ParseError, Rhd, Var, normalize, parse,
@@ -280,6 +282,88 @@ class TestProofFiles:
     def test_bad_formula_rejected(self):
         with pytest.raises(ProofFormatError):
             parse_proof("1. p |> ; taut\n")
+
+
+def _every_code_point() -> str:
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def test_regex_whitespace_is_what_str_strip_removes():
+    """``\\s`` matches a code point exactly when ``str.isspace`` holds for
+    it, and those are the code points ``str.strip`` removes: so the
+    partition framing trims what the regular expression did."""
+    every = _every_code_point()
+    spaces = [c for c in every if c.isspace()]
+    assert re.findall(r"\s", every) == spaces
+    assert [c for c in every if not c.strip()] == spaces
+
+
+_FORMULA_TOKENS = ("0", "1", "12", "p", "q", "bot", "->", "|>", "~", "[]", "(", ")")
+_JUSTIFICATION_TOKENS = ("taut", "ax", "K", "mp", "nec", "1", "2", "\u00b2")
+_FRAMING_TOKENS = (".", ";", "#", "\u00b2", "\u0661", *_FORMULA_TOKENS, *_JUSTIFICATION_TOKENS)
+
+
+def _framing_document(rng: random.Random, spaces: list[str]) -> str:
+    """One to three lines, each built as '<index>. <formula> ; <justification>'
+    from an index, a superscript or Arabic-Indic digit, or nothing, with
+    runs drawn from ``spaces`` between its pieces and zero to two tokens put
+    in or swapped for a piece.  Whitespace that breaks lines splits a line."""
+    lines = []
+    for i in range(1, rng.randrange(1, 4) + 1):
+        index = rng.choice((str(i), str(i), str(i), f"0{i}", "\u00b2", f"{i}\u0661", ""))
+        pieces = [index + "."] if rng.random() < 0.8 else [index, "."]
+        pieces += rng.choices(_FORMULA_TOKENS, k=rng.randrange(4)) + [";"]
+        pieces += rng.choices(_JUSTIFICATION_TOKENS, k=rng.randrange(3))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            at = rng.randrange(len(pieces) + 1)
+            pieces[at:at + rng.randrange(2)] = [rng.choice(_FRAMING_TOKENS)]
+        lines.append("".join(piece + "".join(rng.choices(spaces, k=rng.choice((0, 0, 0, 1, 1, 2))))
+                             for piece in ["", *pieces]))
+    return "\n".join(lines)
+
+
+def _regex_handoff(text: str):
+    """What parse_proof hands on under the regular-expression framing: the
+    formula and justification texts in line order, and the error it stops
+    at."""
+    texts = []
+    for lineno, frame in regex_proof_lines(text):
+        if frame is None:
+            return texts, f"line {lineno}: expected '<index>. <formula> ; <justification>'"
+        want = len(texts) // 2 + 1
+        if frame[0] != want:
+            return texts, f"line {lineno}: expected index {want}, got {frame[0]}"
+        texts += frame[1:]
+    return texts, None if texts else "no proof lines"
+
+
+def test_partition_framing_matches_the_regex_on_100000_lines(monkeypatch):
+    """On seeded documents of 100,000 line bodies in all, parse_proof hands
+    the formula parser and the justification reader the texts the
+    regular-expression framing gives, and refuses where it refuses, with
+    the same message.  Half the whitespace is a plain space, the rest any
+    of the code points ``str.isspace`` takes."""
+    handed: list[str] = []
+    monkeypatch.setattr(hilbert, "parse", lambda src, memo: handed.append(src) or p)
+    monkeypatch.setattr(hilbert, "_parse_justification",
+                        lambda src, lineno: handed.append(src) or Taut())
+    spaces = [c for c in _every_code_point() if c.isspace()]
+    rng = random.Random(32)
+    bodies = framed = accepted = 0
+    while bodies < 100_000:
+        text = _framing_document(rng, [" "] * len(spaces) + spaces)
+        handed.clear()
+        try:
+            parse_proof(text)
+            error = None
+        except ProofFormatError as exc:
+            error = str(exc)
+        assert (handed, error) == _regex_handoff(text), ascii(text)
+        frames = [frame for _, frame in regex_proof_lines(text)]
+        bodies += len(frames)
+        framed += len(frames) - frames.count(None)
+        accepted += error is None
+    assert framed >= 15_000 and accepted >= 3_000, (framed, accepted)
 
 
 PROOFS = sorted((Path(__file__).parent / "proofs").glob("*.ilp"))
